@@ -11,24 +11,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from .boxes import BoxTable, str_to_word, word_to_str
 from .errors import ArityError, SpecFileError
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ZERO, Scalar, common_form
+
+
+@lru_cache(maxsize=None)
+def _parity_signs(n: int) -> tuple:
+    """(-1)**popcount(a) for every n-bit output word a."""
+    return tuple(-1 if a.bit_count() & 1 else 1 for a in range(2**n))
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v)) if u is not None and v is not None else 0
+
+
+def _correlators(vec, n: int) -> list | None:
+    """Correlator numerators of one numerator vector, per input word."""
+    if vec is None:
+        return None
+    signs, width = _parity_signs(n), 2**n
+    return [_dot(signs, vec[i:i + width]) for i in range(0, len(vec), width)]
 
 
 def correlator(box: BoxTable, input_word: int) -> Scalar:
     """Parity expectation sum over outputs of (-1)**popcount * P at one input."""
     if not 0 <= input_word < 2**box.n:
         raise ArityError(f"input word {input_word} out of range for n={box.n}")
-    base = input_word << box.n
-    acc = ZERO
-    for a in range(2**box.n):
-        p = box.probs[base | a]
-        if p:
-            acc = acc + p if a.bit_count() % 2 == 0 else acc - p
-    return acc
+    n, signs = box.n, _parity_signs(box.n)
+    row = slice(input_word << n, (input_word + 1) << n)
+    return Scalar.over(
+        _dot(signs, box.rat[row]), _dot(signs, box.surd and box.surd[row]), box.den
+    )
 
 
 def gsi_sign(input_word: int) -> int:
@@ -39,7 +56,7 @@ def gsi_sign(input_word: int) -> int:
 class BellFunctional:
     """Linear functional sum_x coeff[x] * E_x on full correlators."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "form")
 
     def __init__(self, n: int, coeffs: Iterable[Scalar]):
         if n < 1:
@@ -49,6 +66,7 @@ class BellFunctional:
             raise ArityError(f"functional for n={n} needs {2**n} coefficients")
         self.n = n
         self.coeffs = coeffs
+        self.form = common_form(coeffs)  # (den, rat, surd) numerators of coeffs
 
     def __eq__(self, other):
         if not isinstance(other, BellFunctional):
@@ -101,11 +119,12 @@ def gsi(n: int) -> BellFunctional:
 def evaluate(functional: BellFunctional, box: BoxTable) -> Scalar:
     if functional.n != box.n:
         raise ArityError(f"functional is for n={functional.n}, box has n={box.n}")
-    acc = ZERO
-    for x, c in enumerate(functional.coeffs):
-        if c:
-            acc = acc + c * correlator(box, x)
-    return acc
+    den, c_rat, c_surd = functional.form
+    e_rat, e_surd = _correlators(box.rat, box.n), _correlators(box.surd, box.n)
+    # sum_x (c_rat + c_surd*sqrt2)(e_rat + e_surd*sqrt2)
+    rat = _dot(c_rat, e_rat) + 2 * _dot(c_surd, e_surd)
+    surd = _dot(c_rat, e_surd) + _dot(c_surd, e_rat)
+    return Scalar.over(rat, surd, den * box.den)
 
 
 def ch_evaluate(box: BoxTable) -> Scalar:

@@ -3,8 +3,16 @@
 A box is the table P(outputs | inputs) for n parties, each holding one input
 bit and one output bit.  Words pack party bits little-endian: party 1 is the
 least significant bit, so for word strings (serialization, CLI) the rightmost
-character belongs to party 1.  The table is a flat tuple of ``4**n`` Scalars
-indexed by ``(input_word << n) | output_word``.
+character belongs to party 1.  Cells are indexed by
+``(input_word << n) | output_word``.
+
+A table is stored in common-denominator form: one positive integer ``den``
+and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that cell i is
+``(rat[i] + surd[i]*sqrt(2)) / den``; a table without sqrt(2) parts carries
+``surd = None``.  The triple is reduced by the gcd of all its integers, so
+it is canonical and table equality is tuple equality.  Every operation
+below is an integer loop over these tuples.  ``Scalar`` values appear only
+at the edges: ``prob``, ``probs`` (built on first access) and JSON.
 
 Entries may be negative only for tables explicitly flagged ``quasi`` — those
 show up as intermediate objects around couplers, never as physical boxes.
@@ -14,11 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import repeat
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, common_form, qsign, reduce_form
 
 PARTY_CAP = 10
 WORD_ORDER = "party1-lsb"
@@ -34,10 +44,37 @@ def str_to_word(text: str, n: int) -> int:
     return int(text, 2)
 
 
+@lru_cache(maxsize=256)
+def subwords(n: int, parties: tuple) -> tuple:
+    """For every n-bit word, the word formed by the bits of ``parties``:
+    bit i of entry w is party ``parties[i]``'s bit of w."""
+    out = [0] * 2**n
+    for i, party in enumerate(parties):
+        bit = 1 << (party - 1)
+        for w in range(2**n):
+            if w & bit:
+                out[w] |= 1 << i
+    return tuple(out)
+
+
+def row_sums(vec: Sequence[int], n: int) -> list:
+    """Sum of each input word's row of an n-party numerator vector."""
+    width = 2**n
+    return [sum(vec[i:i + width]) for i in range(0, len(vec), width)]
+
+
+def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None:
+    """Index of the first cell whose ``rat + surd*sqrt(2)`` is negative."""
+    if min(rat) >= 0 and (surd is None or min(surd) >= 0):
+        return None
+    cells = enumerate(zip(rat, surd or repeat(0)))
+    return next((i for i, (r, s) in cells if qsign(r, s) < 0), None)
+
+
 class BoxTable:
     """Immutable dense table; see the module docstring for the layout."""
 
-    __slots__ = ("n", "probs", "quasi")
+    __slots__ = ("n", "den", "rat", "surd", "quasi", "_probs")
 
     def __init__(self, n: int, probs: Sequence[Scalar], quasi: bool = False):
         if n < 1:
@@ -46,24 +83,45 @@ class BoxTable:
         if len(probs) != 4**n:
             raise ArityError(f"table for n={n} needs {4**n} entries, got {len(probs)}")
         self.n = n
-        self.probs = probs
+        self.den, self.rat, self.surd = common_form(probs)
         self.quasi = quasi
+        self._probs = probs
+
+    @classmethod
+    def from_numerators(cls, n: int, den: int, rat, surd=None, quasi: bool = False) -> "BoxTable":
+        """The table with cells ``(rat[i] + surd[i]*sqrt(2)) / den``, ``den > 0``."""
+        self = object.__new__(cls)
+        self.n = n
+        self.den, self.rat, self.surd = reduce_form(den, rat, surd)
+        self.quasi = quasi
+        self._probs = None
+        return self
+
+    @property
+    def probs(self) -> tuple:
+        """Every cell as a Scalar, in index order; built on first access."""
+        if self._probs is None:
+            den = self.den
+            cells = zip(self.rat, self.surd or repeat(0))
+            self._probs = tuple(Scalar.over(r, s, den) if r or s else ZERO for r, s in cells)
+        return self._probs
 
     def prob(self, input_word: int, output_word: int) -> Scalar:
         return self.probs[(input_word << self.n) | output_word]
 
     def entries(self):
         """Yield (input_word, output_word, value) for every cell."""
-        n = self.n
+        n, probs = self.n, self.probs
         for x in range(2**n):
             base = x << n
             for a in range(2**n):
-                yield x, a, self.probs[base | a]
+                yield x, a, probs[base | a]
 
     def __eq__(self, other):
         if not isinstance(other, BoxTable):
             return NotImplemented
-        return self.n == other.n and self.probs == other.probs
+        return (self.n, self.den, self.rat, self.surd) == (
+            other.n, other.den, other.rat, other.surd)
 
     __hash__ = None
 
@@ -94,22 +152,29 @@ class BoxTable:
         if extra:
             raise SpecFileError(f"box document has unknown keys {sorted(extra)}")
         n = data.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise SpecFileError(f"box document needs a positive integer 'n', got {n!r}")
+        if n > PARTY_CAP:
+            raise SpecFileError(f"box document has n={n} parties; the cap is {PARTY_CAP}")
         if data.get("order") != WORD_ORDER:
             raise SpecFileError(f"box document must declare order {WORD_ORDER!r}")
-        probs = [ZERO] * 4**n
-        seen = set()
-        for item in data.get("probs", []):
+        items = data.get("probs", [])
+        if not isinstance(items, list):
+            raise SpecFileError(f"box document 'probs' must be a list, got {items!r}")
+        cells = {}
+        for item in items:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise SpecFileError(f"box entry must be [inputs, outputs, scalar]: {item!r}")
-            x = str_to_word(item[0], n)
-            a = str_to_word(item[1], n)
-            if (x, a) in seen:
+            index = (str_to_word(item[0], n) << n) | str_to_word(item[1], n)
+            if index in cells:
                 raise SpecFileError(f"duplicate box entry for inputs={item[0]} outputs={item[1]}")
-            seen.add((x, a))
-            probs[(x << n) | a] = Scalar.from_json(item[2])
-        return cls(n, probs, quasi=bool(data.get("quasi", False)))
+            cells[index] = Scalar.from_json(item[2])
+        # the listed cells share their reduced form with the whole table
+        den, rat, surd = common_form(list(cells.values()))
+        table = [[0] * 4**n, [0] * 4**n]
+        for index, r, s in zip(cells, rat, surd or repeat(0)):
+            table[0][index], table[1][index] = r, s
+        return cls.from_numerators(n, den, *table, quasi=bool(data.get("quasi", False)))
 
 
 # -- named constructors ----------------------------------------------------
@@ -132,17 +197,14 @@ def gsb(n: int, cap: int = PARTY_CAP) -> BoxTable:
     if n < 2:
         raise ArityError("gsb needs n >= 2")
     _check_cap(n, cap)
-    weight = Scalar.rational(1, 2 ** (n - 1))
-    probs = [ZERO] * 4**n
+    odd = [a.bit_count() & 1 for a in range(2**n)]
+    even = [1 - bit for bit in odd]
+    rat = []
     for x in range(2**n):
         k = x.bit_count()
         # XOR over unordered pairs j<k of input bits: C(k, 2) mod 2 of the set bits.
-        parity = (k * (k - 1) // 2) & 1
-        base = x << n
-        for a in range(2**n):
-            if a.bit_count() & 1 == parity:
-                probs[base | a] = weight
-    return BoxTable(n, probs)
+        rat += odd if (k * (k - 1) // 2) & 1 else even
+    return BoxTable.from_numerators(n, 2 ** (n - 1), rat)
 
 
 def pr() -> BoxTable:
@@ -155,14 +217,7 @@ def sb() -> BoxTable:
 
 @lru_cache(maxsize=None)
 def anti_pr() -> BoxTable:
-    half = Scalar.rational(1, 2)
-    probs = [ZERO] * 16
-    for x in range(4):
-        x1, x2 = x & 1, (x >> 1) & 1
-        for a in range(4):
-            if (a & 1) ^ (a >> 1) == (x1 & x2) ^ 1:
-                probs[(x << 2) | a] = half
-    return BoxTable(2, probs)
+    return isotropic(2, -1)
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +225,7 @@ def mixed(n: int, cap: int = PARTY_CAP) -> BoxTable:
     if n < 2:
         raise ArityError("mixed needs n >= 2")
     _check_cap(n, cap)
-    weight = Scalar.rational(1, 2**n)
-    return BoxTable(n, [weight] * 4**n)
+    return BoxTable.from_numerators(n, 2**n, [1] * 4**n)
 
 
 def isotropic(n: int, xi) -> BoxTable:
@@ -197,14 +251,14 @@ def deterministic_local(assignments: Sequence[tuple]) -> BoxTable:
     if n < 1:
         raise ArityError("deterministic_local needs at least one party")
     _check_cap(n, PARTY_CAP)
-    probs = [ZERO] * 4**n
+    rat = [0] * 4**n
     for x in range(2**n):
         a = 0
         for i, (c, m) in enumerate(assignments):
             bit = c ^ (m & (x >> i))
             a |= (bit & 1) << i
-        probs[(x << n) | a] = ONE
-    return BoxTable(n, probs)
+        rat[(x << n) | a] = 1
+    return BoxTable.from_numerators(n, 1, rat)
 
 
 _NAMED = {
@@ -242,6 +296,22 @@ def named_box(kind: str, n: int | None = None, xi=None) -> BoxTable:
 
 
 # -- operations -------------------------------------------------------------
+#
+# Each operation works on the numerator tuples only.  A product of two cells
+# follows (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2.
+
+
+def _scaled(vec: Sequence[int], k: int) -> list:
+    return [k * v for v in vec]
+
+
+def _sum(*vecs) -> list:
+    """Elementwise sum of the vectors that are not None."""
+    vecs = [v for v in vecs if v is not None]
+    total = list(vecs[0])
+    for v in vecs[1:]:
+        total = list(map(add, total, v))
+    return total
 
 
 def mix(terms: Iterable[tuple], quasi: bool = False) -> BoxTable:
@@ -262,44 +332,85 @@ def mix(terms: Iterable[tuple], quasi: bool = False) -> BoxTable:
         total = total + w
     if total != ONE:
         raise ValidationError(f"mix weights must sum to 1, got {total}")
-    out = [ZERO] * 4**n
+    # weight (p + q*sqrt2)/wden on a table over box.den, all over one den
+    parts = []
     for w, box in terms:
-        if not w:
-            continue
-        for i, p in enumerate(box.probs):
-            if p:
-                out[i] = out[i] + w * p
+        if w:
+            wden, p, q = common_form((w,))
+            parts.append((p[0], q[0] if q else 0, wden * box.den, box))
+    den = lcm(*(d for _, _, d, _ in parts))
+    rat, surd = [0] * 4**n, None
+    for p, q, d, box in parts:
+        k = den // d
+        p, q, s = p * k, q * k, box.surd
+        rat = _sum(rat, _scaled(box.rat, p), _scaled(s, 2 * q) if s and q else None)
+        if s or q:
+            surd = _sum(surd, _scaled(box.rat, q) if q else None, _scaled(s, p) if s else None)
     if not quasi:
-        for i, p in enumerate(out):
-            if p.sign() < 0:
-                raise ValidationError(
-                    f"mix produced a negative entry at index {i}; "
-                    "pass quasi=True if that is intended"
-                )
-    return BoxTable(n, out, quasi=quasi)
+        i = first_negative(rat, surd)
+        if i is not None:
+            raise ValidationError(
+                f"mix produced a negative entry at index {i}; "
+                "pass quasi=True if that is intended"
+            )
+    return BoxTable.from_numerators(n, den, rat, surd, quasi=quasi)
+
+
+def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
+    """Products u[i] * v[j] laid out as the tensor of a ``nu``-party table ``u``
+    (low party slots) and an ``nv``-party table ``v``, in index order."""
+    width = 1 << nu
+    rows_u = [u[x << nu:(x + 1) << nu] for x in range(width)]
+    zeros = [0] * width
+    out = []
+    for xv in range(1 << nv):
+        row_v = v[xv << nv:(xv + 1) << nv]
+        for row_u in rows_u:
+            for q in row_v:
+                out += [p * q for p in row_u] if q else zeros
+    return out
 
 
 def tensor(a: BoxTable, b: BoxTable, cap: int = PARTY_CAP) -> BoxTable:
     """Independent side-by-side composition; ``a`` keeps the low party slots."""
     n = a.n + b.n
     _check_cap(n, cap)
-    out = [ZERO] * 4**n
-    na = a.n
-    for xa, aa, pa in a.entries():
-        if not pa:
+
+    def outer(u, v):
+        return None if u is None or v is None else _outer(u, v, a.n, b.n)
+
+    both = outer(a.surd, b.surd)
+    rat = _sum(outer(a.rat, b.rat), both and _scaled(both, 2))
+    surd = None
+    if a.surd is not None or b.surd is not None:
+        surd = _sum(outer(a.rat, b.surd), outer(a.surd, b.rat))
+    return BoxTable.from_numerators(n, a.den * b.den, rat, surd, quasi=a.quasi or b.quasi)
+
+
+def _gather(vec: Sequence[int], n: int, size: int, row_at: Sequence, col_at: Sequence) -> list:
+    """Sum cell (x, a) of an n-party vector into ``out[row_at[x] | col_at[a]]``,
+    skipping input words whose ``row_at`` is None."""
+    out = [0] * size
+    width = 1 << n
+    for x, row in enumerate(row_at):
+        if row is None:
             continue
-        for xb, ab, pb in b.entries():
-            if not pb:
-                continue
-            out[((xa | (xb << na)) << n) | (aa | (ab << na))] = pa * pb
-    return BoxTable(n, out, quasi=a.quasi or b.quasi)
+        for a, v in enumerate(vec[x * width:(x + 1) * width]):
+            if v:
+                out[row | col_at[a]] += v
+    return out
 
 
-def _scatter(bits: int, slots: Sequence[int]) -> int:
-    word = 0
-    for i, party in enumerate(slots):
-        word |= ((bits >> i) & 1) << (party - 1)
-    return word
+def _marginals(box: BoxTable, keep: tuple, dropped: tuple) -> list:
+    """The marginal on ``keep`` at every input assignment of ``dropped``, as
+    ``(rat, surd)`` numerator pairs over ``box.den``."""
+    n, m = box.n, len(keep)
+    kept, lost = subwords(n, keep), subwords(n, dropped)
+    row_at = [(lost[x] << (2 * m)) | (kept[x] << m) for x in range(2**n)]
+    size, total = 4**m, 4**m << len(dropped)
+    rat, surd = (_gather(vec, n, total, row_at, kept) if vec else None
+                 for vec in (box.rat, box.surd))
+    return [(rat[i:i + size], surd and surd[i:i + size]) for i in range(0, total, size)]
 
 
 def marginalize(
@@ -316,54 +427,30 @@ def marginalize(
     input assignment the discarded parties are read at (cosmetic for valid
     boxes, given the check).
     """
-    keep = list(keep)
+    keep = tuple(keep)
     if not keep or len(set(keep)) != len(keep):
-        raise ArityError(f"keep must list distinct parties, got {keep}")
+        raise ArityError(f"keep must list distinct parties, got {list(keep)}")
     if any(p < 1 or p > box.n for p in keep):
-        raise ArityError(f"keep={keep} out of range for n={box.n}")
-    dropped = [p for p in range(1, box.n + 1) if p not in keep]
+        raise ArityError(f"keep={list(keep)} out of range for n={box.n}")
+    dropped = tuple(p for p in range(1, box.n + 1) if p not in keep)
     if fixed_inputs is not None:
         if set(fixed_inputs) != set(dropped):
             raise ArityError(
-                f"fixed_inputs must cover exactly the discarded parties {dropped}"
+                f"fixed_inputs must cover exactly the discarded parties {list(dropped)}"
             )
         if any(bit not in (0, 1) for bit in fixed_inputs.values()):
             raise ArityError("fixed_inputs values must be bits")
-    m = len(keep)
-    d = len(dropped)
-    # word -> kept-subword, computed once; shared by inputs and outputs
-    extract = [0] * 2**box.n
-    for w in range(2**box.n):
-        sub = 0
-        for i, party in enumerate(keep):
-            sub |= ((w >> (party - 1)) & 1) << i
-        extract[w] = sub
-
-    def table_at(assign: int) -> tuple:
-        xd = _scatter(assign, dropped)
-        out = [ZERO] * 4**m
-        for xk in range(2**m):
-            x = _scatter(xk, keep) | xd
-            base = x << box.n
-            for a in range(2**box.n):
-                p = box.probs[base | a]
-                if not p:
-                    continue
-                idx = (xk << m) | extract[a]
-                out[idx] = out[idx] + p
-        return tuple(out)
-
-    tables = [table_at(assign) for assign in range(2**d)]
-    for assign in range(2**d):
+    tables = _marginals(box, keep, dropped)
+    for assign in range(len(tables)):
         for i, party in enumerate(dropped):
-            other = assign ^ (1 << i)
-            if tables[assign] != tables[other]:
+            if tables[assign] != tables[assign ^ (1 << i)]:
                 raise SignalingError(party)
     chosen = 0
     if fixed_inputs is not None:
         for i, party in enumerate(dropped):
             chosen |= fixed_inputs[party] << i
-    return BoxTable(m, tables[chosen], quasi=box.quasi)
+    rat, surd = tables[chosen]
+    return BoxTable.from_numerators(len(keep), box.den, rat, surd, quasi=box.quasi)
 
 
 def permute_parties(box: BoxTable, order: Sequence[int]) -> BoxTable:
@@ -385,29 +472,17 @@ def merge_parties(box: BoxTable, i: int, j: int) -> BoxTable:
     lo, hi = min(i, j), max(i, j)
     n, m = box.n, box.n - 1
     # result slot -> original party, with lo's slot standing for the pair
-    slot_of = [p for p in range(1, n + 1) if p != hi]
-    lo_slot = slot_of.index(lo)
-    out = [ZERO] * 4**m
-    for xr in range(2**m):
-        x = _scatter(xr, slot_of)
-        x |= ((xr >> lo_slot) & 1) << (hi - 1)  # common input
-        base = x << n
-        for ar in range(2**m):
-            merged_bit = (ar >> lo_slot) & 1
-            acc = ZERO
-            for t in (0, 1):
-                a = 0
-                for s, party in enumerate(slot_of):
-                    bit = (ar >> s) & 1
-                    if party == lo:
-                        bit = t
-                    a |= bit << (party - 1)
-                a |= (t ^ merged_bit) << (hi - 1)
-                p = box.probs[base | a]
-                if p:
-                    acc = acc + p
-            out[(xr << m) | ar] = acc
-    return BoxTable(m, out, quasi=box.quasi)
+    slots = tuple(p for p in range(1, n + 1) if p != hi)
+    lo_slot = slots.index(lo)
+    sub = subwords(n, slots)
+    # only inputs that agree on the pair's two slots occur; the merged output
+    # bit is the XOR of the pair's output bits
+    row_at = [sub[x] << m if (x >> (lo - 1) ^ x >> (hi - 1)) & 1 == 0 else None
+              for x in range(2**n)]
+    col_at = [sub[a] ^ (((a >> (hi - 1)) & 1) << lo_slot) for a in range(2**n)]
+    rat, surd = (_gather(vec, n, 4**m, row_at, col_at) if vec else None
+                 for vec in (box.rat, box.surd))
+    return BoxTable.from_numerators(m, box.den, rat, surd, quasi=box.quasi)
 
 
 # -- validation -------------------------------------------------------------
@@ -443,37 +518,14 @@ class ValidationReport:
 
 
 def validate(box: BoxTable) -> ValidationReport:
-    n = box.n
-    normalized = True
-    nonnegative = True
-    for x in range(2**n):
-        base = x << n
-        row = ZERO
-        for a in range(2**n):
-            p = box.probs[base | a]
-            if p.sign() < 0:
-                nonnegative = False
-            row = row + p
-        if row != ONE:
-            normalized = False
+    n, rat, surd = box.n, box.rat, box.surd
+    normalized = all(v == box.den for v in row_sums(rat, n)) and (
+        surd is None or not any(row_sums(surd, n)))
+    nonnegative = first_negative(rat, surd) is None
     nonsignaling = {}
     for party in range(1, n + 1):
-        xbit = 1 << (party - 1)
-        ok = True
-        for x in range(2**n):
-            if x & xbit:
-                continue
-            lo, hi = x << n, (x | xbit) << n
-            # marginal over this party's output must match at both inputs
-            for a in range(2**n):
-                if a & xbit:
-                    continue
-                p0 = box.probs[lo | a] + box.probs[lo | a | xbit]
-                p1 = box.probs[hi | a] + box.probs[hi | a | xbit]
-                if p0 != p1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        nonsignaling[party] = ok
+        # the marginal on everyone else must not move with this party's input
+        others = tuple(p for p in range(1, n + 1) if p != party)
+        at0, at1 = _marginals(box, others, (party,))
+        nonsignaling[party] = at0 == at1
     return ValidationReport(normalized, nonnegative, nonsignaling)

@@ -31,17 +31,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Sequence
 
 from .bell import evaluate, gsi, gsi_sign
-from .boxes import BoxTable, str_to_word, word_to_str
-from .errors import ArityError, CouplerInvalidError, SpecFileError
-from .scalar import ONE, ZERO, Scalar
+from .boxes import BoxTable, first_negative, row_sums, str_to_word, subwords, word_to_str
+from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
+from .scalar import ZERO, Scalar, common_form, qsign
 
 
-def success_kernel(n: int) -> tuple[Scalar, ...]:
-    """Kernel H per consumed-input word; depends only on the popcount."""
+def _kernel_by_popcount(n: int) -> list:
+    """Integer kernel H for each popcount 0..n of the consumed-input word."""
     if n < 2:
         raise ArityError("couplers need at least two consumed ends")
     by_popcount = []
@@ -52,14 +53,26 @@ def success_kernel(n: int) -> tuple[Scalar, ...]:
                 sign = 1 if (a + b) % 4 in (0, 1) else -1
                 total += comb(k, a) * comb(n - k, b) * (-1) ** a * sign
         assert total % 2 == 0
-        by_popcount.append(Scalar(Fraction(total, 2)))
-    return tuple(by_popcount[y.bit_count()] for y in range(2**n))
+        by_popcount.append(total // 2)
+    return by_popcount
+
+
+def success_kernel(n: int) -> tuple[Scalar, ...]:
+    """Kernel H per consumed-input word; depends only on the popcount."""
+    by_popcount = _kernel_by_popcount(n)
+    return tuple(Scalar(by_popcount[y.bit_count()]) for y in range(2**n))
 
 
 class CouplerEffect:
-    """Weight tables of a coupler on N consumed ends; index (b << N) | y."""
+    """Weight tables of a coupler on N consumed ends; index (b << N) | y.
 
-    __slots__ = ("n", "w0", "w1")
+    ``w0``/``w1`` hold the weights as Scalars; ``num0``/``num1`` hold the
+    same weights as integer numerators over the common denominator ``den``,
+    which is what ``apply_coupler`` and ``contract`` compute with.  Weights
+    must be rational.
+    """
+
+    __slots__ = ("n", "w0", "w1", "den", "num0", "num1")
 
     def __init__(self, n: int, w0: Sequence[Scalar], w1: Sequence[Scalar]):
         if n < 2:
@@ -67,9 +80,15 @@ class CouplerEffect:
         w0, w1 = tuple(w0), tuple(w1)
         if len(w0) != 4**n or len(w1) != 4**n:
             raise ArityError(f"coupler for n={n} needs {4**n} weights per branch")
+        den, nums, surd = common_form(w0 + w1)
+        if surd is not None:
+            raise ValidationError("coupler weights must be rational")
         self.n = n
         self.w0 = w0
         self.w1 = w1
+        self.den = den
+        self.num0 = nums[:4**n]
+        self.num1 = nums[4**n:]
 
     def weight(self, branch: int, outputs: int, inputs: int) -> Scalar:
         table = self.w0 if branch == 0 else self.w1
@@ -84,17 +103,15 @@ class CouplerEffect:
         """
         if box.n != self.n:
             raise ArityError(f"coupler consumes {self.n} ends, box has {box.n}")
-        table = self.w0 if branch == 0 else self.w1
-        acc = ZERO
-        for y in range(2**self.n):
-            base = y << self.n
-            for b in range(2**self.n):
-                p = box.probs[base | b]
-                if p:
-                    w = table[(b << self.n) | y]
-                    if w:
-                        acc = acc + w * p
-        return acc
+        n = self.n
+        table = self.num0 if branch == 0 else self.num1
+        # weight index (b << n) | y against cell index (y << n) | b
+        order = [(y << n) | b for b in range(2**n) for y in range(2**n)]
+
+        def total(vec):
+            return sum(map(mul, table, map(vec.__getitem__, order))) if vec else 0
+
+        return Scalar.over(total(box.rat), total(box.surd), self.den * box.den)
 
     def __eq__(self, other):
         if not isinstance(other, CouplerEffect):
@@ -144,15 +161,16 @@ class CouplerEffect:
 
 @lru_cache(maxsize=None)
 def build_coupler(n: int) -> CouplerEffect:
-    kernel = success_kernel(n)
-    scale = Scalar(Fraction(1, 3 * 2**n))
-    uniform = Scalar(Fraction(1, 2**n))
-    w0 = []
+    kernel = _kernel_by_popcount(n)
+    den = 3 * 2**n
+    num0 = []
     for b in range(2**n):
         parity = -1 if b.bit_count() % 2 else 1
         for y in range(2**n):
-            w0.append(scale * (ONE + 2 * parity * kernel[y]))
-    w1 = [uniform - w for w in w0]
+            num0.append(1 + 2 * parity * kernel[y.bit_count()])
+    # chi_1 = 2**-N - chi_0 = (3 - num0) / den
+    w0 = [Scalar.rational(w, den) for w in num0]
+    w1 = [Scalar.rational(3 - w, den) for w in num0]
     return CouplerEffect(n, w0, w1)
 
 
@@ -216,58 +234,67 @@ def apply_coupler(
         raise ArityError("a coupler must leave at least one surviving party")
 
     n, m, N = joint.n, len(survivors), coupler.n
-    size = 4**m
-    # word -> (consumed-subword, surviving-subword), shared by inputs/outputs
-    to_consumed = [0] * 2**n
-    to_survivor = [0] * 2**n
-    for w in range(2**n):
-        c = 0
-        for i, party in enumerate(consumed):
-            c |= ((w >> (party - 1)) & 1) << i
-        to_consumed[w] = c
-        s = 0
-        for i, party in enumerate(survivors):
-            s |= ((w >> (party - 1)) & 1) << i
-        to_survivor[w] = s
-    t0 = [ZERO] * size  # success-branch weights, unnormalized
-    psum = [ZERO] * size  # plain 2**-N-weighted sum, for the complement
-    for x, a, p in joint.entries():
-        if not p:
-            continue
-        idx = (to_survivor[x] << m) | to_survivor[a]
-        w = coupler.w0[(to_consumed[a] << N) | to_consumed[x]]
-        if w:
-            t0[idx] = t0[idx] + w * p
-        psum[idx] = psum[idx] + p
-    uniform = Scalar(Fraction(1, 2**N))
-    t1 = [uniform * s - t for s, t in zip(psum, t0)]
+    kept, used = subwords(n, tuple(survivors)), subwords(n, tuple(consumed))
+    width, size = 2**n, 4**m
+    # weights over a denominator that 2**N divides, so the uniform effect
+    # 2**-N is an integer numerator too
+    scale = lcm(coupler.den, 2**N) // coupler.den
+    uniform = coupler.den * scale >> N
+    # weight of joint output word a at consumed input word y: column y, entry a
+    columns = [[coupler.num0[(used[a] << N) | y] * scale for a in range(width)]
+               for y in range(2**N)]
+
+    def branch_tables(vec):
+        """Numerators of both branch tables over coupler den * joint den."""
+        t0 = [0] * size
+        total = [0] * size
+        for x in range(2**n):
+            row, weights = kept[x] << m, columns[used[x]]
+            for a, v in enumerate(vec[x * width:(x + 1) * width]):
+                if v:
+                    i = row | kept[a]
+                    t0[i] += weights[a] * v
+                    total[i] += v
+        return t0, [uniform * p - t for p, t in zip(total, t0)]
+
+    rats = branch_tables(joint.rat)
+    surds = branch_tables(joint.surd) if joint.surd else (None, None)
+    den = coupler.den * scale * joint.den
 
     results = []
-    for branch, table in ((0, t0), (1, t1)):
-        masses = []
-        for xs in range(2**m):
-            row = ZERO
-            for as_ in range(2**m):
-                row = row + table[(xs << m) | as_]
-            masses.append(row)
-        mass = masses[0]
-        if any(v != mass for v in masses):
+    for branch in (0, 1):
+        rat, surd = rats[branch], surds[branch]
+        masses = row_sums(rat, m)
+        surd_masses = row_sums(surd, m) if surd else [0] * len(masses)
+        mass_r, mass_s = masses[0], surd_masses[0]
+        if any(v != mass_r for v in masses) or any(v != mass_s for v in surd_masses):
             raise CouplerInvalidError(
                 branch, f"branch {branch} mass depends on surviving inputs"
             )
-        if mass.sign() < 0:
+        sign = qsign(mass_r, mass_s)
+        if sign < 0:
             raise CouplerInvalidError(branch)
-        if not mass:
-            if any(v for v in table):
+        if not sign:
+            if any(rat) or (surd and any(surd)):
                 raise CouplerInvalidError(
                     branch, f"branch {branch} has zero mass but nonzero entries"
                 )
             results.append(BranchResult(branch, ZERO, None))
             continue
-        probs = []
-        for v in table:
-            if v.sign() < 0:
-                raise CouplerInvalidError(branch)
-            probs.append(v / mass)
-        results.append(BranchResult(branch, mass, BoxTable(m, probs)))
+        if first_negative(rat, surd) is not None:
+            raise CouplerInvalidError(branch)
+        box = _divided(m, rat, surd, mass_r, mass_s)
+        results.append(BranchResult(branch, Scalar.over(mass_r, mass_s, den), box))
     return tuple(results)
+
+
+def _divided(m: int, rat, surd, mass_r: int, mass_s: int) -> BoxTable:
+    """The table ``(rat + surd*sqrt2) / (mass_r + mass_s*sqrt2)`` for a
+    positive mass, multiplied through by the conjugate mass; the shared
+    denominator of table and mass cancels."""
+    surd = surd or [0] * len(rat)
+    norm = mass_r * mass_r - 2 * mass_s * mass_s  # nonzero: sqrt2 is irrational
+    sign = 1 if norm > 0 else -1
+    new_rat = [sign * (r * mass_r - 2 * s * mass_s) for r, s in zip(rat, surd)]
+    new_surd = [sign * (s * mass_r - r * mass_s) for r, s in zip(rat, surd)]
+    return BoxTable.from_numerators(m, sign * norm, new_rat, new_surd)

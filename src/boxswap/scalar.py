@@ -18,6 +18,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 _F0 = Fraction(0)
 
@@ -54,6 +55,11 @@ class Scalar:
     @classmethod
     def rational(cls, numerator, denominator=1) -> "Scalar":
         return cls._raw(Fraction(numerator, denominator), _F0)
+
+    @classmethod
+    def over(cls, rat: int, surd: int, den: int) -> "Scalar":
+        """``(rat + surd*sqrt(2)) / den`` for integers, ``den`` nonzero."""
+        return cls._raw(Fraction(rat, den), Fraction(surd, den) if surd else _F0)
 
     # -- predicates ------------------------------------------------------
 
@@ -142,20 +148,8 @@ class Scalar:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1} of rat + surd*sqrt(2)."""
         r, s = self.rat, self.surd
-        if not s:
-            return (r > 0) - (r < 0)
-        if not r:
-            return 1 if s > 0 else -1
-        if r > 0 and s > 0:
-            return 1
-        if r < 0 and s < 0:
-            return -1
-        # Opposite signs: |r| vs |s|*sqrt(2) decides, i.e. r*r vs 2*s*s.
-        # Equality is impossible for nonzero rationals (sqrt(2) is irrational).
-        rr, ss2 = r * r, 2 * s * s
-        if r > 0:
-            return 1 if rr > ss2 else -1
-        return -1 if rr > ss2 else 1
+        # both denominators are positive, so clearing them keeps the sign
+        return qsign(r.numerator * s.denominator, s.numerator * r.denominator)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -249,6 +243,51 @@ class Scalar:
                 raise SpecFileError(f"scalar field {key!r} has a zero denominator")
             parts.append(Fraction(num, den))
         return cls._raw(*parts)
+
+
+def qsign(r: int, s: int) -> int:
+    """Exact sign in {-1, 0, +1} of ``r + s*sqrt(2)`` for integers r, s."""
+    if not s:
+        return (r > 0) - (r < 0)
+    if r >= 0 and s > 0:
+        return 1
+    if r <= 0 and s < 0:
+        return -1
+    # Opposite signs: |r| vs |s|*sqrt(2) decides, i.e. r*r vs 2*s*s.
+    # Equality is impossible for nonzero s (sqrt(2) is irrational).
+    if r > 0:
+        return 1 if r * r > 2 * s * s else -1
+    return -1 if r * r > 2 * s * s else 1
+
+
+# -- common-denominator vectors ------------------------------------------------
+#
+# A vector of Scalars is stored as ``(den, rat, surd)``: one positive integer
+# denominator and integer numerator tuples, element i being
+# ``(rat[i] + surd[i]*sqrt(2)) / den``.  ``surd`` is None when every sqrt(2)
+# part is zero.  Reduced by the gcd of all its integers, the triple is
+# canonical: two vectors are equal exactly when their triples are.
+
+
+def reduce_form(den: int, rat, surd=None) -> tuple:
+    """The canonical triple of ``(den, rat, surd)``; ``den`` must be positive."""
+    if surd is not None and not any(surd):
+        surd = None
+    g = gcd(den, *rat) if surd is None else gcd(den, *rat, *surd)
+    if g != 1:
+        den //= g
+        rat = [v // g for v in rat]
+        if surd is not None:
+            surd = [v // g for v in surd]
+    return den, tuple(rat), None if surd is None else tuple(surd)
+
+
+def common_form(values) -> tuple:
+    """The canonical ``(den, rat, surd)`` triple of a sequence of Scalars."""
+    den = lcm(*{v.rat.denominator for v in values}, *{v.surd.denominator for v in values})
+    rat = [v.rat.numerator * (den // v.rat.denominator) for v in values]
+    surd = [v.surd.numerator * (den // v.surd.denominator) for v in values]
+    return reduce_form(den, rat, surd)
 
 
 def _coerce(value):

@@ -108,6 +108,9 @@ class ScenarioSpec:
         extra = set(data) - {"name", "boxes", "couplers", "wirings", "condition", "reports"}
         if extra:
             raise SpecFileError(f"scenario document has unknown keys {sorted(extra)}")
+        for key in ("boxes", "couplers", "wirings"):
+            if not isinstance(data.get(key, []), list):
+                raise SpecFileError(f"scenario {key!r} must be a list, got {data[key]!r}")
         boxes = []
         for item in data.get("boxes", []):
             if not isinstance(item, dict):

@@ -181,3 +181,36 @@ def test_show_rejects_float_probabilities(tmp_path, capsys):
     save_json(path, doc)
     assert main(["show", str(path)]) == 2
     assert "non-integer" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        # over the party cap: refused before 4**11 cells are allocated
+        ({"n": 11, "order": "party1-lsb", "probs": []}, "cap"),
+        ({"n": True, "order": "party1-lsb", "probs": []}, "positive integer"),
+        ({"n": 2, "order": "party1-lsb", "probs": 5}, "must be a list"),
+    ],
+)
+@pytest.mark.parametrize("verb", [["show"], ["eval", "gsi"]])
+def test_box_loader_rejects_malformed_fields(tmp_path, capsys, doc, needle, verb):
+    path = tmp_path / "box.json"
+    save_json(path, doc)
+    assert main([verb[0], str(path), *verb[1:]]) == 2
+    assert needle in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["boxes", "couplers", "wirings"])
+def test_scenario_loader_rejects_non_list_sections(tmp_path, capsys, key):
+    doc = {"name": "s", "boxes": [{"name": "g", "kind": "pr", "parties": ["a", "b"]}]}
+    doc[key] = 5
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    assert f"{key!r} must be a list" in _one_line_error(capsys)
