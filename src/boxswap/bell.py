@@ -14,9 +14,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable
 
-from .boxes import BoxTable, str_to_word, word_to_str
-from .errors import ArityError, SpecFileError
-from .scalar import ZERO, Scalar, common_form
+from .boxes import BoxTable
+from .errors import ArityError
+from .scalar import Scalar, common_form
 
 
 @lru_cache(maxsize=None)
@@ -68,44 +68,8 @@ class BellFunctional:
         self.coeffs = coeffs
         self.form = common_form(coeffs)  # (den, rat, surd) numerators of coeffs
 
-    def __eq__(self, other):
-        if not isinstance(other, BellFunctional):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def __repr__(self):
         return f"BellFunctional(n={self.n})"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "coeffs": [
-                [word_to_str(x, self.n), c.to_json()]
-                for x, c in enumerate(self.coeffs)
-                if c
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "BellFunctional":
-        if not isinstance(data, dict) or set(data) - {"n", "coeffs"}:
-            raise SpecFileError("functional document must have keys 'n' and 'coeffs'")
-        n = data.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise SpecFileError(f"functional document needs a positive integer 'n', got {n!r}")
-        coeffs = [ZERO] * 2**n
-        seen = set()
-        for item in data.get("coeffs", []):
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise SpecFileError(f"functional entry must be [inputs, scalar]: {item!r}")
-            x = str_to_word(item[0], n)
-            if x in seen:
-                raise SpecFileError(f"duplicate functional entry for inputs={item[0]}")
-            seen.add(x)
-            coeffs[x] = Scalar.from_json(item[1])
-        return cls(n, coeffs)
 
 
 @lru_cache(maxsize=None)

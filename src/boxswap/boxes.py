@@ -13,9 +13,6 @@ and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that cell i is
 it is canonical and table equality is tuple equality.  Every operation
 below is an integer loop over these tuples.  ``Scalar`` values appear only
 at the edges: ``prob``, ``probs`` (built on first access) and JSON.
-
-Entries may be negative only for tables explicitly flagged ``quasi`` — those
-show up as intermediate objects around couplers, never as physical boxes.
 """
 
 from __future__ import annotations
@@ -25,9 +22,10 @@ from functools import lru_cache
 from itertools import repeat
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
+from .fileio import json_positive_int
 from .scalar import ONE, ZERO, Scalar, common_form, qsign, reduce_form
 
 PARTY_CAP = 10
@@ -74,9 +72,9 @@ def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None
 class BoxTable:
     """Immutable dense table; see the module docstring for the layout."""
 
-    __slots__ = ("n", "den", "rat", "surd", "quasi", "_probs")
+    __slots__ = ("n", "den", "rat", "surd", "_probs")
 
-    def __init__(self, n: int, probs: Sequence[Scalar], quasi: bool = False):
+    def __init__(self, n: int, probs: Sequence[Scalar]):
         if n < 1:
             raise ArityError(f"a box needs at least one party, got n={n}")
         probs = tuple(probs)
@@ -84,16 +82,14 @@ class BoxTable:
             raise ArityError(f"table for n={n} needs {4**n} entries, got {len(probs)}")
         self.n = n
         self.den, self.rat, self.surd = common_form(probs)
-        self.quasi = quasi
         self._probs = probs
 
     @classmethod
-    def from_numerators(cls, n: int, den: int, rat, surd=None, quasi: bool = False) -> "BoxTable":
+    def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
         """The table with cells ``(rat[i] + surd[i]*sqrt(2)) / den``, ``den > 0``."""
         self = object.__new__(cls)
         self.n = n
         self.den, self.rat, self.surd = reduce_form(den, rat, surd)
-        self.quasi = quasi
         self._probs = None
         return self
 
@@ -126,12 +122,12 @@ class BoxTable:
     __hash__ = None
 
     def __repr__(self):
-        return f"BoxTable(n={self.n}{', quasi' if self.quasi else ''})"
+        return f"BoxTable(n={self.n})"
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "n": self.n,
             "order": WORD_ORDER,
             "probs": [
@@ -140,20 +136,15 @@ class BoxTable:
                 if p
             ],
         }
-        if self.quasi:
-            doc["quasi"] = True
-        return doc
 
     @classmethod
     def from_json(cls, data) -> "BoxTable":
         if not isinstance(data, dict):
             raise SpecFileError("box document must be a JSON object")
-        extra = set(data) - {"n", "order", "probs", "quasi"}
+        extra = set(data) - {"n", "order", "probs"}
         if extra:
             raise SpecFileError(f"box document has unknown keys {sorted(extra)}")
-        n = data.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise SpecFileError(f"box document needs a positive integer 'n', got {n!r}")
+        n = json_positive_int(data.get("n"), "box document 'n'")
         if n > PARTY_CAP:
             raise SpecFileError(f"box document has n={n} parties; the cap is {PARTY_CAP}")
         if data.get("order") != WORD_ORDER:
@@ -174,7 +165,7 @@ class BoxTable:
         table = [[0] * 4**n, [0] * 4**n]
         for index, r, s in zip(cells, rat, surd or repeat(0)):
             table[0][index], table[1][index] = r, s
-        return cls.from_numerators(n, den, *table, quasi=bool(data.get("quasi", False)))
+        return cls.from_numerators(n, den, *table)
 
 
 # -- named constructors ----------------------------------------------------
@@ -314,12 +305,11 @@ def _sum(*vecs) -> list:
     return total
 
 
-def mix(terms: Iterable[tuple], quasi: bool = False) -> BoxTable:
+def mix(terms: Iterable[tuple]) -> BoxTable:
     """Affine combination of same-arity tables.
 
     Weights must sum to one exactly.  Negative weights are fine as long as
-    the result stays nonnegative; pass ``quasi=True`` to keep a table that
-    does not (it will carry the flag).
+    the result stays nonnegative.
     """
     terms = [(w if isinstance(w, Scalar) else Scalar(w), box) for w, box in terms]
     if not terms:
@@ -346,14 +336,10 @@ def mix(terms: Iterable[tuple], quasi: bool = False) -> BoxTable:
         rat = _sum(rat, _scaled(box.rat, p), _scaled(s, 2 * q) if s and q else None)
         if s or q:
             surd = _sum(surd, _scaled(box.rat, q) if q else None, _scaled(s, p) if s else None)
-    if not quasi:
-        i = first_negative(rat, surd)
-        if i is not None:
-            raise ValidationError(
-                f"mix produced a negative entry at index {i}; "
-                "pass quasi=True if that is intended"
-            )
-    return BoxTable.from_numerators(n, den, rat, surd, quasi=quasi)
+    i = first_negative(rat, surd)
+    if i is not None:
+        raise ValidationError(f"mix produced a negative entry at index {i}")
+    return BoxTable.from_numerators(n, den, rat, surd)
 
 
 def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
@@ -384,7 +370,7 @@ def tensor(a: BoxTable, b: BoxTable, cap: int = PARTY_CAP) -> BoxTable:
     surd = None
     if a.surd is not None or b.surd is not None:
         surd = _sum(outer(a.rat, b.surd), outer(a.surd, b.rat))
-    return BoxTable.from_numerators(n, a.den * b.den, rat, surd, quasi=a.quasi or b.quasi)
+    return BoxTable.from_numerators(n, a.den * b.den, rat, surd)
 
 
 def _gather(vec: Sequence[int], n: int, size: int, row_at: Sequence, col_at: Sequence) -> list:
@@ -413,19 +399,13 @@ def _marginals(box: BoxTable, keep: tuple, dropped: tuple) -> list:
     return [(rat[i:i + size], surd and surd[i:i + size]) for i in range(0, total, size)]
 
 
-def marginalize(
-    box: BoxTable,
-    keep: Sequence[int],
-    fixed_inputs: Mapping[int, int] | None = None,
-) -> BoxTable:
+def marginalize(box: BoxTable, keep: Sequence[int]) -> BoxTable:
     """Trace out every party not in ``keep`` (result party k is keep[k-1],
     so this doubles as a permutation when ``keep`` lists all parties).
 
     For a nonsignaling table the discarded parties' inputs cannot matter;
     that is checked exactly, and a violation raises SignalingError naming a
-    party whose input shifts the marginal.  ``fixed_inputs`` selects which
-    input assignment the discarded parties are read at (cosmetic for valid
-    boxes, given the check).
+    party whose input shifts the marginal.
     """
     keep = tuple(keep)
     if not keep or len(set(keep)) != len(keep):
@@ -433,24 +413,13 @@ def marginalize(
     if any(p < 1 or p > box.n for p in keep):
         raise ArityError(f"keep={list(keep)} out of range for n={box.n}")
     dropped = tuple(p for p in range(1, box.n + 1) if p not in keep)
-    if fixed_inputs is not None:
-        if set(fixed_inputs) != set(dropped):
-            raise ArityError(
-                f"fixed_inputs must cover exactly the discarded parties {list(dropped)}"
-            )
-        if any(bit not in (0, 1) for bit in fixed_inputs.values()):
-            raise ArityError("fixed_inputs values must be bits")
     tables = _marginals(box, keep, dropped)
     for assign in range(len(tables)):
         for i, party in enumerate(dropped):
             if tables[assign] != tables[assign ^ (1 << i)]:
                 raise SignalingError(party)
-    chosen = 0
-    if fixed_inputs is not None:
-        for i, party in enumerate(dropped):
-            chosen |= fixed_inputs[party] << i
-    rat, surd = tables[chosen]
-    return BoxTable.from_numerators(len(keep), box.den, rat, surd, quasi=box.quasi)
+    rat, surd = tables[0]
+    return BoxTable.from_numerators(len(keep), box.den, rat, surd)
 
 
 def permute_parties(box: BoxTable, order: Sequence[int]) -> BoxTable:
@@ -482,7 +451,7 @@ def merge_parties(box: BoxTable, i: int, j: int) -> BoxTable:
     col_at = [sub[a] ^ (((a >> (hi - 1)) & 1) << lo_slot) for a in range(2**n)]
     rat, surd = (_gather(vec, n, 4**m, row_at, col_at) if vec else None
                  for vec in (box.rat, box.surd))
-    return BoxTable.from_numerators(m, box.den, rat, surd, quasi=box.quasi)
+    return BoxTable.from_numerators(m, box.den, rat, surd)
 
 
 # -- validation -------------------------------------------------------------

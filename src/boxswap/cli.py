@@ -219,7 +219,7 @@ def cmd_show(args) -> int:
         )
     else:
         lines = [
-            f"{box.n}-party box" + (" (quasi)" if box.quasi else ""),
+            f"{box.n}-party box",
             "",
             _box_grid(box).rstrip(),
             "",

@@ -2,10 +2,11 @@
 
 A coupler is a two-outcome quasi-measurement one user performs jointly on N
 box ends they hold: it consumes those N inputs and outputs, and returns a
-single bit b'.  Internally it is a pair of weight tables chi_0, chi_1 over
-(outputs, inputs) of the consumed ends with chi_0 + chi_1 uniform at 2**-N —
-a quasi-effect: individual weights may be negative, and only the branch
-tables it produces are required to be physical.
+single bit b'.  It is stored as one weight table chi_0 over (outputs, inputs)
+of the consumed ends, as integer numerators over 3 * 2**N; the other branch
+is chi_1 = 2**-N - chi_0, so chi_0 + chi_1 is uniform at 2**-N by
+construction.  It is a quasi-effect: individual weights may be negative, and
+only the branch tables it produces are required to be physical.
 
 The success weights are
 
@@ -31,14 +32,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Sequence
 
-from .bell import evaluate, gsi, gsi_sign
-from .boxes import BoxTable, first_negative, row_sums, str_to_word, subwords, word_to_str
-from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
-from .scalar import ZERO, Scalar, common_form, qsign
+from .bell import evaluate, gsi
+from .boxes import BoxTable, first_negative, row_sums, subwords
+from .errors import ArityError, CouplerInvalidError
+from .scalar import ZERO, Scalar, qsign
 
 
 def _kernel_by_popcount(n: int) -> list:
@@ -64,35 +65,20 @@ def success_kernel(n: int) -> tuple[Scalar, ...]:
 
 
 class CouplerEffect:
-    """Weight tables of a coupler on N consumed ends; index (b << N) | y.
+    """The success weights chi_0 of a coupler on N consumed ends, as integer
+    numerators ``num0`` over ``den = 3 * 2**N``; index (b << N) | y.  The
+    failure weights chi_1 = 2**-N - chi_0 have numerators ``3 - num0``."""
 
-    ``w0``/``w1`` hold the weights as Scalars; ``num0``/``num1`` hold the
-    same weights as integer numerators over the common denominator ``den``,
-    which is what ``apply_coupler`` and ``contract`` compute with.  Weights
-    must be rational.
-    """
+    __slots__ = ("n", "den", "num0")
 
-    __slots__ = ("n", "w0", "w1", "den", "num0", "num1")
-
-    def __init__(self, n: int, w0: Sequence[Scalar], w1: Sequence[Scalar]):
-        if n < 2:
-            raise ArityError("couplers need at least two consumed ends")
-        w0, w1 = tuple(w0), tuple(w1)
-        if len(w0) != 4**n or len(w1) != 4**n:
-            raise ArityError(f"coupler for n={n} needs {4**n} weights per branch")
-        den, nums, surd = common_form(w0 + w1)
-        if surd is not None:
-            raise ValidationError("coupler weights must be rational")
+    def __init__(self, n: int, num0: Sequence[int]):
         self.n = n
-        self.w0 = w0
-        self.w1 = w1
-        self.den = den
-        self.num0 = nums[:4**n]
-        self.num1 = nums[4**n:]
+        self.den = 3 << n
+        self.num0 = tuple(num0)
 
     def weight(self, branch: int, outputs: int, inputs: int) -> Scalar:
-        table = self.w0 if branch == 0 else self.w1
-        return table[(outputs << self.n) | inputs]
+        num = self.num0[(outputs << self.n) | inputs]
+        return Scalar.rational(num if branch == 0 else 3 - num, self.den)
 
     def contract(self, box: BoxTable, branch: int = 0) -> Scalar:
         """Raw weight contraction sum_{b,y} chi_branch(b, y) * P(b | y).
@@ -104,7 +90,7 @@ class CouplerEffect:
         if box.n != self.n:
             raise ArityError(f"coupler consumes {self.n} ends, box has {box.n}")
         n = self.n
-        table = self.num0 if branch == 0 else self.num1
+        table = self.num0 if branch == 0 else [3 - w for w in self.num0]
         # weight index (b << n) | y against cell index (y << n) | b
         order = [(y << n) | b for b in range(2**n) for y in range(2**n)]
 
@@ -113,65 +99,19 @@ class CouplerEffect:
 
         return Scalar.over(total(box.rat), total(box.surd), self.den * box.den)
 
-    def __eq__(self, other):
-        if not isinstance(other, CouplerEffect):
-            return NotImplemented
-        return self.n == other.n and self.w0 == other.w0 and self.w1 == other.w1
-
-    __hash__ = None
-
     def __repr__(self):
         return f"CouplerEffect(n={self.n})"
-
-    def to_json(self) -> dict:
-        entries = []
-        for branch, table in ((0, self.w0), (1, self.w1)):
-            for b in range(2**self.n):
-                for y in range(2**self.n):
-                    w = table[(b << self.n) | y]
-                    if w:
-                        entries.append(
-                            [branch, word_to_str(b, self.n), word_to_str(y, self.n), w.to_json()]
-                        )
-        return {"n": self.n, "weights": entries}
-
-    @classmethod
-    def from_json(cls, data) -> "CouplerEffect":
-        if not isinstance(data, dict) or set(data) - {"n", "weights"}:
-            raise SpecFileError("coupler document must have keys 'n' and 'weights'")
-        n = data.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise SpecFileError(f"coupler document needs integer n >= 2, got {n!r}")
-        tables = {0: [ZERO] * 4**n, 1: [ZERO] * 4**n}
-        seen = set()
-        for item in data.get("weights", []):
-            if not isinstance(item, (list, tuple)) or len(item) != 4:
-                raise SpecFileError(f"coupler entry must be [branch, outputs, inputs, scalar]: {item!r}")
-            branch = item[0]
-            if branch not in (0, 1):
-                raise SpecFileError(f"coupler branch must be 0 or 1, got {branch!r}")
-            b = str_to_word(item[1], n)
-            y = str_to_word(item[2], n)
-            if (branch, b, y) in seen:
-                raise SpecFileError(f"duplicate coupler entry {item[:3]!r}")
-            seen.add((branch, b, y))
-            tables[branch][(b << n) | y] = Scalar.from_json(item[3])
-        return cls(n, tables[0], tables[1])
 
 
 @lru_cache(maxsize=None)
 def build_coupler(n: int) -> CouplerEffect:
     kernel = _kernel_by_popcount(n)
-    den = 3 * 2**n
     num0 = []
     for b in range(2**n):
         parity = -1 if b.bit_count() % 2 else 1
         for y in range(2**n):
             num0.append(1 + 2 * parity * kernel[y.bit_count()])
-    # chi_1 = 2**-N - chi_0 = (3 - num0) / den
-    w0 = [Scalar.rational(w, den) for w in num0]
-    w1 = [Scalar.rational(3 - w, den) for w in num0]
-    return CouplerEffect(n, w0, w1)
+    return CouplerEffect(n, num0)
 
 
 def success_probability(coupler: CouplerEffect, bob_box: BoxTable) -> Scalar:
@@ -205,14 +145,6 @@ class BranchResult:
     def __repr__(self):
         return f"BranchResult(branch={self.branch}, probability={self.probability})"
 
-    def to_json(self) -> dict:
-        return {
-            "branch": self.branch,
-            "probability": self.probability.to_json(),
-            "probability_decimal": self.probability.decimal(),
-            "box": None if self.box is None else self.box.to_json(),
-        }
-
 
 def apply_coupler(
     coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]
@@ -236,16 +168,13 @@ def apply_coupler(
     n, m, N = joint.n, len(survivors), coupler.n
     kept, used = subwords(n, tuple(survivors)), subwords(n, tuple(consumed))
     width, size = 2**n, 4**m
-    # weights over a denominator that 2**N divides, so the uniform effect
-    # 2**-N is an integer numerator too
-    scale = lcm(coupler.den, 2**N) // coupler.den
-    uniform = coupler.den * scale >> N
     # weight of joint output word a at consumed input word y: column y, entry a
-    columns = [[coupler.num0[(used[a] << N) | y] * scale for a in range(width)]
+    columns = [[coupler.num0[(used[a] << N) | y] for a in range(width)]
                for y in range(2**N)]
 
     def branch_tables(vec):
-        """Numerators of both branch tables over coupler den * joint den."""
+        """Numerators of both branch tables over coupler den * joint den;
+        chi_1's weights are 3 - num0, so its table is 3 * total - t0."""
         t0 = [0] * size
         total = [0] * size
         for x in range(2**n):
@@ -255,11 +184,11 @@ def apply_coupler(
                     i = row | kept[a]
                     t0[i] += weights[a] * v
                     total[i] += v
-        return t0, [uniform * p - t for p, t in zip(total, t0)]
+        return t0, [3 * p - t for p, t in zip(total, t0)]
 
     rats = branch_tables(joint.rat)
     surds = branch_tables(joint.surd) if joint.surd else (None, None)
-    den = coupler.den * scale * joint.den
+    den = coupler.den * joint.den
 
     results = []
     for branch in (0, 1):

@@ -53,4 +53,4 @@ class CouplerInvalidError(BoxSwapError):
 
 
 class SpecFileError(BoxSwapError, ValueError):
-    """A JSON document (box, functional, coupler, or scenario) is malformed."""
+    """A JSON document (box or scenario) is malformed."""

@@ -66,9 +66,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.rat and not self.surd
 
-    def is_rational(self) -> bool:
-        return not self.surd
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -194,10 +191,6 @@ class Scalar:
             else:
                 parts.append(term)
         return "".join(parts)
-
-    def to_float(self) -> float:
-        """Float approximation — display and plotting only, never arithmetic."""
-        return float(self.rat) + float(self.surd) * 1.4142135623730951
 
     def decimal(self, digits: int = 12) -> str:
         """Decimal rendering correct to ``digits`` significant digits."""

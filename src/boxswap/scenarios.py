@@ -33,6 +33,7 @@ from .boxes import (
 )
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
+from .fileio import json_positive_int, json_str
 from .scalar import ONE, ZERO, Scalar
 
 REPORT_FUNCTIONALS = ("gsi", "ch")
@@ -121,15 +122,15 @@ class ScenarioSpec:
             parties = item.get("parties")
             if not isinstance(parties, list) or not parties:
                 raise SpecFileError(f"box entry needs a nonempty 'parties' list: {item!r}")
-            n = item.get("n", len(parties))
             xi = item.get("xi")
             table = item.get("table")
             boxes.append(
                 ScenarioBox(
-                    name=str(item.get("name", f"box{len(boxes) + 1}")),
-                    kind=str(item.get("kind", "inline" if table is not None else "")),
-                    n=n,
-                    parties=tuple(str(p) for p in parties),
+                    name=json_str(item.get("name", f"box{len(boxes) + 1}"), "box 'name'"),
+                    kind=json_str(item.get("kind", "inline" if table is not None else ""),
+                                  "box 'kind'"),
+                    n=json_positive_int(item.get("n", len(parties)), "box 'n'"),
+                    parties=tuple(json_str(p, "party label") for p in parties),
                     xi=None if xi is None else Scalar.from_json(xi),
                     table=None if table is None else BoxTable.from_json(table),
                 )
@@ -149,8 +150,8 @@ class ScenarioSpec:
                 raise SpecFileError(f"coupler outcome must be 0, 1, or null: {outcome!r}")
             couplers.append(
                 ScenarioCoupler(
-                    arity=item.get("arity", len(consumed)),
-                    consumed=tuple(str(p) for p in consumed),
+                    arity=json_positive_int(item.get("arity", len(consumed)), "coupler 'arity'"),
+                    consumed=tuple(json_str(p, "consumed label") for p in consumed),
                     outcome=outcome,
                 )
             )
@@ -179,17 +180,18 @@ class ScenarioSpec:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecFileError(f"wiring entry needs a 'pair' of two labels: {item!r}")
             wirings.append(
-                ScenarioWiring(pair=tuple(str(p) for p in pair), merged=str(item.get("merged", "")))
+                ScenarioWiring(pair=tuple(json_str(p, "wiring 'pair' label") for p in pair),
+                               merged=json_str(item.get("merged", ""), "wiring 'merged'"))
             )
         reports = data.get("reports", ["gsi"])
         if not isinstance(reports, list):
             raise SpecFileError("'reports' must be a list of functional names")
         return cls(
-            name=str(data.get("name", "scenario")),
+            name=json_str(data.get("name", "scenario"), "scenario 'name'"),
             boxes=tuple(boxes),
             couplers=tuple(couplers),
             wirings=tuple(wirings),
-            reports=tuple(str(r) for r in reports),
+            reports=tuple(json_str(r, "'reports' entry") for r in reports),
         )
 
 
@@ -663,21 +665,6 @@ class EfficiencyComparison:
     pairwise_probability: Scalar
     coupler_boxes: int
     coupler_probability: Scalar
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "pairwise": {
-                "boxes": self.pairwise_boxes,
-                "probability": self.pairwise_probability.to_json(),
-                "probability_decimal": self.pairwise_probability.decimal(),
-            },
-            "coupler": {
-                "boxes": self.coupler_boxes,
-                "probability": self.coupler_probability.to_json(),
-                "probability_decimal": self.coupler_probability.decimal(),
-            },
-        }
 
 
 def efficiency_compare(n: int) -> EfficiencyComparison:

@@ -60,7 +60,7 @@ def mix(terms, quasi=False):
         for i, p in enumerate(out):
             if p.sign() < 0:
                 raise ValidationError(f"mix produced a negative entry at index {i}")
-    return BoxTable(n, out, quasi=quasi)
+    return BoxTable(n, out)
 
 
 def tensor(a, b):
@@ -74,10 +74,10 @@ def tensor(a, b):
             if not pb:
                 continue
             out[((xa | (xb << na)) << n) | (aa | (ab << na))] = pa * pb
-    return BoxTable(n, out, quasi=a.quasi or b.quasi)
+    return BoxTable(n, out)
 
 
-def marginalize(box, keep, fixed_inputs=None):
+def marginalize(box, keep):
     keep = list(keep)
     dropped = [p for p in range(1, box.n + 1) if p not in keep]
     m = len(keep)
@@ -99,11 +99,7 @@ def marginalize(box, keep, fixed_inputs=None):
         for i, party in enumerate(dropped):
             if tables[assign] != tables[assign ^ (1 << i)]:
                 raise SignalingError(party)
-    chosen = 0
-    if fixed_inputs is not None:
-        for i, party in enumerate(dropped):
-            chosen |= fixed_inputs[party] << i
-    return BoxTable(m, tables[chosen], quasi=box.quasi)
+    return BoxTable(m, tables[0])
 
 
 def merge_parties(box, i, j):
@@ -124,7 +120,7 @@ def merge_parties(box, i, j):
                 a |= (t ^ merged_bit) << (hi - 1)
                 acc = acc + box.probs[(x << n) | a]
             out[(xr << m) | ar] = acc
-    return BoxTable(m, out, quasi=box.quasi)
+    return BoxTable(m, out)
 
 
 def validate(box):
@@ -185,7 +181,7 @@ def apply_coupler(coupler, joint, consumed):
         if not p:
             continue
         idx = (_extract(x, survivors) << m) | _extract(a, survivors)
-        w = coupler.w0[(_extract(a, consumed) << N) | _extract(x, consumed)]
+        w = coupler.weight(0, _extract(a, consumed), _extract(x, consumed))
         t0[idx] = t0[idx] + w * p
         psum[idx] = psum[idx] + p
     uniform = Scalar(Fraction(1, 2**N))

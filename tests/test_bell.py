@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxswap import (
-    BellFunctional,
     Scalar,
     INV_SQRT2,
     ONE,
@@ -27,7 +26,7 @@ from boxswap import (
     pr,
 )
 from boxswap.bell import gsi_sign
-from boxswap.errors import ArityError, SpecFileError
+from boxswap.errors import ArityError
 
 
 def test_correlator_values_on_pr():
@@ -123,15 +122,6 @@ def test_classification_is_strict_at_the_bounds():
     c = classify(anti_pr())
     assert c.value == Scalar(-4)
     assert c.exceeds_local and c.exceeds_quantum
-
-
-def test_functional_json_round_trip():
-    f = gsi(3)
-    again = BellFunctional.from_json(f.to_json())
-    assert again == f
-    with pytest.raises(SpecFileError):
-        BellFunctional.from_json({"n": 2, "coeffs": [["00", {"r": ["1", "1"], "s": ["0", "1"]}],
-                                                     ["00", {"r": ["1", "1"], "s": ["0", "1"]}]]})
 
 
 @given(st.integers(min_value=0, max_value=63))

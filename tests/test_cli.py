@@ -214,3 +214,72 @@ def test_scenario_loader_rejects_non_list_sections(tmp_path, capsys, key):
     save_json(path, doc)
     assert main(["run", str(path)]) == 2
     assert f"{key!r} must be a list" in _one_line_error(capsys)
+
+
+def _wired_swap() -> dict:
+    return {
+        "name": "s",
+        "boxes": [
+            {"name": "g", "kind": "pr", "parties": ["a", "b1"]},
+            {"name": "h", "kind": "sb", "parties": ["b2", "c", "d"]},
+        ],
+        "couplers": [{"consumed": ["b1", "b2"]}],
+        "wirings": [{"pair": ["c", "d"], "merged": "m"}],
+    }
+
+
+def _set(doc: dict, field: tuple, value) -> None:
+    for key in field[:-1]:
+        doc = doc[key]
+    doc[field[-1]] = value
+
+
+def test_wired_swap_document_runs(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    save_json(path, _wired_swap())
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        # a float n used to end in a TypeError traceback inside gsb
+        (("boxes", 0), {"name": "g", "kind": "gsb", "n": 3.0, "parties": ["a", "x", "b1"]},
+         "box 'n'"),
+        (("boxes", 0, "n"), 2.0, "box 'n'"),
+        (("boxes", 0, "n"), True, "box 'n'"),
+        (("couplers", 0, "arity"), "2", "coupler 'arity'"),
+    ],
+)
+def test_scenario_loader_rejects_non_integer_counts(tmp_path, capsys, field, value, needle):
+    doc = _wired_swap()
+    _set(doc, field, value)
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    err = _one_line_error(capsys)
+    assert needle in err and "must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        (("boxes", 0, "parties", 0), {"x": 1}, "party label"),
+        (("couplers", 0, "consumed", 1), 2, "consumed label"),
+        (("wirings", 0, "pair", 0), 7, "wiring 'pair' label"),
+        (("wirings", 0, "merged"), 5, "wiring 'merged'"),
+        (("boxes", 1, "name"), 1, "box 'name'"),
+        (("boxes", 1, "kind"), ["pr"], "box 'kind'"),
+        (("name",), {"a": 1}, "scenario 'name'"),
+        (("reports",), ["gsi", 1], "'reports' entry"),
+    ],
+)
+def test_scenario_loader_rejects_non_string_names(tmp_path, capsys, field, value, needle):
+    doc = _wired_swap()
+    _set(doc, field, value)
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    err = _one_line_error(capsys)
+    assert needle in err and "must be a string" in err

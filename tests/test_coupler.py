@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxswap import (
-    CouplerEffect,
+    INV_SQRT2,
     Scalar,
     ONE,
     ZERO,
@@ -65,12 +65,8 @@ def test_branches_sum_to_the_uniform_effect():
         chi = build_coupler(n)
         uniform = Scalar.rational(1, 2**n)
         for idx in range(4**n):
-            assert chi.w0[idx] + chi.w1[idx] == uniform
-
-
-def test_coupler_json_round_trip():
-    chi = build_coupler(3)
-    assert CouplerEffect.from_json(chi.to_json()) == chi
+            b, y = idx >> n, idx & (2**n - 1)
+            assert chi.weight(0, b, y) + chi.weight(1, b, y) == uniform
 
 
 def test_swap_of_two_extremal_boxes():
@@ -180,6 +176,22 @@ def test_law_and_contraction_part_ways_on_deterministic_boxes():
     box = deterministic_local([(0, 0), (0, 0), (0, 0)])
     assert success_probability(chi, box) == THIRD
     assert chi.contract(box, 0) == Scalar.rational(2, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contraction_is_the_branch_mass_of_apply_coupler(n):
+    # chi_1 = 2**-N - chi_0 is derived, never stored: both views of both
+    # branches must agree, and the two contractions must add up to one
+    chi = build_coupler(n)
+    marginals = (gsb(n), mixed(n), failure(n), isotropic(n, INV_SQRT2),
+                 deterministic_local([(0, 0)] * n),
+                 deterministic_local([(1, 1)] + [(0, 0)] * (n - 1)))
+    for box in marginals:
+        masses = (chi.contract(box, 0), chi.contract(box, 1))
+        assert masses[0] + masses[1] == ONE
+        joint = tensor(box, deterministic_local([(0, 0)]))
+        results = apply_coupler(chi, joint, range(1, n + 1))
+        assert tuple(r.probability for r in results) == masses
 
 
 xis = st.fractions(min_value=Fraction(-1), max_value=Fraction(1), max_denominator=12)

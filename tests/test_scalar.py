@@ -130,9 +130,9 @@ def test_field_axioms(a, b, c):
 @given(scalars)
 @settings(max_examples=60, deadline=None)
 def test_sign_matches_float_estimate(x):
-    # to_float is display-only, but on bounded inputs it is far more accurate
+    # decimal is display-only, but on bounded inputs it is far more accurate
     # than the gap between a nonzero scalar and zero can be
-    approx = x.to_float()
+    approx = float(x.decimal())
     if abs(approx) > 1e-9:
         assert x.sign() == (1 if approx > 0 else -1)
     assert (x.sign() == 0) == (x == ZERO)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from boxswap import (
+    BoxTable,
     Scalar,
     INV_SQRT2,
     ONE,
@@ -201,7 +202,7 @@ def test_inline_table_boxes_run():
 
 
 def test_inline_table_must_be_valid():
-    quasi = mix([(Scalar(2), pr()), (Scalar(-1), anti_pr())], quasi=True)
+    quasi = BoxTable(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
     spec = ScenarioSpec(
         name="bad-inline",
         boxes=(ScenarioBox("q", "inline", 2, ("a", "b"), table=quasi),),
