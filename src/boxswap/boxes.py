@@ -171,23 +171,23 @@ class BoxTable:
 # -- named constructors ----------------------------------------------------
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
+def _check_cap(n: int) -> None:
+    if n > PARTY_CAP:
         raise PartyCapError(
-            f"n={n} parties means 4**{n} = {4**n} exact entries; the cap is {cap}. "
-            "Marginalize earlier or pass a larger cap if you really mean it."
+            f"n={n} parties means 4**{n} = {4**n} exact entries; the cap is {PARTY_CAP}. "
+            "Marginalize earlier."
         )
 
 
 @lru_cache(maxsize=None)
-def gsb(n: int, cap: int = PARTY_CAP) -> BoxTable:
+def gsb(n: int) -> BoxTable:
     """Generalized Svetlichny box: outputs XOR to the pairwise-product parity
     of the inputs, uniformly over the 2**(n-1) output words that comply.
 
     Tables are immutable, so the named constructors cache and share them."""
     if n < 2:
         raise ArityError("gsb needs n >= 2")
-    _check_cap(n, cap)
+    _check_cap(n)
     odd = [a.bit_count() & 1 for a in range(2**n)]
     even = [1 - bit for bit in odd]
     rat = []
@@ -212,10 +212,10 @@ def anti_pr() -> BoxTable:
 
 
 @lru_cache(maxsize=None)
-def mixed(n: int, cap: int = PARTY_CAP) -> BoxTable:
+def mixed(n: int) -> BoxTable:
     if n < 2:
         raise ArityError("mixed needs n >= 2")
-    _check_cap(n, cap)
+    _check_cap(n)
     return BoxTable.from_numerators(n, 2**n, [1] * 4**n)
 
 
@@ -241,7 +241,7 @@ def deterministic_local(assignments: Sequence[tuple]) -> BoxTable:
     n = len(assignments)
     if n < 1:
         raise ArityError("deterministic_local needs at least one party")
-    _check_cap(n, PARTY_CAP)
+    _check_cap(n)
     rat = [0] * 4**n
     for x in range(2**n):
         a = 0
@@ -357,10 +357,10 @@ def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
     return out
 
 
-def tensor(a: BoxTable, b: BoxTable, cap: int = PARTY_CAP) -> BoxTable:
+def tensor(a: BoxTable, b: BoxTable) -> BoxTable:
     """Independent side-by-side composition; ``a`` keeps the low party slots."""
     n = a.n + b.n
-    _check_cap(n, cap)
+    _check_cap(n)
 
     def outer(u, v):
         return None if u is None or v is None else _outer(u, v, a.n, b.n)

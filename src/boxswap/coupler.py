@@ -33,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
 from typing import Sequence
 
 from .bell import evaluate, gsi
@@ -89,15 +88,10 @@ class CouplerEffect:
         """
         if box.n != self.n:
             raise ArityError(f"coupler consumes {self.n} ends, box has {box.n}")
-        n = self.n
-        table = self.num0 if branch == 0 else [3 - w for w in self.num0]
-        # weight index (b << n) | y against cell index (y << n) | b
-        order = [(y << n) | b for b in range(2**n) for y in range(2**n)]
-
-        def total(vec):
-            return sum(map(mul, table, map(vec.__getitem__, order))) if vec else 0
-
-        return Scalar.over(total(box.rat), total(box.surd), self.den * box.den)
+        ends = range(1, self.n + 1)
+        rat, surd = (_branch_tables(self, vec, self.n, (), ends)[branch]
+                     for vec in (box.rat, box.surd))
+        return Scalar.over(rat[0], surd[0] if surd else 0, self.den * box.den)
 
     def __repr__(self):
         return f"CouplerEffect(n={self.n})"
@@ -165,29 +159,9 @@ def apply_coupler(
     if not survivors:
         raise ArityError("a coupler must leave at least one surviving party")
 
-    n, m, N = joint.n, len(survivors), coupler.n
-    kept, used = subwords(n, tuple(survivors)), subwords(n, tuple(consumed))
-    width, size = 2**n, 4**m
-    # weight of joint output word a at consumed input word y: column y, entry a
-    columns = [[coupler.num0[(used[a] << N) | y] for a in range(width)]
-               for y in range(2**N)]
-
-    def branch_tables(vec):
-        """Numerators of both branch tables over coupler den * joint den;
-        chi_1's weights are 3 - num0, so its table is 3 * total - t0."""
-        t0 = [0] * size
-        total = [0] * size
-        for x in range(2**n):
-            row, weights = kept[x] << m, columns[used[x]]
-            for a, v in enumerate(vec[x * width:(x + 1) * width]):
-                if v:
-                    i = row | kept[a]
-                    t0[i] += weights[a] * v
-                    total[i] += v
-        return t0, [3 * p - t for p, t in zip(total, t0)]
-
-    rats = branch_tables(joint.rat)
-    surds = branch_tables(joint.surd) if joint.surd else (None, None)
+    n, m = joint.n, len(survivors)
+    rats = _branch_tables(coupler, joint.rat, n, survivors, consumed)
+    surds = _branch_tables(coupler, joint.surd, n, survivors, consumed)
     den = coupler.den * joint.den
 
     results = []
@@ -215,6 +189,31 @@ def apply_coupler(
         box = _divided(m, rat, surd, mass_r, mass_s)
         results.append(BranchResult(branch, Scalar.over(mass_r, mass_s, den), box))
     return tuple(results)
+
+
+def _branch_tables(coupler: CouplerEffect, vec, n: int, survivors: Sequence[int],
+                   consumed: Sequence[int]) -> tuple[list, list]:
+    """Numerators of both branch tables of the n-party numerator vector
+    ``vec`` (None for no sqrt2 part) over the ``survivors``, over coupler
+    den * table den; chi_1's weights are 3 - num0, so its table is
+    3 * total - t0.  With no survivors each table is the one contraction."""
+    if vec is None:
+        return None, None
+    m, N = len(survivors), coupler.n
+    kept, used = subwords(n, tuple(survivors)), subwords(n, tuple(consumed))
+    width = 2**n
+    # weight of output word a at consumed input word y: column y, entry a
+    columns = [[coupler.num0[(used[a] << N) | y] for a in range(width)] for y in range(2**N)]
+    t0 = [0] * 4**m
+    total = [0] * 4**m
+    for x in range(2**n):
+        row, weights = kept[x] << m, columns[used[x]]
+        for a, v in enumerate(vec[x * width:(x + 1) * width]):
+            if v:
+                i = row | kept[a]
+                t0[i] += weights[a] * v
+                total[i] += v
+    return t0, [3 * p - t for p, t in zip(total, t0)]
 
 
 def _divided(m: int, rat, surd, mass_r: int, mass_s: int) -> BoxTable:

@@ -17,11 +17,10 @@ class ArityError(BoxSwapError, ValueError):
 
 
 class PartyCapError(BoxSwapError, ValueError):
-    """Table would exceed the soft cap on party count.
+    """Table would exceed the cap on party count (``PARTY_CAP``).
 
     Dense tables hold 4**n exact entries; beyond the cap that is no longer
-    a table, it is a memory bill.  Marginalize first, or raise the cap
-    consciously via the ``cap`` argument of the operation that refused.
+    a table, it is a memory bill.  Marginalize first.
     """
 
 

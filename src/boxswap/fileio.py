@@ -21,6 +21,14 @@ def json_positive_int(value, what: str) -> int:
     return value
 
 
+def json_bit(value, what: str) -> int | None:
+    """``value`` if it is null or the JSON integer 0 or 1; booleans and
+    floats are refused."""
+    if value is not None and (type(value) is not int or value not in (0, 1)):
+        raise SpecFileError(f"{what} must be 0, 1, or null, got {value!r}")
+    return value
+
+
 def json_str(value, what: str) -> str:
     """``value`` if it is a JSON string; nothing else is turned into one."""
     if not isinstance(value, str):

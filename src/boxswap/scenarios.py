@@ -10,30 +10,25 @@ couples pools together only when a coupler spans them, and tensors whatever
 remains at the end — so party counts stay as small as the scenario allows.
 Every probability is exact; branch probabilities over all outcome
 assignments sum to one (checked and reported as a cross-check).
+
+The builders (``swap_two``, ``swap_many``, ``hybrid_three``) check their
+reports against one closed form, the swap law on isotropic boxes: each
+coupler succeeds with probability 1/3 and multiplies the weights, or fails
+with probability 2/3 and leaves weight -xi1*xi2/2 (``_swap_law``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .bell import BoundTriple, Classification, bounds, ch_evaluate, classify
-from .boxes import (
-    BoxTable,
-    WORD_ORDER,
-    isotropic,
-    merge_parties,
-    mix,
-    mixed,
-    named_box,
-    sb,
-    tensor,
-    validate,
-)
+from .boxes import BoxTable, WORD_ORDER, isotropic, merge_parties, named_box, tensor, validate
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
-from .fileio import json_positive_int, json_str
+from .fileio import json_bit, json_positive_int, json_str
 from .scalar import ONE, ZERO, Scalar
 
 REPORT_FUNCTIONALS = ("gsi", "ch")
@@ -145,14 +140,11 @@ class ScenarioSpec:
             consumed = item.get("consumed")
             if not isinstance(consumed, list) or len(consumed) < 2:
                 raise SpecFileError(f"coupler entry needs >= 2 'consumed' labels: {item!r}")
-            outcome = item.get("outcome")
-            if outcome not in (None, 0, 1):
-                raise SpecFileError(f"coupler outcome must be 0, 1, or null: {outcome!r}")
             couplers.append(
                 ScenarioCoupler(
                     arity=json_positive_int(item.get("arity", len(consumed)), "coupler 'arity'"),
                     consumed=tuple(json_str(p, "consumed label") for p in consumed),
-                    outcome=outcome,
+                    outcome=json_bit(item.get("outcome"), "coupler 'outcome'"),
                 )
             )
         condition = data.get("condition")
@@ -161,8 +153,7 @@ class ScenarioSpec:
                 raise SpecFileError("'condition' must list one entry per coupler")
             merged = []
             for c, bit in zip(couplers, condition):
-                if bit not in (None, 0, 1):
-                    raise SpecFileError(f"condition bits must be 0, 1, or null: {bit!r}")
+                bit = json_bit(bit, "'condition' entry")
                 if c.outcome is not None and bit is not None and c.outcome != bit:
                     raise SpecFileError("coupler 'outcome' and 'condition' disagree")
                 merged.append(
@@ -274,14 +265,6 @@ class ScenarioReport:
         return doc
 
 
-@dataclass
-class _Branch:
-    outcome: list
-    weight: Scalar
-    pools: list  # list of (labels, BoxTable)
-    alive: bool = True
-
-
 def _validate_spec(spec: ScenarioSpec) -> None:
     names = [b.name for b in spec.boxes]
     if len(set(names)) != len(names):
@@ -336,6 +319,16 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             raise SpecFileError(f"unknown report functional {r!r}; expected {REPORT_FUNCTIONALS}")
 
 
+def _joined(pools) -> tuple[list, BoxTable]:
+    """Concatenate the pools' labels and tensor their boxes, in pool order."""
+    labels: list = []
+    box = None
+    for pool_labels, pool_box in pools:
+        labels += pool_labels
+        box = pool_box if box is None else tensor(box, pool_box)
+    return labels, box
+
+
 def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Execute the scenario and report every (kept) outcome branch exactly."""
     _validate_spec(spec)
@@ -347,71 +340,47 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
             start_pools.append((list(b.parties), b.table))
         else:
             start_pools.append((list(b.parties), named_box(b.kind, b.n, b.xi)))
-    branches = [_Branch(outcome=[], weight=ONE, pools=start_pools)]
+    # a branch is (outcome, weight, pools); pools is None once an outcome had zero mass
+    branches = [((), ONE, start_pools)]
 
     for cspec in spec.couplers:
         effect = build_coupler(cspec.arity)
         grown = []
-        for br in branches:
-            if not br.alive:
-                grown.append(
-                    _Branch(br.outcome + [None], br.weight, br.pools, alive=False)
-                )
+        for outcome, weight, pools in branches:
+            if pools is None:
+                grown.append((outcome + (None,), weight, None))
                 continue
-            involved = []
-            for idx, (labels, _) in enumerate(br.pools):
-                if any(p in labels for p in cspec.consumed):
-                    involved.append(idx)
-            merged_labels: list = []
-            merged_box = None
-            for idx in involved:
-                labels, box = br.pools[idx]
-                merged_labels += labels
-                merged_box = box if merged_box is None else tensor(merged_box, box)
-            positions = [merged_labels.index(p) + 1 for p in cspec.consumed]
+            involved = [i for i, (labels, _) in enumerate(pools)
+                        if any(p in labels for p in cspec.consumed)]
+            labels, joint = _joined([pools[i] for i in involved])
+            positions = [labels.index(p) + 1 for p in cspec.consumed]
             try:
-                results = apply_coupler(effect, merged_box, positions)
+                results = apply_coupler(effect, joint, positions)
             except CouplerInvalidError as exc:
-                path = "".join(str(b) for b in br.outcome) or "(root)"
+                path = "".join(str(b) for b in outcome) or "(root)"
                 raise CouplerInvalidError(
                     exc.branch,
                     f"coupler on {list(cspec.consumed)} after branch path {path}: {exc}",
                 ) from exc
-            surviving = [p for p in merged_labels if p not in cspec.consumed]
+            surviving = [p for p in labels if p not in cspec.consumed]
+            rest = [pool for i, pool in enumerate(pools) if i not in involved]
+            at = involved[0]
             keep = results if cspec.outcome is None else (results[cspec.outcome],)
             for res in keep:
-                pools = [
-                    pool for idx, pool in enumerate(br.pools) if idx not in involved
-                ]
                 if res.box is None:
-                    grown.append(
-                        _Branch(br.outcome + [res.branch], ZERO, pools, alive=False)
-                    )
-                    continue
-                pools.insert(involved[0], (surviving, res.box))
-                grown.append(
-                    _Branch(
-                        br.outcome + [res.branch],
-                        br.weight * res.probability,
-                        pools,
-                    )
-                )
+                    grown.append((outcome + (res.branch,), ZERO, None))
+                else:
+                    grown.append((outcome + (res.branch,), weight * res.probability,
+                                  rest[:at] + [(surviving, res.box)] + rest[at:]))
         branches = grown
 
     records = []
     final_parties: tuple = ()
-    want_gsi = "gsi" in spec.reports
-    for br in branches:
-        if not br.alive:
-            records.append(
-                BranchRecord(tuple(br.outcome), ZERO, None, {}, None, None, None)
-            )
+    for outcome, weight, pools in branches:
+        if pools is None:
+            records.append(BranchRecord(outcome, ZERO, None, {}, None, None, None))
             continue
-        labels: list = []
-        box = None
-        for pool_labels, pool_box in br.pools:
-            labels += pool_labels
-            box = pool_box if box is None else tensor(box, pool_box)
+        labels, box = _joined(pools)
         for w in spec.wirings:
             i = labels.index(w.pair[0]) + 1
             j = labels.index(w.pair[1]) + 1
@@ -433,22 +402,11 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
                         f"scenario {spec.name!r} asks for 'ch' on a {box.n}-party box"
                     )
                 functionals["ch"] = ch_evaluate(box)
-        records.append(
-            BranchRecord(
-                tuple(br.outcome),
-                br.weight,
-                box,
-                functionals,
-                classification,
-                bound_triple,
-                validate(box),
-            )
-        )
+        records.append(BranchRecord(outcome, weight, box, functionals, classification,
+                                    bound_triple, validate(box)))
         final_parties = tuple(labels)
 
-    total = ZERO
-    for record in records:
-        total = total + record.probability
+    total = sum((r.probability for r in records), ZERO)
     report = ScenarioReport(spec.name, final_parties, records, total)
 
     unconditioned = all(c.outcome is None for c in spec.couplers)
@@ -479,11 +437,42 @@ def _scalar_check(name: str, got: Scalar, expected: Scalar) -> CrossCheck:
     return CrossCheck(name, got == expected, f"expected {expected}, got {got}")
 
 
+def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
+    """The swap law on isotropic boxes, checked branch by branch: each
+    coupler succeeds with probability 1/3 and multiplies the weights, or
+    fails with probability 2/3 and halves them with a sign flip.  A branch
+    with k failures among c couplers therefore has probability
+    2**k / 3**c and leaves ``isotropic(out, weight * (-1/2)**k)``."""
+    checks = []
+    for r in report.branches:
+        k, label = sum(r.outcome), "".join(map(str, r.outcome))
+        checks += [
+            _scalar_check(f"branch-{label}-probability", r.probability,
+                          Scalar(Fraction(2**k, 3 ** len(r.outcome)))),
+            _box_check(f"branch-{label}-box", r.box,
+                       isotropic(out, weight * Scalar(Fraction((-1) ** k, 2**k)))),
+        ]
+    return checks
+
+
 def _coerce_xi(xi) -> Scalar:
     xi = xi if isinstance(xi, Scalar) else Scalar(xi)
     if not (ZERO <= xi <= ONE):
         raise ValidationError(f"swap scenarios need xi in [0, 1], got {xi}")
     return xi
+
+
+def _isotropic_swap(name: str, boxes: Sequence[ScenarioBox], consumed: tuple) -> ScenarioReport:
+    """One coupler on the ``consumed`` ends of labelled isotropic boxes,
+    reported with the swap law attached."""
+    spec = ScenarioSpec(name=name, boxes=tuple(boxes),
+                        couplers=(ScenarioCoupler(len(consumed), consumed),))
+    report = run_scenario(spec)
+    weight = ONE
+    for b in boxes:
+        weight = weight * b.xi
+    report.crosschecks += _swap_law(report, sum(b.n for b in boxes) - len(consumed), weight)
+    return report
 
 
 def swap_two(m: int, n: int, xi1=1, xi2=1) -> ScenarioReport:
@@ -495,34 +484,11 @@ def swap_two(m: int, n: int, xi1=1, xi2=1) -> ScenarioReport:
     """
     if m < 2 or n < 2:
         raise ArityError("swap_two needs m, n >= 2")
-    xi1, xi2 = _coerce_xi(xi1), _coerce_xi(xi2)
     left = tuple(f"a{i}" for i in range(1, m)) + ("b1",)
     right = ("b2",) + tuple(f"c{i}" for i in range(1, n))
-    spec = ScenarioSpec(
-        name=f"swap-two-{m}x{n}",
-        boxes=(
-            ScenarioBox("left", "isotropic", m, left, xi1),
-            ScenarioBox("right", "isotropic", n, right, xi2),
-        ),
-        couplers=(ScenarioCoupler(2, ("b1", "b2")),),
-    )
-    report = run_scenario(spec)
-    product = xi1 * xi2
-    out = m + n - 2
-    third = Scalar(Fraction(1, 3))
-    success = report.branch((0,))
-    fail = report.branch((1,))
-    report.crosschecks += [
-        _scalar_check("success-probability", success.probability, third),
-        _box_check("success-box-isotropic-product-weight", success.box, isotropic(out, product)),
-        _scalar_check("failure-probability", fail.probability, ONE - third),
-        _box_check(
-            "failure-box-isotropic-negative-half-weight",
-            fail.box,
-            isotropic(out, -(product / 2)),
-        ),
-    ]
-    return report
+    boxes = (ScenarioBox("left", "isotropic", m, left, _coerce_xi(xi1)),
+             ScenarioBox("right", "isotropic", n, right, _coerce_xi(xi2)))
+    return _isotropic_swap(f"swap-two-{m}x{n}", boxes, ("b1", "b2"))
 
 
 def swap_many(arities: Sequence[int], xis: Sequence | None = None) -> ScenarioReport:
@@ -537,41 +503,15 @@ def swap_many(arities: Sequence[int], xis: Sequence | None = None) -> ScenarioRe
         raise ArityError("swap_many needs at least two boxes")
     if any(a < 2 for a in arities):
         raise ArityError("every box in swap_many needs n >= 2")
-    if xis is None:
-        xis = [ONE] * len(arities)
-    xis = [_coerce_xi(x) for x in xis]
+    xis = [ONE] * len(arities) if xis is None else [_coerce_xi(x) for x in xis]
     if len(xis) != len(arities):
         raise ArityError("swap_many needs one xi per box")
     boxes = []
-    consumed = []
     for i, (a, xi) in enumerate(zip(arities, xis), start=1):
         parties = tuple(f"g{i}p{j}" for j in range(1, a)) + (f"b{i}",)
-        consumed.append(f"b{i}")
         boxes.append(ScenarioBox(f"g{i}", "isotropic", a, parties, xi))
-    spec = ScenarioSpec(
-        name=f"swap-many-{'x'.join(str(a) for a in arities)}",
-        boxes=tuple(boxes),
-        couplers=(ScenarioCoupler(len(arities), tuple(consumed)),),
-    )
-    report = run_scenario(spec)
-    product = ONE
-    for xi in xis:
-        product = product * xi
-    out = sum(arities) - len(arities)
-    third = Scalar(Fraction(1, 3))
-    success = report.branch((0,))
-    fail = report.branch((1,))
-    report.crosschecks += [
-        _scalar_check("success-probability", success.probability, third),
-        _box_check("success-box-isotropic-product-weight", success.box, isotropic(out, product)),
-        _scalar_check("failure-probability", fail.probability, ONE - third),
-        _box_check(
-            "failure-box-isotropic-negative-half-weight",
-            fail.box,
-            isotropic(out, -(product / 2)),
-        ),
-    ]
-    return report
+    consumed = tuple(f"b{i}" for i in range(1, len(arities) + 1))
+    return _isotropic_swap(f"swap-many-{'x'.join(map(str, arities))}", boxes, consumed)
 
 
 def hybrid_three() -> ScenarioReport:
@@ -580,8 +520,9 @@ def hybrid_three() -> ScenarioReport:
     Each neighboring pair shares two PR boxes whose inner ends meet in a
     two-end coupler; the outer ends are wired (shared input, XOR output)
     into one user each.  Grouped by the number k of failed couplers, the
-    conditional boxes interpolate between the Svetlichny box (k=0) and
-    ever more washed-out mixtures, each attached as a cross-check.
+    conditional boxes follow the swap law, from the Svetlichny box (k=0)
+    to ever more washed-out isotropic boxes; the law and the group
+    probabilities C(3, k) * 2**k / 27 are attached as cross-checks.
     """
     spec = ScenarioSpec(
         name="hybrid-three",
@@ -605,53 +546,15 @@ def hybrid_three() -> ScenarioReport:
         ),
     )
     report = run_scenario(spec)
-    base = mixed(3)
-    svet = sb()
-    expected_box = {
-        0: svet,
-        1: mix([(Scalar(Fraction(3, 2)), base), (Scalar(Fraction(-1, 2)), svet)]),
-        2: mix([(Scalar(Fraction(3, 4)), base), (Scalar(Fraction(1, 4)), svet)]),
-        3: mix([(Scalar(Fraction(9, 8)), base), (Scalar(Fraction(-1, 8)), svet)]),
-    }
-    group_probability = {
-        0: Scalar(Fraction(1, 27)),
-        1: Scalar(Fraction(6, 27)),
-        2: Scalar(Fraction(12, 27)),
-        3: Scalar(Fraction(8, 27)),
-    }
-    groups = []
+    report.crosschecks += _swap_law(report, 3, ONE)
+    report.groups = []
     for k in range(4):
         members = [r for r in report.branches if sum(r.outcome) == k]
-        mass = ZERO
-        for r in members:
-            mass = mass + r.probability
-        per_branch = Scalar(Fraction(1, 3**3)) * Scalar(2) ** k
-        for r in members:
-            report.crosschecks.append(
-                _scalar_check(
-                    f"branch-{''.join(map(str, r.outcome))}-probability",
-                    r.probability,
-                    per_branch,
-                )
-            )
-            report.crosschecks.append(
-                _box_check(
-                    f"branch-{''.join(map(str, r.outcome))}-box",
-                    r.box,
-                    expected_box[k],
-                )
-            )
-        report.crosschecks.append(
-            _scalar_check(f"group-{k}-failures-probability", mass, group_probability[k])
-        )
-        groups.append(
-            {
-                "failures": k,
-                "probability": mass,
-                "branches": [list(r.outcome) for r in members],
-            }
-        )
-    report.groups = groups
+        mass = sum((r.probability for r in members), ZERO)
+        report.crosschecks.append(_scalar_check(f"group-{k}-failures-probability", mass,
+                                                Scalar(Fraction(comb(3, k) * 2**k, 27))))
+        report.groups.append({"failures": k, "probability": mass,
+                              "branches": [list(r.outcome) for r in members]})
     return report
 
 

@@ -135,12 +135,11 @@ def test_tensor_layout_keeps_left_factor_low():
     assert joint.prob(0b0000, 0b0000) == HALF * QUARTER
 
 
-def test_party_cap_is_enforced_but_overridable():
+def test_party_cap_is_enforced():
     with pytest.raises(PartyCapError):
         mixed(11)
-    assert mixed(11, cap=11).n == 11
     with pytest.raises(PartyCapError):
-        tensor(pr(), pr(), cap=3)
+        tensor(mixed(6), mixed(5))
 
 
 def test_marginalize_requires_valid_args():

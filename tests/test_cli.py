@@ -283,3 +283,23 @@ def test_scenario_loader_rejects_non_string_names(tmp_path, capsys, field, value
     assert main(["run", str(path)]) == 2
     err = _one_line_error(capsys)
     assert needle in err and "must be a string" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        # a float bit used to end in a TypeError traceback in run_scenario
+        (("condition",), [1.0], "'condition' entry"),
+        # bools used to be taken as 1 and 0 and ran with exit 0
+        (("couplers", 0, "outcome"), True, "coupler 'outcome'"),
+        (("condition",), [False], "'condition' entry"),
+    ],
+)
+def test_scenario_loader_rejects_non_bit_outcomes(tmp_path, capsys, field, value, needle):
+    doc = _wired_swap()
+    _set(doc, field, value)
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    err = _one_line_error(capsys)
+    assert needle in err and "must be 0, 1, or null" in err

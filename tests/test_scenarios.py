@@ -21,6 +21,7 @@ from boxswap import (
     sb,
     tensor,
 )
+from boxswap import scenarios
 from boxswap.errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
 from boxswap.scenarios import (
     ScenarioBox,
@@ -54,6 +55,21 @@ def test_swap_two_weights_multiply():
     assert report.parties == ("a1", "c1", "c2")
     assert report.branch((0,)).box == isotropic(3, Scalar.rational(1, 6))
     assert report.branch((1,)).box == isotropic(3, Scalar.rational(-1, 12))
+
+
+def test_swap_law_fails_on_swapped_branch_boxes():
+    report = swap_two(2, 3, Scalar.rational(1, 2), Scalar.rational(1, 3))
+    success, fail = report.branch((0,)), report.branch((1,))
+    success.box, fail.box = fail.box, success.box
+    checks = scenarios._swap_law(report, 3, Scalar.rational(1, 6))
+    assert len(checks) == 4
+    assert [c.name for c in checks if not c.passed] == ["branch-0-box", "branch-1-box"]
+
+
+def test_builder_crosscheck_counts():
+    assert len(swap_two(2, 2).crosschecks) == 6
+    assert len(swap_many([2, 2, 2]).crosschecks) == 6
+    assert len(hybrid_three().crosschecks) == 22
 
 
 def test_swap_two_rejects_bad_arguments():
