@@ -9,7 +9,6 @@ are full n-party parity expectations, in [-1, 1].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable
@@ -140,7 +139,7 @@ def bounds(n: int) -> BoundTriple:
         raise ArityError("bounds need n >= 2")
     return BoundTriple(
         Scalar(2 ** (n - 1)),
-        Scalar(0, Fraction(2 ** (n - 1))),  # 2**(n-1) * sqrt(2), kept exact
+        Scalar(0, 2 ** (n - 1)),  # 2**(n-1) * sqrt(2), kept exact
         Scalar(2**n),
     )
 

@@ -12,12 +12,12 @@ and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that cell i is
 ``surd = None``.  The triple is reduced by the gcd of all its integers, so
 it is canonical and table equality is tuple equality.  Every operation
 below is an integer loop over these tuples.  ``Scalar`` values appear only
-at the edges: ``prob``, ``probs`` (built on first access) and JSON.
+at the edges: ``prob``, ``probs`` (built on first access) and JSON input;
+``to_json`` writes each cell straight from its numerators.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import lcm
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
 from .fileio import json_positive_int
-from .scalar import ONE, ZERO, Scalar, common_form, qsign, reduce_form
+from .scalar import ONE, ZERO, Scalar, common_form, qsign, reduce_form, scalar_json
 
 PARTY_CAP = 10
 WORD_ORDER = "party1-lsb"
@@ -127,13 +127,15 @@ class BoxTable:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        n, den, mask = self.n, self.den, 2**self.n - 1
+        cells = enumerate(zip(self.rat, self.surd or repeat(0)))
         return {
-            "n": self.n,
+            "n": n,
             "order": WORD_ORDER,
             "probs": [
-                [word_to_str(x, self.n), word_to_str(a, self.n), p.to_json()]
-                for x, a, p in self.entries()
-                if p
+                [word_to_str(i >> n, n), word_to_str(i & mask, n), scalar_json(r, s, den)]
+                for i, (r, s) in cells
+                if r or s
             ],
         }
 
@@ -230,7 +232,7 @@ def isotropic(n: int, xi) -> BoxTable:
 @lru_cache(maxsize=None)
 def failure(n: int) -> BoxTable:
     """The box left behind by an unsuccessful swap: (3*mixed - gsb)/2."""
-    return mix([(Scalar(Fraction(3, 2)), mixed(n)), (Scalar(Fraction(-1, 2)), gsb(n))])
+    return mix([(Scalar.rational(3, 2), mixed(n)), (Scalar.rational(-1, 2), gsb(n))])
 
 
 def deterministic_local(assignments: Sequence[tuple]) -> BoxTable:
@@ -326,8 +328,7 @@ def mix(terms: Iterable[tuple]) -> BoxTable:
     parts = []
     for w, box in terms:
         if w:
-            wden, p, q = common_form((w,))
-            parts.append((p[0], q[0] if q else 0, wden * box.den, box))
+            parts.append((w.r, w.s, w.d * box.den, box))
     den = lcm(*(d for _, _, d, _ in parts))
     rat, surd = [0] * 4**n, None
     for p, q, d, box in parts:

@@ -30,7 +30,6 @@ The documented-deviation tests pin this down rather than hiding it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -112,8 +111,8 @@ def success_probability(coupler: CouplerEffect, bob_box: BoxTable) -> Scalar:
     """Probability of the success outcome by the affine law in gsi."""
     if bob_box.n != coupler.n:
         raise ArityError(f"coupler consumes {coupler.n} ends, box has {bob_box.n}")
-    slope = Scalar(Fraction(1, 3 * 2 ** (coupler.n - 1)))
-    return slope * evaluate(gsi(coupler.n), bob_box) + Scalar(Fraction(1, 3))
+    slope = Scalar.rational(1, 3 * 2 ** (coupler.n - 1))
+    return slope * evaluate(gsi(coupler.n), bob_box) + Scalar.rational(1, 3)
 
 
 def is_allowed(coupler: CouplerEffect, bob_box: BoxTable) -> bool:

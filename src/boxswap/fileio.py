@@ -50,6 +50,8 @@ def load_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path} nests JSON too deeply to load") from exc
 
 
 def save_json(path, obj) -> None:

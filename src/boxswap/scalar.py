@@ -1,81 +1,116 @@
 """Exact arithmetic over the quadratic field Q(sqrt2).
 
 Every probability, functional value, and coupler weight in this package is a
-``Scalar``: a pair of arbitrary-precision rationals ``(rat, surd)`` standing
-for ``rat + surd*sqrt(2)``.  Since sqrt(2) is irrational the representation is
-unique, so equality, ordering and hashing are all exact.  Floats never enter
-core arithmetic; ``decimal(...)`` renders a display-only approximation for
-reports.
+``Scalar``: three integers ``(r, s, d)`` standing for ``(r + s*sqrt(2)) / d``,
+the one-cell case of the common-denominator form that box tables use (see
+``reduce_form`` below).  The triple is kept canonical, ``d > 0`` and
+``gcd(r, s, d) == 1``; since sqrt(2) is irrational that makes the
+representation unique, so equality is a tuple comparison and ordering and
+hashing are exact.  Each operator does its integer work and one ``gcd``.
+Floats never enter core arithmetic; ``decimal(...)`` renders a display-only
+approximation for reports.
 
-Division works by rationalizing with the conjugate ``rat - surd*sqrt(2)``:
-the field norm ``rat**2 - 2*surd**2`` vanishes only for zero, so every
-nonzero Scalar has an inverse.  Ordering reduces to an exact sign test on
-``rat**2`` versus ``2*surd**2`` with sign bookkeeping — no rounding anywhere.
+Division works by rationalizing with the conjugate ``r - s*sqrt(2)``: the
+field norm ``r**2 - 2*s**2`` vanishes only for zero, so every nonzero Scalar
+has an inverse.  Ordering reduces to an exact sign test on ``r**2`` versus
+``2*s**2`` with sign bookkeeping (``qsign``) — no rounding anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 
-_F0 = Fraction(0)
+_JSON_INT = re.compile(r"-?[0-9]+")
 
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact arithmetic; use Fraction or str")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def _lowest(num: int, den: int) -> tuple:
+    """``num/den`` in lowest terms, ``den > 0``; zero is ``(0, 1)``."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _json_int(value) -> int:
+    """A JSON integer (not a bool) or a string matching ``-?[0-9]+``, as an int."""
+    if type(value) is int or (type(value) is str and _JSON_INT.fullmatch(value)):
+        return int(value)
+    raise ValueError(f"not a JSON integer: {_clip(value)}")
+
+
+def _clip(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 @total_ordering
 class Scalar:
-    """An element ``rat + surd*sqrt(2)`` of Q(sqrt2).  Treat as immutable."""
+    """An element ``(r + s*sqrt(2)) / d`` of Q(sqrt2), kept canonical:
+    ``d > 0`` and ``gcd(r, s, d) == 1``.  Treat as immutable."""
 
-    __slots__ = ("rat", "surd")
+    __slots__ = ("r", "s", "d")
 
     def __init__(self, rat=0, surd=0):
-        self.rat = _to_fraction(rat)
-        self.surd = _to_fraction(surd)
+        if type(rat) is int and type(surd) is int:
+            self.r, self.s, self.d = rat, surd, 1
+            return
+        p, q = _to_fraction(rat), _to_fraction(surd)
+        # over the lcm of two reduced denominators the triple is already reduced
+        d = lcm(p.denominator, q.denominator)
+        self.r = p.numerator * (d // p.denominator)
+        self.s = q.numerator * (d // q.denominator)
+        self.d = d
 
-    @classmethod
-    def _raw(cls, rat: Fraction, surd: Fraction) -> "Scalar":
-        self = object.__new__(cls)
-        self.rat = rat
-        self.surd = surd
-        return self
+    @staticmethod
+    def over(r: int, s: int, d: int) -> "Scalar":
+        """``(r + s*sqrt(2)) / d`` for integers, ``d`` nonzero."""
+        if d < 0:
+            r, s, d = -r, -s, -d
+        elif not d:
+            raise ZeroDivisionError("Scalar division by zero")
+        return _reduced(r, s, d)
 
-    @classmethod
-    def rational(cls, numerator, denominator=1) -> "Scalar":
-        return cls._raw(Fraction(numerator, denominator), _F0)
+    @staticmethod
+    def rational(numerator: int, denominator: int = 1) -> "Scalar":
+        return Scalar.over(numerator, 0, denominator)
 
-    @classmethod
-    def over(cls, rat: int, surd: int, den: int) -> "Scalar":
-        """``(rat + surd*sqrt(2)) / den`` for integers, ``den`` nonzero."""
-        return cls._raw(Fraction(rat, den), Fraction(surd, den) if surd else _F0)
+    @property
+    def rat(self) -> Fraction:
+        """The rational part, as a Fraction."""
+        return Fraction(self.r, self.d)
+
+    @property
+    def surd(self) -> Fraction:
+        """The coefficient of sqrt(2), as a Fraction."""
+        return Fraction(self.s, self.d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.rat and not self.surd
+        return not self.r and not self.s
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    # -- ring operations -------------------------------------------------
+    # -- field operations ------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar._raw(self.rat + other.rat, self.surd + other.surd)
+        return _sum(self, other.r, other.s, other.d)
 
     __radd__ = __add__
 
@@ -83,7 +118,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar._raw(self.rat - other.rat, self.surd - other.surd)
+        return _sum(self, -other.r, -other.s, other.d)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -92,34 +127,31 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar._raw(-self.rat, -self.surd)
+        return _canonical(-self.r, -self.s, self.d)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.rat, self.surd, other.rat, other.surd
-        if not b and not d:  # the common all-rational case
-            return Scalar._raw(a * c, _F0)
-        return Scalar._raw(a * c + 2 * b * d, a * d + b * c)
+        r1, s1, r2, s2 = self.r, self.s, other.r, other.s
+        return _reduced(r1 * r2 + 2 * s1 * s2, r1 * s2 + s1 * r2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        norm = self.rat * self.rat - 2 * self.surd * self.surd
-        if not norm:
-            raise ZeroDivisionError("Scalar division by zero")
-        return Scalar._raw(self.rat / norm, -self.surd / norm)
+        r, s = self.r, self.s
+        # 1/x = d*(r - s*sqrt2) / (r**2 - 2*s**2)
+        return Scalar.over(self.d * r, -self.d * s, r * r - 2 * s * s)
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.surd == 0:  # rational divisor: no conjugation needed
-            if not other.rat:
-                raise ZeroDivisionError("Scalar division by zero")
-            return Scalar._raw(self.rat / other.rat, self.surd / other.rat)
-        return self * other.inverse()
+        r1, s1, r2, s2 = self.r, self.s, other.r, other.s
+        # multiply by the conjugate of the divisor: (r2 + s2*sqrt2)(r2 - s2*sqrt2) = norm
+        k = other.d
+        return Scalar.over(k * (r1 * r2 - 2 * s1 * s2), k * (s1 * r2 - r1 * s2),
+                           self.d * (r2 * r2 - 2 * s2 * s2))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -143,25 +175,25 @@ class Scalar:
     # -- exact ordering ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1} of rat + surd*sqrt(2)."""
-        r, s = self.rat, self.surd
-        # both denominators are positive, so clearing them keeps the sign
-        return qsign(r.numerator * s.denominator, s.numerator * r.denominator)
+        """Exact sign in {-1, 0, +1} of (r + s*sqrt(2)) / d."""
+        return qsign(self.r, self.s)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.rat == other.rat and self.surd == other.surd
+        return self.r == other.r and self.s == other.s and self.d == other.d
 
     def __lt__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() < 0
+        d1, d2 = self.d, other.d
+        return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) < 0
 
     def __hash__(self):
-        if not self.surd:
+        # a rational value hashes like the equal Fraction (and int)
+        if not self.s:
             return hash(self.rat)
         return hash((self.rat, self.surd))
 
@@ -177,16 +209,17 @@ class Scalar:
         if self.is_zero():
             return "0"
         parts = []
-        if self.rat:
+        if self.r:
             parts.append(str(self.rat))
-        if self.surd:
-            if self.surd == 1:
+        if self.s:
+            surd = self.surd
+            if surd == 1:
                 term = "√2"
-            elif self.surd == -1:
+            elif surd == -1:
                 term = "-√2"
             else:
-                term = f"{self.surd}√2"
-            if parts and self.surd > 0:
+                term = f"{surd}√2"
+            if parts and surd > 0:
                 parts.append("+" + term)
             else:
                 parts.append(term)
@@ -196,46 +229,47 @@ class Scalar:
         """Decimal rendering correct to ``digits`` significant digits."""
         if not self:
             return "0"
+        (rn, rd), (sn, sd) = _lowest(self.r, self.d), _lowest(self.s, self.d)
         with localcontext() as ctx:
             ctx.prec = digits + 20
-            value = (
-                Decimal(self.rat.numerator) / Decimal(self.rat.denominator)
-                + Decimal(self.surd.numerator)
-                / Decimal(self.surd.denominator)
-                * Decimal(2).sqrt()
-            )
+            value = Decimal(rn) / Decimal(rd) + Decimal(sn) / Decimal(sd) * Decimal(2).sqrt()
             return format(value, f".{digits}g")
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
         """Bit-exact JSON form; integers travel as decimal strings."""
-        return {
-            "r": [str(self.rat.numerator), str(self.rat.denominator)],
-            "s": [str(self.surd.numerator), str(self.surd.denominator)],
-        }
+        return scalar_json(self.r, self.s, self.d)
 
     @classmethod
     def from_json(cls, data) -> "Scalar":
         from .errors import SpecFileError
 
         if not isinstance(data, dict) or set(data) != {"r", "s"}:
-            raise SpecFileError(f"scalar object must have exactly keys 'r' and 's': {data!r}")
+            raise SpecFileError(
+                f"scalar object must have exactly keys 'r' and 's': {_clip(data)}")
         parts = []
         for key in ("r", "s"):
             pair = data[key]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SpecFileError(f"scalar field {key!r} must be a [numerator, denominator] pair")
-            if not all(isinstance(x, (int, str)) and not isinstance(x, bool) for x in pair):
-                raise SpecFileError(f"scalar field {key!r} has non-integer parts: {pair!r}")
             try:
-                num, den = (int(x) for x in pair)
+                num, den = map(_json_int, pair)
             except ValueError as exc:
-                raise SpecFileError(f"scalar field {key!r} has non-integer parts: {pair!r}") from exc
+                raise SpecFileError(
+                    f"scalar field {key!r} has non-integer parts: {_clip(pair)}") from exc
             if den == 0:
                 raise SpecFileError(f"scalar field {key!r} has a zero denominator")
-            parts.append(Fraction(num, den))
-        return cls._raw(*parts)
+            parts.append((num, den))
+        (rn, rd), (sn, sd) = parts
+        return cls.over(rn * sd, sn * rd, rd * sd)
+
+
+def scalar_json(r: int, s: int, d: int) -> dict:
+    """The JSON form of ``(r + s*sqrt(2)) / d``, ``d > 0``: each part as a
+    ``[numerator, denominator]`` pair of decimal strings in lowest terms."""
+    (rn, rd), (sn, sd) = _lowest(r, d), _lowest(s, d)
+    return {"r": [str(rn), str(rd)], "s": [str(sn), str(sd)]}
 
 
 def qsign(r: int, s: int) -> int:
@@ -259,7 +293,8 @@ def qsign(r: int, s: int) -> int:
 # denominator and integer numerator tuples, element i being
 # ``(rat[i] + surd[i]*sqrt(2)) / den``.  ``surd`` is None when every sqrt(2)
 # part is zero.  Reduced by the gcd of all its integers, the triple is
-# canonical: two vectors are equal exactly when their triples are.
+# canonical: two vectors are equal exactly when their triples are.  A Scalar
+# is the one-element case.
 
 
 def reduce_form(den: int, rat, surd=None) -> tuple:
@@ -277,21 +312,47 @@ def reduce_form(den: int, rat, surd=None) -> tuple:
 
 def common_form(values) -> tuple:
     """The canonical ``(den, rat, surd)`` triple of a sequence of Scalars."""
-    den = lcm(*{v.rat.denominator for v in values}, *{v.surd.denominator for v in values})
-    rat = [v.rat.numerator * (den // v.rat.denominator) for v in values]
-    surd = [v.surd.numerator * (den // v.surd.denominator) for v in values]
+    den = lcm(*{v.d for v in values})
+    rat = [v.r * (den // v.d) for v in values]
+    surd = [v.s * (den // v.d) for v in values]
     return reduce_form(den, rat, surd)
+
+
+def _canonical(r: int, s: int, d: int) -> Scalar:
+    """The Scalar of a triple that is already canonical."""
+    x = object.__new__(Scalar)
+    x.r, x.s, x.d = r, s, d
+    return x
+
+
+def _reduced(r: int, s: int, d: int) -> Scalar:
+    """The Scalar ``(r + s*sqrt(2)) / d`` for ``d > 0``, reduced by one gcd."""
+    g = gcd(r, s, d)
+    return _canonical(r // g, s // g, d // g)
+
+
+def _sum(x: Scalar, r2: int, s2: int, d2: int) -> Scalar:
+    """``x + (r2 + s2*sqrt(2)) / d2`` for a canonical right-hand triple."""
+    d1 = x.d
+    g = gcd(d1, d2)
+    if g == 1:  # coprime denominators: the sum is already reduced
+        return _canonical(x.r * d2 + r2 * d1, x.s * d2 + s2 * d1, d1 * d2)
+    a, b = d1 // g, d2 // g
+    r, s = x.r * b + r2 * a, x.s * b + s2 * a
+    # a common factor of the sum and a * b * g can only divide g
+    g2 = gcd(r, s, g)
+    return _canonical(r // g2, s // g2, a * (d2 // g2))
 
 
 def _coerce(value):
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar._raw(_to_fraction(value), _F0)
+        return _canonical(value.numerator, 0, value.denominator)
     return NotImplemented
 
 
-ZERO = Scalar._raw(_F0, _F0)
-ONE = Scalar._raw(Fraction(1), _F0)
-SQRT2 = Scalar._raw(_F0, Fraction(1))
-INV_SQRT2 = Scalar._raw(_F0, Fraction(1, 2))
+ZERO = _canonical(0, 0, 1)
+ONE = _canonical(1, 0, 1)
+SQRT2 = _canonical(0, 1, 1)
+INV_SQRT2 = _canonical(0, 1, 2)

@@ -20,7 +20,6 @@ with probability 2/3 and leaves weight -xi1*xi2/2 (``_swap_law``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -448,9 +447,9 @@ def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
         k, label = sum(r.outcome), "".join(map(str, r.outcome))
         checks += [
             _scalar_check(f"branch-{label}-probability", r.probability,
-                          Scalar(Fraction(2**k, 3 ** len(r.outcome)))),
+                          Scalar.rational(2**k, 3 ** len(r.outcome))),
             _box_check(f"branch-{label}-box", r.box,
-                       isotropic(out, weight * Scalar(Fraction((-1) ** k, 2**k)))),
+                       isotropic(out, weight * Scalar.rational((-1) ** k, 2**k))),
         ]
     return checks
 
@@ -552,7 +551,7 @@ def hybrid_three() -> ScenarioReport:
         members = [r for r in report.branches if sum(r.outcome) == k]
         mass = sum((r.probability for r in members), ZERO)
         report.crosschecks.append(_scalar_check(f"group-{k}-failures-probability", mass,
-                                                Scalar(Fraction(comb(3, k) * 2**k, 27))))
+                                                Scalar.rational(comb(3, k) * 2**k, 27)))
         report.groups.append({"failures": k, "probability": mass,
                               "branches": [list(r.outcome) for r in members]})
     return report
@@ -577,7 +576,7 @@ def efficiency_compare(n: int) -> EfficiencyComparison:
     return EfficiencyComparison(
         n=n,
         pairwise_boxes=n * (n - 1),
-        pairwise_probability=Scalar(Fraction(1, 3**pairs)),
+        pairwise_probability=Scalar.rational(1, 3**pairs),
         coupler_boxes=n,
-        coupler_probability=Scalar(Fraction(1, 3)),
+        coupler_probability=Scalar.rational(1, 3),
     )

@@ -1,19 +1,28 @@
-"""Reference kernels: the per-cell ``Scalar`` table code, kept as a test oracle.
+"""Reference kernels: the per-cell ``Scalar`` table code and the two-Fraction
+``Scalar`` itself, kept as test oracles.
 
 The library stores a table as integer numerators over one common
 denominator.  These functions are the straightforward versions that walk
 ``box.probs`` cell by cell in ``Scalar`` arithmetic; ``test_kernels.py``
 checks every integer kernel against them on random tables.  They mirror the
 library's signatures and raise the same errors in the same order.
+
+``OracleScalar`` is the ``Scalar`` the library used before a value became
+one reduced integer triple: two Fractions, ``rat + surd*sqrt(2)``.
+``test_scalar.py`` checks every operator of the library's ``Scalar``
+against it on random values.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import total_ordering
 
 from boxswap import BoxTable, ONE, ZERO, Scalar
 from boxswap.coupler import BranchResult
 from boxswap.errors import ArityError, CouplerInvalidError, SignalingError, ValidationError
+from boxswap.scalar import qsign
 
 
 def _entries(box):
@@ -211,3 +220,206 @@ def apply_coupler(coupler, joint, consumed):
             probs.append(v / mass)
         results.append(BranchResult(branch, mass, BoxTable(m, probs)))
     return tuple(results)
+
+
+# -- the two-Fraction Scalar ---------------------------------------------------
+
+_F0 = Fraction(0)
+
+
+def _to_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError("floats are not allowed in exact arithmetic; use Fraction or str")
+    raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+@total_ordering
+class OracleScalar:
+    """The two-Fraction Scalar the library used before its integer triple:
+    ``rat + surd*sqrt(2)`` with both parts kept as Fractions."""
+
+    __slots__ = ("rat", "surd")
+
+    def __init__(self, rat=0, surd=0):
+        self.rat = _to_fraction(rat)
+        self.surd = _to_fraction(surd)
+
+    @classmethod
+    def _raw(cls, rat: Fraction, surd: Fraction) -> "OracleScalar":
+        self = object.__new__(cls)
+        self.rat = rat
+        self.surd = surd
+        return self
+
+    @classmethod
+    def over(cls, rat: int, surd: int, den: int) -> "OracleScalar":
+        """``(rat + surd*sqrt(2)) / den`` for integers, ``den`` nonzero."""
+        return cls._raw(Fraction(rat, den), Fraction(surd, den) if surd else _F0)
+
+    # -- predicates ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.rat and not self.surd
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return OracleScalar._raw(self.rat + other.rat, self.surd + other.surd)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return OracleScalar._raw(self.rat - other.rat, self.surd - other.surd)
+
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return OracleScalar._raw(-self.rat, -self.surd)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, c, d = self.rat, self.surd, other.rat, other.surd
+        if not b and not d:  # the common all-rational case
+            return OracleScalar._raw(a * c, _F0)
+        return OracleScalar._raw(a * c + 2 * b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "OracleScalar":
+        norm = self.rat * self.rat - 2 * self.surd * self.surd
+        if not norm:
+            raise ZeroDivisionError("Scalar division by zero")
+        return OracleScalar._raw(self.rat / norm, -self.surd / norm)
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.surd == 0:  # rational divisor: no conjugation needed
+            if not other.rat:
+                raise ZeroDivisionError("Scalar division by zero")
+            return OracleScalar._raw(self.rat / other.rat, self.surd / other.rat)
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        result = OracleScalar(1)
+        base = self
+        e = exponent
+        while e:  # square and multiply
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    # -- exact ordering ----------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, +1} of rat + surd*sqrt(2)."""
+        r, s = self.rat, self.surd
+        # both denominators are positive, so clearing them keeps the sign
+        return qsign(r.numerator * s.denominator, s.numerator * r.denominator)
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.rat == other.rat and self.surd == other.surd
+
+    def __lt__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self - other).sign() < 0
+
+    def __hash__(self):
+        if not self.surd:
+            return hash(self.rat)
+        return hash((self.rat, self.surd))
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    # -- presentation ------------------------------------------------------
+
+    def __repr__(self):
+        return f"Scalar({self.rat!r}, {self.surd!r})"
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        if self.rat:
+            parts.append(str(self.rat))
+        if self.surd:
+            if self.surd == 1:
+                term = "√2"
+            elif self.surd == -1:
+                term = "-√2"
+            else:
+                term = f"{self.surd}√2"
+            if parts and self.surd > 0:
+                parts.append("+" + term)
+            else:
+                parts.append(term)
+        return "".join(parts)
+
+    def decimal(self, digits: int = 12) -> str:
+        """Decimal rendering correct to ``digits`` significant digits."""
+        if not self:
+            return "0"
+        with localcontext() as ctx:
+            ctx.prec = digits + 20
+            value = (
+                Decimal(self.rat.numerator) / Decimal(self.rat.denominator)
+                + Decimal(self.surd.numerator)
+                / Decimal(self.surd.denominator)
+                * Decimal(2).sqrt()
+            )
+            return format(value, f".{digits}g")
+
+    # -- serialization -----------------------------------------------------
+
+    def to_json(self) -> dict:
+        """Bit-exact JSON form; integers travel as decimal strings."""
+        return {
+            "r": [str(self.rat.numerator), str(self.rat.denominator)],
+            "s": [str(self.surd.numerator), str(self.surd.denominator)],
+        }
+
+
+def _coerce(value):
+    if isinstance(value, OracleScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return OracleScalar._raw(_to_fraction(value), _F0)
+    return NotImplemented

@@ -303,3 +303,33 @@ def test_scenario_loader_rejects_non_bit_outcomes(tmp_path, capsys, field, value
     assert main(["run", str(path)]) == 2
     err = _one_line_error(capsys)
     assert needle in err and "must be 0, 1, or null" in err
+
+
+@pytest.mark.parametrize("verb", ["show", "run"])
+def test_deeply_nested_json_is_a_spec_error(tmp_path, capsys, verb):
+    # json.loads raises RecursionError here; it used to end in a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main([verb, str(path)]) == 2
+    assert "too deeply" in _one_line_error(capsys)
+
+
+def _isotropic_doc(xi: dict) -> dict:
+    return {"name": "hand", "boxes": [
+        {"name": "g", "kind": "isotropic", "parties": ["a", "b"], "xi": xi}]}
+
+
+@pytest.mark.parametrize("numerator", ["1_0", " 1 ", "+1", "１"])
+def test_scalar_parts_must_be_plain_integers(tmp_path, capsys, numerator):
+    # int() accepts all of these; "1_0" over "20" used to run as 1/2
+    path = tmp_path / "scenario.json"
+    save_json(path, _isotropic_doc({"r": [numerator, "20"], "s": [0, 1]}))
+    assert main(["run", str(path)]) == 2
+    assert "non-integer parts" in _one_line_error(capsys)
+
+
+def test_scalar_error_message_is_truncated(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    save_json(path, _isotropic_doc({"r": ["9" * 5000, "x"], "s": [0, 1]}))
+    assert main(["run", str(path)]) == 2
+    assert len(_one_line_error(capsys)) < 200

@@ -1,6 +1,7 @@
 """Exact field arithmetic on numbers of the form r + s*sqrt(2)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from boxswap import INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 from boxswap.errors import SpecFileError
+from oracle import OracleScalar
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=64
@@ -143,3 +145,66 @@ def test_sign_matches_float_estimate(x):
 @settings(max_examples=60, deadline=None)
 def test_json_round_trip_property(x):
     assert Scalar.from_json(x.to_json()) == x
+
+
+# -- differential test against the two-Fraction Scalar in oracle.py ------------
+
+# zero, small and large numerators of both signs; denominators up to 2**40
+numerators = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**64), 2**64))
+denominators = st.one_of(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(1, 2**40))
+triples = st.tuples(numerators, numerators, denominators)
+
+
+def _pair(triple):
+    r, s, d = triple
+    return Scalar.over(r, s, d), OracleScalar(Fraction(r, d), Fraction(s, d))
+
+
+def _same(x, ox):
+    assert type(x) is Scalar
+    assert x.d > 0 and gcd(x.r, x.s, x.d) == 1, (x.r, x.s, x.d)
+    assert (x.rat, x.surd) == (ox.rat, ox.surd)
+
+
+def _same_or_raises(op, args, oracle_args):
+    """``op`` on both classes: equal results, or ZeroDivisionError from both."""
+    try:
+        want = op(*oracle_args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(*args)
+        return
+    _same(op(*args), want)
+
+
+@given(triples, triples, st.integers(-9, 9), st.fractions(max_denominator=10**6))
+@settings(max_examples=200, deadline=None)
+def test_scalar_agrees_with_the_two_fraction_oracle(ta, tb, k, f):
+    (a, oa), (b, ob) = _pair(ta), _pair(tb)
+    _same(a, oa)
+    _same(Scalar(oa.rat, oa.surd), oa)
+    _same(a + b, oa + ob)
+    _same(a - b, oa - ob)
+    _same(a * b, oa * ob)
+    _same(-a, -oa)
+    _same(abs(a), abs(oa))
+    _same_or_raises(lambda x, y: x / y, (a, b), (oa, ob))
+    _same_or_raises(lambda x: x.inverse(), (a,), (oa,))
+    for e in range(4):
+        _same(a**e, oa**e)
+    # int and Fraction operands on either side
+    _same(a + k, oa + k)
+    _same(k - a, k - oa)
+    _same(a * f, oa * f)
+    _same(f - a, f - oa)
+    _same_or_raises(lambda x: f / x, (a,), (oa,))
+    _same_or_raises(lambda x: x / k, (a,), (oa,))
+
+    assert a.sign() == oa.sign()
+    assert (a == b) == (oa == ob) and (a == a) and (a != b) == (oa != ob)
+    assert (a < b, a <= b, a > b, a >= b) == (oa < ob, oa <= ob, oa > ob, oa >= ob)
+    assert (a == f) == (oa == f) and (a < f) == (oa < f) and (a == k) == (oa == k)
+    assert hash(a) == hash(oa)
+    assert (str(a), repr(a), a.decimal(), a.to_json()) == (
+        str(oa), repr(oa), oa.decimal(), oa.to_json())
+    _same(Scalar.from_json(a.to_json()), oa)
