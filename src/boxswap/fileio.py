@@ -9,6 +9,7 @@ field checks the document loaders share.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 from .errors import SpecFileError
@@ -37,7 +38,54 @@ def json_str(value, what: str) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    in one recursive pass: with an indent ``json`` always takes its slower
+    pure-Python encoder.  Other leaves (floats, unsupported objects) go to
+    ``json.dumps``, so they print, or raise TypeError, as there; a dict key
+    that is not a string raises TypeError."""
+    out: list = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list, newline: str) -> None:
+    """Append ``obj``'s canonical text; ``newline`` is a line break plus the
+    indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_quoted(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quoted(key) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(obj))
 
 
 def load_json(path) -> object:
@@ -52,6 +100,8 @@ def load_json(path) -> object:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SpecFileError(f"{path} nests JSON too deeply to load") from exc
+    except ValueError as exc:  # an integer literal longer than int() may parse
+        raise SpecFileError(f"{path} cannot be loaded: {exc}") from exc
 
 
 def save_json(path, obj) -> None:

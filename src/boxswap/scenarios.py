@@ -5,11 +5,15 @@ consume some of those labels (optionally conditioned on an outcome bit),
 wirings that merge pairs of surviving labels into one user (shared input,
 XOR of outputs), and the list of functionals to report on the final boxes.
 
-The engine keeps one table per independent group of parties ("pool"),
-couples pools together only when a coupler spans them, and tensors whatever
-remains at the end — so party counts stay as small as the scenario allows.
-Every probability is exact; branch probabilities over all outcome
-assignments sum to one (checked and reported as a cross-check).
+The engine keeps one table per independent group of parties ("pool") and
+couples pools together only when a coupler spans them.  A pool no coupler
+has touched yet is the same object in every branch, so within one run each
+coupler is applied once per distinct state of the pools it spans.  At the
+end each branch folds its pools left to right and applies every wiring as
+soon as both of its ends are in the fold; branches that share their first
+pools share that partial product.  Party counts stay as small as the
+scenario allows.  Every probability is exact; branch probabilities over all
+outcome assignments sum to one (checked and reported as a cross-check).
 
 The builders (``swap_two``, ``swap_many``, ``hybrid_three``) check their
 reports against one closed form, the swap law on isotropic boxes: each
@@ -265,6 +269,8 @@ class ScenarioReport:
 
 
 def _validate_spec(spec: ScenarioSpec) -> None:
+    if not spec.boxes:
+        raise SpecFileError("scenario needs at least one box")
     names = [b.name for b in spec.boxes]
     if len(set(names)) != len(names):
         raise SpecFileError("box names must be unique")
@@ -318,13 +324,71 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             raise SpecFileError(f"unknown report functional {r!r}; expected {REPORT_FUNCTIONALS}")
 
 
+class _Pool:
+    """One independent group of parties: its labels and their joint box.
+    Pools hash by identity, so a run's memos key on them."""
+
+    __slots__ = ("labels", "box")
+
+    def __init__(self, labels: list, box: BoxTable):
+        self.labels, self.box = labels, box
+
+
 def _joined(pools) -> tuple[list, BoxTable]:
     """Concatenate the pools' labels and tensor their boxes, in pool order."""
     labels: list = []
     box = None
-    for pool_labels, pool_box in pools:
-        labels += pool_labels
-        box = pool_box if box is None else tensor(box, pool_box)
+    for pool in pools:
+        labels += pool.labels
+        box = pool.box if box is None else tensor(box, pool.box)
+    return labels, box
+
+
+def _coupled(effect, cspec: ScenarioCoupler, pools, outcome: tuple) -> tuple:
+    """Apply one coupler to the joint of ``pools``: one (branch, probability,
+    pool over the survivors or None) per coupler outcome.  ``outcome`` is the
+    branch path that first reached these pools, named if the coupler fails."""
+    labels, joint = _joined(pools)
+    positions = [labels.index(p) + 1 for p in cspec.consumed]
+    try:
+        results = apply_coupler(effect, joint, positions)
+    except CouplerInvalidError as exc:
+        path = "".join(str(b) for b in outcome) or "(root)"
+        raise CouplerInvalidError(
+            exc.branch,
+            f"coupler on {list(cspec.consumed)} after branch path {path}: {exc}",
+        ) from exc
+    surviving = [p for p in labels if p not in cspec.consumed]
+    return tuple((r.branch, r.probability, None if r.box is None else _Pool(surviving, r.box))
+                 for r in results)
+
+
+def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
+    """Fold the pools left to right, applying each wiring as soon as both of
+    its ends are in the fold.  ``folds`` maps each prefix of pools folded in
+    this run to its (labels, box), so branches that share their first pools
+    share that product.  Every merge puts the merged label in its pair's
+    earlier slot, so labels and table come out as if all pools were
+    tensored first and wired after."""
+    labels: list = []
+    box = None
+    key: tuple = ()
+    for pool in pools:
+        key += (pool,)
+        fold = folds.get(key)
+        if fold is None:
+            labels = labels + pool.labels
+            box = pool.box if box is None else tensor(box, pool.box)
+            for w in wirings:
+                if w.pair[0] in labels and w.pair[1] in labels:
+                    i = labels.index(w.pair[0]) + 1
+                    j = labels.index(w.pair[1]) + 1
+                    box = merge_parties(box, i, j)
+                    lo, hi = min(i, j), max(i, j)
+                    labels[lo - 1] = w.merged
+                    del labels[hi - 1]
+            fold = folds[key] = (labels, box)
+        labels, box = fold
     return labels, box
 
 
@@ -336,57 +400,58 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
         if b.table is not None:
             if not validate(b.table).all_ok:
                 raise ValidationError(f"inline box {b.name!r} is not a valid box")
-            start_pools.append((list(b.parties), b.table))
+            start_pools.append(_Pool(list(b.parties), b.table))
         else:
-            start_pools.append((list(b.parties), named_box(b.kind, b.n, b.xi)))
+            start_pools.append(_Pool(list(b.parties), named_box(b.kind, b.n, b.xi)))
     # a branch is (outcome, weight, pools); pools is None once an outcome had zero mass
     branches = [((), ONE, start_pools)]
 
     for cspec in spec.couplers:
         effect = build_coupler(cspec.arity)
+        steps: dict = {}  # involved pools -> their _coupled results, filled in branch order
         grown = []
         for outcome, weight, pools in branches:
             if pools is None:
                 grown.append((outcome + (None,), weight, None))
                 continue
-            involved = [i for i, (labels, _) in enumerate(pools)
-                        if any(p in labels for p in cspec.consumed)]
-            labels, joint = _joined([pools[i] for i in involved])
-            positions = [labels.index(p) + 1 for p in cspec.consumed]
-            try:
-                results = apply_coupler(effect, joint, positions)
-            except CouplerInvalidError as exc:
-                path = "".join(str(b) for b in outcome) or "(root)"
-                raise CouplerInvalidError(
-                    exc.branch,
-                    f"coupler on {list(cspec.consumed)} after branch path {path}: {exc}",
-                ) from exc
-            surviving = [p for p in labels if p not in cspec.consumed]
+            involved = [i for i, pool in enumerate(pools)
+                        if any(p in pool.labels for p in cspec.consumed)]
+            key = tuple(pools[i] for i in involved)
+            results = steps.get(key)
+            if results is None:
+                results = steps[key] = _coupled(effect, cspec, key, outcome)
             rest = [pool for i, pool in enumerate(pools) if i not in involved]
             at = involved[0]
             keep = results if cspec.outcome is None else (results[cspec.outcome],)
-            for res in keep:
-                if res.box is None:
-                    grown.append((outcome + (res.branch,), ZERO, None))
+            for branch, probability, pool in keep:
+                if pool is None:
+                    grown.append((outcome + (branch,), ZERO, None))
                 else:
-                    grown.append((outcome + (res.branch,), weight * res.probability,
-                                  rest[:at] + [(surviving, res.box)] + rest[at:]))
+                    grown.append((outcome + (branch,), weight * probability,
+                                  rest[:at] + [pool] + rest[at:]))
         branches = grown
 
+    def finals():
+        folds: dict = {}
+        for outcome, weight, pools in branches:
+            if pools is None:
+                yield outcome, ZERO, (), None
+            else:
+                yield (outcome, weight, *_assembled(pools, spec.wirings, folds))
+
+    return _report(spec, finals())
+
+
+def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
+    """Evaluate the spec's reports on each final branch, given in order as
+    (outcome, probability, labels, box), with box None where an outcome had
+    zero mass, and attach the cross-checks every scenario gets."""
     records = []
     final_parties: tuple = ()
-    for outcome, weight, pools in branches:
-        if pools is None:
+    for outcome, weight, labels, box in finals:
+        if box is None:
             records.append(BranchRecord(outcome, ZERO, None, {}, None, None, None))
             continue
-        labels, box = _joined(pools)
-        for w in spec.wirings:
-            i = labels.index(w.pair[0]) + 1
-            j = labels.index(w.pair[1]) + 1
-            box = merge_parties(box, i, j)
-            lo, hi = min(i, j), max(i, j)
-            labels[lo - 1] = w.merged
-            del labels[hi - 1]
         functionals = {}
         classification = None
         bound_triple = None

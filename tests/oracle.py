@@ -11,6 +11,10 @@ library's signatures and raise the same errors in the same order.
 one reduced integer triple: two Fractions, ``rat + surd*sqrt(2)``.
 ``test_scalar.py`` checks every operator of the library's ``Scalar``
 against it on random values.
+
+``run_scenario`` is the scenario engine's branch loop as it was before its
+per-run memos; ``test_scenarios.py`` checks the engine against it on random
+scenarios.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from boxswap import BoxTable, ONE, ZERO, Scalar
+from boxswap import scenarios as engine
 from boxswap.coupler import BranchResult
 from boxswap.errors import ArityError, CouplerInvalidError, SignalingError, ValidationError
 from boxswap.scalar import qsign
@@ -220,6 +225,82 @@ def apply_coupler(coupler, joint, consumed):
             probs.append(v / mass)
         results.append(BranchResult(branch, mass, BoxTable(m, probs)))
     return tuple(results)
+
+
+# -- the scenario engine before its memos -------------------------------------
+
+
+def _joined(pools):
+    labels, box = [], None
+    for pool_labels, pool_box in pools:
+        labels += pool_labels
+        box = pool_box if box is None else engine.tensor(box, pool_box)
+    return labels, box
+
+
+def run_scenario(spec):
+    """The branch loop of ``scenarios.run_scenario`` before its per-run memos:
+    every coupler reruns on every live branch, and each branch tensors all
+    its pools together before applying the wirings in spec order.  The
+    library's own kernels and report builder do the rest."""
+    engine._validate_spec(spec)
+    start_pools = []
+    for b in spec.boxes:
+        if b.table is not None:
+            if not engine.validate(b.table).all_ok:
+                raise ValidationError(f"inline box {b.name!r} is not a valid box")
+            start_pools.append((list(b.parties), b.table))
+        else:
+            start_pools.append((list(b.parties), engine.named_box(b.kind, b.n, b.xi)))
+    branches = [((), ONE, start_pools)]
+
+    for cspec in spec.couplers:
+        effect = engine.build_coupler(cspec.arity)
+        grown = []
+        for outcome, weight, pools in branches:
+            if pools is None:
+                grown.append((outcome + (None,), weight, None))
+                continue
+            involved = [i for i, (labels, _) in enumerate(pools)
+                        if any(p in labels for p in cspec.consumed)]
+            labels, joint = _joined([pools[i] for i in involved])
+            positions = [labels.index(p) + 1 for p in cspec.consumed]
+            try:
+                results = engine.apply_coupler(effect, joint, positions)
+            except CouplerInvalidError as exc:
+                path = "".join(str(b) for b in outcome) or "(root)"
+                raise CouplerInvalidError(
+                    exc.branch,
+                    f"coupler on {list(cspec.consumed)} after branch path {path}: {exc}",
+                ) from exc
+            surviving = [p for p in labels if p not in cspec.consumed]
+            rest = [pool for i, pool in enumerate(pools) if i not in involved]
+            at = involved[0]
+            keep = results if cspec.outcome is None else (results[cspec.outcome],)
+            for res in keep:
+                if res.box is None:
+                    grown.append((outcome + (res.branch,), ZERO, None))
+                else:
+                    grown.append((outcome + (res.branch,), weight * res.probability,
+                                  rest[:at] + [(surviving, res.box)] + rest[at:]))
+        branches = grown
+
+    def finals():
+        for outcome, weight, pools in branches:
+            if pools is None:
+                yield outcome, ZERO, (), None
+                continue
+            labels, box = _joined(pools)
+            for w in spec.wirings:
+                i = labels.index(w.pair[0]) + 1
+                j = labels.index(w.pair[1]) + 1
+                box = engine.merge_parties(box, i, j)
+                lo, hi = min(i, j), max(i, j)
+                labels[lo - 1] = w.merged
+                del labels[hi - 1]
+            yield outcome, weight, labels, box
+
+    return engine._report(spec, finals())
 
 
 # -- the two-Fraction Scalar ---------------------------------------------------

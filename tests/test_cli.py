@@ -333,3 +333,20 @@ def test_scalar_error_message_is_truncated(tmp_path, capsys):
     save_json(path, _isotropic_doc({"r": ["9" * 5000, "x"], "s": [0, 1]}))
     assert main(["run", str(path)]) == 2
     assert len(_one_line_error(capsys)) < 200
+
+
+@pytest.mark.parametrize("doc", [{}, {"boxes": []}])
+def test_empty_scenario_is_a_spec_error(tmp_path, capsys, doc):
+    # both used to end in an AttributeError traceback with exit 1
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    assert "at least one box" in _one_line_error(capsys)
+
+
+def test_show_refuses_an_overlong_integer_literal(tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text('{"n": 1, "order": "party1-lsb", "probs": [["0", "0", {"r": ['
+                    + "9" * 5000 + ', 1], "s": [0, 1]}]]}')
+    assert main(["show", str(path)]) == 2
+    assert "cannot be loaded" in _one_line_error(capsys)

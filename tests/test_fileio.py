@@ -1,8 +1,12 @@
 """Canonical JSON I/O round trips byte-for-byte."""
 
-import pytest
+import json
 
-from boxswap import canonical_dumps, load_json, save_json
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxswap import ONE, canonical_dumps, load_json, save_json
 from boxswap.errors import SpecFileError
 from boxswap.scenarios import swap_two
 
@@ -28,3 +32,44 @@ def test_load_json_errors_are_spec_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SpecFileError):
         load_json(bad)
+
+
+def test_load_json_maps_an_overlong_integer_to_a_spec_file_error(tmp_path):
+    # json.loads raises a plain ValueError past int()'s 4,300-digit limit
+    path = tmp_path / "box.json"
+    path.write_text('{"n": 1, "order": "party1-lsb", "probs": [["0", "0", {"r": ['
+                    + "9" * 5000 + ', 1], "s": [0, 1]}]]}')
+    with pytest.raises(SpecFileError, match="cannot be loaded"):
+        load_json(path)
+
+
+_strings = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "é\u2603\U0001f600", '"\\/\b\f\n\r\t', "\ud800"])
+_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+           | st.floats() | _strings)
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_strings, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+def test_canonical_dumps_matches_json_dumps(value):
+    assert canonical_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, ONE, [{"a": {3}}], {"k": ONE}, {(1,): 2}])
+def test_canonical_dumps_refuses_what_json_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        canonical_dumps(bad)
+
+
+def test_canonical_dumps_refuses_keys_that_are_not_strings():
+    # json.dumps would write the key 1 as "1"; no document has such keys
+    with pytest.raises(TypeError):
+        canonical_dumps({1: 2})

@@ -1,9 +1,13 @@
 """Scenario engine: declarative wiring, branch bookkeeping, built-ins."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from boxswap import (
     BoxTable,
     Scalar,
@@ -22,7 +26,14 @@ from boxswap import (
     tensor,
 )
 from boxswap import scenarios
-from boxswap.errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
+from boxswap.errors import (
+    ArityError,
+    BoxSwapError,
+    CouplerInvalidError,
+    SpecFileError,
+    ValidationError,
+)
+from boxswap.fileio import load_json
 from boxswap.scenarios import (
     ScenarioBox,
     ScenarioCoupler,
@@ -36,6 +47,7 @@ from boxswap.scenarios import (
 )
 
 THIRD = Scalar.rational(1, 3)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_swap_two_bipartite():
@@ -317,3 +329,137 @@ def test_report_json_shape():
     assert success["probability"] == {"r": ["1", "3"], "s": ["0", "1"]}
     assert success["validation"]["all_ok"] is True
     assert all(c["passed"] for c in doc["crosschecks"])
+
+
+def test_empty_scenario_is_a_spec_error():
+    with pytest.raises(SpecFileError, match="at least one box"):
+        run_scenario(ScenarioSpec("empty", ()))
+
+
+# -- the engine against the reference branch loop ---------------------------
+
+XIS = (ZERO, Scalar.rational(1, 2), ONE, INV_SQRT2)
+
+
+@st.composite
+def _inline_tables(draw, n):
+    pick = [deterministic_local(draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                              min_size=n, max_size=n)))]
+    if n >= 2:
+        pick += [failure(n), mixed(n), isotropic(n, draw(st.sampled_from(XIS)))]
+    if n == 2:
+        pick += [anti_pr()]
+    if n == 3:
+        pick += [tensor(anti_pr(), deterministic_local([(0, 0)])),
+                 tensor(failure(2), deterministic_local([(1, 0)]))]
+    return draw(st.sampled_from(pick))
+
+
+@st.composite
+def _scenario_specs(draw):
+    """Up to seven parties in 1-4 boxes, 0-3 couplers over unconsumed labels
+    (free to take two ends of one box), some conditioned, and up to two
+    wirings of survivors, inside one pool or across pools."""
+    boxes, labels = [], []
+    for k in range(draw(st.sampled_from((1, 2, 3, 3, 4, 4)))):
+        if len(labels) == 7:
+            break
+        n = draw(st.sampled_from([n for n in (1, 2, 2, 3, 3) if len(labels) + n <= 7]))
+        kind = draw(st.sampled_from(("pr", "isotropic", "gsb", "inline") if n >= 2 else ("inline",)))
+        parties = tuple(f"p{len(labels) + i}" for i in range(n))
+        labels += parties
+        if kind == "inline":
+            boxes.append(ScenarioBox(f"g{k}", kind, n, parties, table=draw(_inline_tables(n))))
+        elif kind == "pr" and n == 2:
+            boxes.append(ScenarioBox(f"g{k}", kind, n, parties))
+        else:
+            xi = draw(st.sampled_from(XIS)) if kind == "isotropic" else None
+            boxes.append(ScenarioBox(f"g{k}", "gsb" if xi is None else kind, n, parties, xi))
+    free = list(labels)
+    pools = [set(b.parties) for b in boxes]
+    couplers = []
+    for _ in range(draw(st.sampled_from((0, 1, 2, 2, 3, 3)))):
+        if len(free) < 3:
+            break
+        arity = draw(st.integers(2, min(3, len(free) - 1)))
+        consumed = draw(st.permutations(free))[:arity]
+        involved = [pool for pool in pools if pool & set(consumed)]
+        survivors = set().union(*involved) - set(consumed)
+        if not survivors:  # apply_coupler refuses to consume a whole joint
+            continue
+        pools = [pool for pool in pools if pool not in involved] + [survivors]
+        free = [p for p in free if p not in consumed]
+        couplers.append(ScenarioCoupler(arity, tuple(consumed),
+                                        draw(st.sampled_from((None, None, 0, 1)))))
+    wirings = []
+    for k in range(draw(st.integers(0, 2))):
+        if len(free) < 3:
+            break
+        pair = draw(st.permutations(free))[:2]
+        free = [p for p in free if p not in pair]
+        wirings.append(ScenarioWiring(tuple(pair), f"w{k}"))
+    reports = draw(st.sampled_from(((), ("gsi",), ("gsi", "ch"))))
+    return ScenarioSpec("drawn", tuple(boxes), tuple(couplers), tuple(wirings), reports)
+
+
+def _outcome(run, spec):
+    try:
+        return run(spec).to_json()
+    except BoxSwapError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenario_specs())
+def test_engine_agrees_with_the_reference_branch_loop(spec):
+    assert _outcome(run_scenario, spec) == _outcome(oracle.run_scenario, spec)
+
+
+# -- work counts and the ring law -------------------------------------------
+
+
+def ring(n: int) -> ScenarioSpec:
+    """n users on a cycle, shaped like ``hybrid_three.json``: each edge is two
+    PR boxes whose inner ends meet in a two-end coupler, and each user wires
+    the outer ends it holds."""
+    users = "acdefghij"[:n]
+    boxes, couplers = [], []
+    for k, (left, right) in enumerate(zip(users, users[1:] + users[:1])):
+        boxes += [ScenarioBox(f"g{2 * k + 1}", "pr", 2, (f"{left}1", f"b{2 * k + 1}")),
+                  ScenarioBox(f"g{2 * k + 2}", "pr", 2, (f"{right}2", f"b{2 * k + 2}"))]
+        couplers.append(ScenarioCoupler(2, (f"b{2 * k + 1}", f"b{2 * k + 2}")))
+    wirings = tuple(ScenarioWiring((f"{u}1", f"{u}2"), u) for u in users)
+    return ScenarioSpec(f"ring-{n}", tuple(boxes), tuple(couplers), wirings)
+
+
+def _counted_run(monkeypatch, spec):
+    calls = []
+    apply = scenarios.apply_coupler
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "apply_coupler", counting)
+    return run_scenario(spec), len(calls)
+
+
+def test_hybrid_three_document_applies_each_coupler_once(monkeypatch):
+    spec = ScenarioSpec.from_json(load_json(ROOT / "scenarios" / "hybrid_three.json"))
+    assert ring(3).boxes == spec.boxes and ring(3).couplers == spec.couplers
+    assert ring(3).wirings == spec.wirings
+    report, calls = _counted_run(monkeypatch, spec)
+    assert calls == 3
+    assert len(report.branches) == 8 and report.all_checks_passed
+
+
+def test_ring_of_five_follows_the_failure_law(monkeypatch):
+    report, calls = _counted_run(monkeypatch, ring(5))
+    assert calls == 5
+    assert len(report.branches) == 32
+    assert report.parties == tuple("acdef")
+    for record in report.branches:
+        k = sum(record.outcome)
+        assert record.probability == Scalar.rational(2**k, 3**5)
+        assert record.validation.all_ok
+    assert report.total_probability == ONE and report.all_checks_passed
