@@ -10,10 +10,16 @@ A table is stored in common-denominator form: one positive integer ``den``
 and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that cell i is
 ``(rat[i] + surd[i]*sqrt(2)) / den``; a table without sqrt(2) parts carries
 ``surd = None``.  The triple is reduced by the gcd of all its integers, so
-it is canonical and table equality is tuple equality.  Every operation
-below is an integer loop over these tuples.  ``Scalar`` values appear only
-at the edges: ``prob``, ``probs`` (built on first access) and JSON input;
-``to_json`` writes each cell straight from its numerators.
+it is canonical and table equality is tuple equality.  The operations
+below work on these tuples in integer arithmetic, through list slices and
+``map`` where they can and per-cell loops where they still must; ``validate``
+and the coupler reach single index bits only through ``_split``.  ``Scalar``
+values appear only at the edges: ``prob``, ``probs`` (built on first access)
+and JSON input; ``to_json`` writes each cell straight from its numerators.
+
+``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
+``rat`` and ``surd`` on first read, so a coupler can contract a product
+factor by factor without ever writing it.
 """
 
 from __future__ import annotations
@@ -70,9 +76,13 @@ def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None
 
 
 class BoxTable:
-    """Immutable dense table; see the module docstring for the layout."""
+    """Immutable dense table; see the module docstring for the layout.
 
-    __slots__ = ("n", "den", "rat", "surd", "_probs")
+    ``factors`` is None for a built table; for a ``tensor`` product it is
+    the tuple of built tables whose product it is, lowest party slots first,
+    and ``den``, ``rat`` and ``surd`` are built from it on first read."""
+
+    __slots__ = ("n", "factors", "den", "rat", "surd", "_probs")
 
     def __init__(self, n: int, probs: Sequence[Scalar]):
         if n < 1:
@@ -80,7 +90,7 @@ class BoxTable:
         probs = tuple(probs)
         if len(probs) != 4**n:
             raise ArityError(f"table for n={n} needs {4**n} entries, got {len(probs)}")
-        self.n = n
+        self.n, self.factors = n, None
         self.den, self.rat, self.surd = common_form(probs)
         self._probs = probs
 
@@ -88,10 +98,17 @@ class BoxTable:
     def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
         """The table with cells ``(rat[i] + surd[i]*sqrt(2)) / den``, ``den > 0``."""
         self = object.__new__(cls)
-        self.n = n
+        self.n, self.factors = n, None
         self.den, self.rat, self.surd = reduce_form(den, rat, surd)
         self._probs = None
         return self
+
+    def __getattr__(self, name):
+        # only reached while a slot is unset: den, rat, surd of a lazy product
+        if name not in ("den", "rat", "surd") or self.factors is None:
+            raise AttributeError(name)
+        self.den, self.rat, self.surd = _product(self.factors)
+        return getattr(self, name)
 
     @property
     def probs(self) -> tuple:
@@ -294,14 +311,16 @@ def named_box(kind: str, n: int | None = None, xi=None) -> BoxTable:
 # follows (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2.
 
 
-def _scaled(vec: Sequence[int], k: int) -> list:
-    return [k * v for v in vec]
+def _scaled(vec: Sequence[int] | None, k: int) -> list | None:
+    return None if vec is None else [k * v for v in vec]
 
 
-def _sum(*vecs) -> list:
-    """Elementwise sum of the vectors that are not None."""
+def _sum(*vecs) -> list | None:
+    """Elementwise sum of the vectors that are not None; None if all are."""
     vecs = [v for v in vecs if v is not None]
-    total = list(vecs[0])
+    if not vecs:
+        return None
+    total = vecs[0]
     for v in vecs[1:]:
         total = list(map(add, total, v))
     return total
@@ -345,33 +364,71 @@ def mix(terms: Iterable[tuple]) -> BoxTable:
 
 def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
     """Products u[i] * v[j] laid out as the tensor of a ``nu``-party table ``u``
-    (low party slots) and an ``nv``-party table ``v``, in index order."""
-    width = 1 << nu
-    rows_u = [u[x << nu:(x + 1) << nu] for x in range(width)]
-    zeros = [0] * width
+    (low party slots) and an ``nv``-party table ``v``, in index order; either
+    may have no party (one cell)."""
+    if not nu:
+        return [u[0] * q for q in v]
+    if not nv:
+        return [p * v[0] for p in u]
+    rows_u = [u[x << nu:(x + 1) << nu] for x in range(1 << nu)]
     out = []
     for xv in range(1 << nv):
         row_v = v[xv << nv:(xv + 1) << nv]
         for row_u in rows_u:
-            for q in row_v:
-                out += [p * q for p in row_u] if q else zeros
+            out += [p * q for q in row_v for p in row_u]
     return out
 
 
+def _outer_pair(u: tuple, v: tuple, nu: int, nv: int) -> tuple:
+    """``_outer`` of two (rat, surd) numerator pairs, surd None for none:
+    (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2."""
+    (ur, us), (vr, vs) = u, v
+    rat = _outer(ur, vr, nu, nv)
+    if us is not None and vs is not None:
+        rat = _sum(rat, _outer(us, _scaled(vs, 2), nu, nv))
+    surds = [_outer(p, q, nu, nv) for p, q in ((ur, vs), (us, vr))
+             if p is not None and q is not None]
+    return rat, _sum(*surds)
+
+
+def _product(factors: Sequence[BoxTable]) -> tuple:
+    """The reduced (den, rat, surd) of the product of built tables, the
+    first in the low party slots."""
+    first = factors[0]
+    n, den, pair = first.n, first.den, (first.rat, first.surd)
+    for f in factors[1:]:
+        pair = _outer_pair(pair, (f.rat, f.surd), n, f.n)
+        n, den = n + f.n, den * f.den
+    return reduce_form(den, *pair)
+
+
 def tensor(a: BoxTable, b: BoxTable) -> BoxTable:
-    """Independent side-by-side composition; ``a`` keeps the low party slots."""
+    """Independent side-by-side composition; ``a`` keeps the low party slots.
+    The product is lazy: see the module docstring."""
     n = a.n + b.n
     _check_cap(n)
+    self = object.__new__(BoxTable)
+    self.n, self.factors, self._probs = n, (a.factors or (a,)) + (b.factors or (b,)), None
+    return self
 
-    def outer(u, v):
-        return None if u is None or v is None else _outer(u, v, a.n, b.n)
 
-    both = outer(a.surd, b.surd)
-    rat = _sum(outer(a.rat, b.rat), both and _scaled(both, 2))
-    surd = None
-    if a.surd is not None or b.surd is not None:
-        surd = _sum(outer(a.rat, b.surd), outer(a.surd, b.rat))
-    return BoxTable.from_numerators(n, a.den * b.den, rat, surd)
+def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:
+    """The cells of ``vec`` whose index has ``bit`` clear, and those with it
+    set, each in index order with that bit removed: strided slices while
+    the bit is low, runs of 2**bit cells once it is high."""
+    step, size = 1 << bit, len(vec)
+    half = size >> 1
+    if step * step <= half:
+        lo, hi = [0] * half, [0] * half
+        for r in range(step):
+            lo[r::step] = vec[r::2 * step]
+            hi[r::step] = vec[r + step::2 * step]
+    else:
+        lo, hi = [], []
+        for start in range(0, size, 2 * step):
+            lo += vec[start:start + step]
+            hi += vec[start + step:start + 2 * step]
+    return lo, hi
 
 
 def _gather(vec: Sequence[int], n: int, size: int, row_at: Sequence, col_at: Sequence) -> list:
@@ -487,15 +544,22 @@ class ValidationReport:
         )
 
 
+def _input_free(vec: Sequence[int], n: int, party: int) -> bool:
+    """True iff the marginal of an n-party numerator vector on every party
+    but ``party`` is the same at both of that party's inputs."""
+    a0, a1 = _split(vec, party - 1)
+    # with the output bit gone, the party's input bit sits at n - 1 + party - 1
+    x0, x1 = _split(list(map(add, a0, a1)), n + party - 2)
+    return x0 == x1
+
+
 def validate(box: BoxTable) -> ValidationReport:
     n, rat, surd = box.n, box.rat, box.surd
     normalized = all(v == box.den for v in row_sums(rat, n)) and (
         surd is None or not any(row_sums(surd, n)))
     nonnegative = first_negative(rat, surd) is None
-    nonsignaling = {}
-    for party in range(1, n + 1):
-        # the marginal on everyone else must not move with this party's input
-        others = tuple(p for p in range(1, n + 1) if p != party)
-        at0, at1 = _marginals(box, others, (party,))
-        nonsignaling[party] = at0 == at1
+    nonsignaling = {
+        party: _input_free(rat, n, party) and (surd is None or _input_free(surd, n, party))
+        for party in range(1, n + 1)
+    }
     return ValidationReport(normalized, nonnegative, nonsignaling)

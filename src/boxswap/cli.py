@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .bell import bounds, ch_evaluate, classify
 from .boxes import BoxTable, validate, word_to_str
@@ -238,7 +239,9 @@ def cmd_show(args) -> int:
 # -- dispatch ----------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="boxswap",
         description="Exact nonsignaling boxes, Bell-type functionals, and swap couplers.",

@@ -28,7 +28,8 @@ from math import comb
 from typing import Sequence
 
 from .bell import BoundTriple, Classification, bounds, ch_evaluate, classify
-from .boxes import BoxTable, WORD_ORDER, isotropic, merge_parties, named_box, tensor, validate
+from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, isotropic, merge_parties, named_box, tensor,
+                    validate)
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
 from .fileio import json_bit, json_positive_int, json_str
@@ -296,6 +297,8 @@ def _validate_spec(spec: ScenarioSpec) -> None:
     if len(set(consumed_all)) != len(consumed_all):
         raise SpecFileError("a party label may be consumed by at most one coupler")
     for c in spec.couplers:
+        if c.arity > PARTY_CAP:
+            raise SpecFileError(f"coupler arity {c.arity} is over the party cap {PARTY_CAP}")
         if c.arity != len(c.consumed):
             raise SpecFileError(f"coupler arity {c.arity} != {len(c.consumed)} consumed labels")
         missing = [p for p in c.consumed if p not in label_set]

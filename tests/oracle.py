@@ -185,7 +185,8 @@ def evaluate(functional, box):
     return acc
 
 
-def apply_coupler(coupler, joint, consumed):
+def branch_tables(coupler, joint, consumed):
+    """Both branch tables over the survivors, before normalization."""
     consumed = list(consumed)
     survivors = [p for p in range(1, joint.n + 1) if p not in consumed]
     m, N = len(survivors), coupler.n
@@ -199,9 +200,17 @@ def apply_coupler(coupler, joint, consumed):
         t0[idx] = t0[idx] + w * p
         psum[idx] = psum[idx] + p
     uniform = Scalar(Fraction(1, 2**N))
-    t1 = [uniform * s - t for s, t in zip(psum, t0)]
+    return t0, [uniform * s - t for s, t in zip(psum, t0)]
+
+
+def apply_coupler(coupler, joint, consumed):
+    return branch_results(branch_tables(coupler, joint, consumed), joint.n - len(consumed))
+
+
+def branch_results(tables, m):
+    """``apply_coupler``'s checks and normalization of its two branch tables."""
     results = []
-    for branch, table in ((0, t0), (1, t1)):
+    for branch, table in enumerate(tables):
         masses = []
         for xs in range(2**m):
             row = ZERO
@@ -210,12 +219,13 @@ def apply_coupler(coupler, joint, consumed):
             masses.append(row)
         mass = masses[0]
         if any(v != mass for v in masses):
-            raise CouplerInvalidError(branch, "mass depends on surviving inputs")
+            raise CouplerInvalidError(branch, f"branch {branch} mass depends on surviving inputs")
         if mass.sign() < 0:
             raise CouplerInvalidError(branch)
         if not mass:
             if any(v for v in table):
-                raise CouplerInvalidError(branch, "zero mass but nonzero entries")
+                raise CouplerInvalidError(branch,
+                                          f"branch {branch} has zero mass but nonzero entries")
             results.append(BranchResult(branch, ZERO, None))
             continue
         probs = []

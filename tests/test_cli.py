@@ -1,11 +1,16 @@
 """Command-line behavior: formats, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import boxswap
 from boxswap import Scalar, anti_pr, deterministic_local, gsb, pr, tensor
-from boxswap.cli import main
+from boxswap.cli import _build_parser, main
 from boxswap.fileio import canonical_dumps, load_json, save_json
 from boxswap.scenarios import ScenarioBox, ScenarioCoupler, ScenarioSpec
 
@@ -350,3 +355,38 @@ def test_show_refuses_an_overlong_integer_literal(tmp_path, capsys):
                     + "9" * 5000 + ', 1], "s": [0, 1]}]]}')
     assert main(["show", str(path)]) == 2
     assert "cannot be loaded" in _one_line_error(capsys)
+
+
+def test_coupler_over_the_party_cap_is_a_spec_error(tmp_path, capsys):
+    # 14 PR boxes, one end of each consumed by one coupler: refused before
+    # anything of size 4**14 is built
+    doc = {
+        "boxes": [{"name": f"g{i}", "kind": "pr", "parties": [f"a{i}", f"b{i}"]}
+                  for i in range(14)],
+        "couplers": [{"consumed": [f"b{i}" for i in range(14)]}],
+    }
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    assert "party cap" in _one_line_error(capsys)
+
+
+def _fresh(argv) -> tuple:
+    """Exit code and standard output of ``python -m boxswap`` in a new process."""
+    src = Path(boxswap.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "boxswap", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+    return proc.returncode, proc.stdout
+
+
+def test_main_carries_no_option_into_the_next_call(swap_doc, capsys):
+    first = ["reproduce", "--filter", "bound-table", "--format", "json"]
+    second = ["run", str(swap_doc)]
+    assert main(first) == 0
+    out_first = capsys.readouterr().out
+    assert main(second) == 0
+    out_second = capsys.readouterr().out
+    assert _build_parser() is _build_parser()
+    assert (0, out_first) == _fresh(first)
+    assert (0, out_second) == _fresh(second)
+    assert not out_second.startswith("{")  # the default table format, not the first call's json

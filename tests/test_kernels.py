@@ -4,13 +4,16 @@ Every kernel that works on common-denominator numerators is run next to its
 per-cell ``Scalar`` reference in ``oracle.py`` on random tables over 1-4
 parties: valid boxes with rational and sqrt(2) weights, nonsignaling quasi
 tables with negative cells, valid boxes with sqrt(2) shifted between cells,
-and arbitrary (signaling, unnormalized) tables.
+and arbitrary (signaling, unnormalized) tables.  The lazy ``tensor`` and the
+factor-wise coupler contraction are also run on products of up to four such
+tables, up to seven parties in all.
 Results must be equal as tables, errors must name the same party or branch.
 """
 
 import random
 import re
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ import oracle
 from boxswap import (
     BellFunctional,
     BoxTable,
+    CouplerEffect,
     INV_SQRT2,
     ONE,
     SQRT2,
@@ -39,7 +43,8 @@ from boxswap import (
     tensor,
     validate,
 )
-from boxswap.errors import CouplerInvalidError, SignalingError, ValidationError
+from boxswap.coupler import _contracted
+from boxswap.errors import ArityError, CouplerInvalidError, SignalingError, ValidationError
 
 XIS = (ONE, ZERO, -ONE, Scalar.rational(1, 2), Scalar.rational(-1, 3), INV_SQRT2,
        Scalar(Fraction(1, 4), Fraction(1, 4)), Scalar(Fraction(3, 8), Fraction(-1, 8)))
@@ -208,3 +213,81 @@ def test_apply_coupler_on_swaps_with_sqrt2_weights(n):
         want = oracle.apply_coupler(build_coupler(2), joint, (n, n + 1))
         for g, w in zip(got, want):
             assert (g.probability, g.box) == (w.probability, w.box)
+
+
+def test_coupler_effect_takes_one_kernel_value_per_popcount():
+    coupler = build_coupler(2)
+    assert CouplerEffect(2, coupler.kernel).kernel == coupler.kernel
+    with pytest.raises(ArityError):  # a 4**N weight table is not a kernel
+        CouplerEffect(2, [1] * 16)
+
+
+def _factors(rng, kinds, most):
+    """One table per kind, of 1-4 parties, at least three and at most
+    ``most`` parties in all."""
+    sizes = [rng.randint(1, 4) for _ in kinds]
+    while sum(sizes) > most:
+        sizes[sizes.index(max(sizes))] -= 1
+    sizes[0] += max(0, 3 - sum(sizes))
+    return [_table(rng, n, kind) for n, kind in zip(sizes, kinds)]
+
+
+def _products(factors):
+    """The lazy product of ``factors`` and the oracle's built one."""
+    lazy = want = factors[0]
+    for f in factors[1:]:
+        lazy, want = tensor(lazy, f), oracle.tensor(want, f)
+    return lazy, want
+
+
+@given(seeds, st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_apply_coupler_on_lazy_products(seed, kinds):
+    rng = random.Random(seed)
+    factors = _factors(rng, kinds, 7)
+    joint, want_joint = _products(factors)
+    # 0-3 consumed ends per factor, 2-4 in all, at least one survivor
+    candidates, offset = [], 0
+    for f in factors:
+        candidates += [offset + p for p in rng.sample(range(1, f.n + 1), min(3, f.n))]
+        offset += f.n
+    arity = rng.randint(2, min(4, offset - 1, len(candidates)))
+    consumed = rng.sample(candidates, arity)
+    coupler = build_coupler(arity)
+    # the unnormalized branch tables, which most random tables never get past
+    den, m, tables = _contracted(coupler, joint, consumed)
+    want_tables = oracle.branch_tables(coupler, want_joint, consumed)
+    for (rat, surd), want_table in zip(tables, want_tables):
+        assert [Scalar.over(r, s, den) for r, s in zip(rat, surd or repeat(0))] == want_table
+    got, got_err = _outcome(apply_coupler, coupler, joint, consumed,
+                            errors=CouplerInvalidError)
+    want, want_err = _outcome(oracle.branch_results, want_tables, m,
+                              errors=CouplerInvalidError)
+    if want_err is None:
+        assert got_err is None
+        for g, w in zip(got, want):
+            assert (g.branch, g.probability, g.box) == (w.branch, w.probability, w.box)
+    else:
+        assert got_err is not None
+        assert (got_err.branch, str(got_err)) == (want_err.branch, str(want_err))
+    assert joint == want_joint
+
+
+@given(seeds, st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_tensor_and_validate_on_products(seed, kinds):
+    rng = random.Random(seed)
+    factors = _factors(rng, kinds, 6)
+    for k in range(2, len(factors) + 1):
+        lazy, want = _products(factors[:k])
+        assert lazy == want
+    box, want = _products(factors)
+    report = validate(box)
+    assert (report.normalized, report.nonnegative, report.nonsignaling) == oracle.validate(want)
+    # a few shifted cells make the product signal, or lose its normalization
+    probs = list(want.probs)
+    for i in rng.sample(range(len(probs)), rng.randint(1, 3)):
+        probs[i] = probs[i] + rng.choice(NUDGES + (ONE, -ONE))
+    shifted = BoxTable(want.n, probs)
+    report = validate(shifted)
+    assert (report.normalized, report.nonnegative, report.nonsignaling) == oracle.validate(shifted)

@@ -25,7 +25,7 @@ from boxswap import (
     sb,
     tensor,
 )
-from boxswap import scenarios
+from boxswap import boxes, scenarios
 from boxswap.errors import (
     ArityError,
     BoxSwapError,
@@ -463,3 +463,31 @@ def test_ring_of_five_follows_the_failure_law(monkeypatch):
         assert record.probability == Scalar.rational(2**k, 3**5)
         assert record.validation.all_ok
     assert report.total_probability == ONE and report.all_checks_passed
+
+
+@pytest.mark.parametrize("build, survivors", [
+    (lambda xi: swap_two(5, 5, xi, xi), 8),
+    (lambda xi: swap_many((3, 3, 3), (xi, xi, xi)), 6),
+], ids=["swap_two(5,5)", "swap_many(3,3,3)"])
+def test_large_swaps_never_write_their_joint(monkeypatch, build, survivors):
+    # the 10- and 9-party joints are contracted factor by factor: no table,
+    # built or materialized, has more parties than the coupler leaves
+    sizes = []
+    product, from_numerators = boxes._product, BoxTable.from_numerators.__func__
+
+    def counting_product(factors):
+        sizes.append(sum(f.n for f in factors))
+        return product(factors)
+
+    def counting_build(cls, n, *args):
+        sizes.append(n)
+        return from_numerators(cls, n, *args)
+
+    monkeypatch.setattr(boxes, "_product", counting_product)
+    monkeypatch.setattr(BoxTable, "from_numerators", classmethod(counting_build))
+    for xi in (INV_SQRT2, Scalar(Fraction(1, 4), Fraction(1, 4))):
+        sizes.clear()
+        report = build(xi)
+        assert report.all_checks_passed
+        assert len(report.branches) == 2 and report.total_probability == ONE
+        assert sizes and max(sizes) == survivors
