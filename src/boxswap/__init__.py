@@ -52,7 +52,6 @@ from .coupler import (
     apply_coupler,
     build_coupler,
     is_allowed,
-    success_kernel,
     success_probability,
 )
 from .scenarios import (

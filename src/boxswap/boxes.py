@@ -12,14 +12,18 @@ and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that cell i is
 ``surd = None``.  The triple is reduced by the gcd of all its integers, so
 it is canonical and table equality is tuple equality.  The operations
 below work on these tuples in integer arithmetic, through list slices and
-``map`` where they can and per-cell loops where they still must; ``validate``
-and the coupler reach single index bits only through ``_split``.  ``Scalar``
+``map`` where they can and per-cell loops where they still must; ``validate``,
+``wired`` and the coupler reach single index bits only through ``_split``,
+and ``wired`` puts them back through its inverse ``_interleave``.  ``Scalar``
 values appear only at the edges: ``prob``, ``probs`` (built on first access)
-and JSON input; ``to_json`` writes each cell straight from its numerators.
+and JSON input; ``to_json`` writes each distinct cell value once, straight
+from its numerators, and shares it across the cells that hold it.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
-factor by factor without ever writing it.
+factor by factor without ever writing it.  ``wired`` joins two tables at a
+wiring between them the same way: it equals ``merge_parties`` of their
+``tensor`` but never writes that product.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
@@ -144,17 +148,19 @@ class BoxTable:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        """The box document.  Its 2**n word strings are built once, and cells
+        of one value share one ``scalar_json`` object."""
         n, den, mask = self.n, self.den, 2**self.n - 1
-        cells = enumerate(zip(self.rat, self.surd or repeat(0)))
-        return {
-            "n": n,
-            "order": WORD_ORDER,
-            "probs": [
-                [word_to_str(i >> n, n), word_to_str(i & mask, n), scalar_json(r, s, den)]
-                for i, (r, s) in cells
-                if r or s
-            ],
-        }
+        words = [word_to_str(w, n) for w in range(2**n)]
+        values: dict = {}
+        probs = []
+        for i, cell in enumerate(zip(self.rat, self.surd or repeat(0))):
+            if cell[0] or cell[1]:
+                value = values.get(cell)
+                if value is None:
+                    value = values[cell] = scalar_json(*cell, den)
+                probs.append([words[i >> n], words[i & mask], value])
+        return {"n": n, "order": WORD_ORDER, "probs": probs}
 
     @classmethod
     def from_json(cls, data) -> "BoxTable":
@@ -371,12 +377,8 @@ def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
     if not nv:
         return [p * v[0] for p in u]
     rows_u = [u[x << nu:(x + 1) << nu] for x in range(1 << nu)]
-    out = []
-    for xv in range(1 << nv):
-        row_v = v[xv << nv:(xv + 1) << nv]
-        for row_u in rows_u:
-            out += [p * q for q in row_v for p in row_u]
-    return out
+    rows_v = [v[x << nv:(x + 1) << nv] for x in range(1 << nv)]
+    return [p * q for row_v in rows_v for row_u in rows_u for q in row_v for p in row_u]
 
 
 def _outer_pair(u: tuple, v: tuple, nu: int, nv: int) -> tuple:
@@ -429,6 +431,62 @@ def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:
             lo += vec[start:start + step]
             hi += vec[start + step:start + 2 * step]
     return lo, hi
+
+
+def _interleave(lo: Sequence[int], hi: Sequence[int], bit: int) -> list:
+    """The vector whose ``_split`` at ``bit`` is ``(lo, hi)``: the two halves
+    put back together, ``lo`` where the index has ``bit`` clear."""
+    step, half = 1 << bit, len(lo)
+    if step * step <= half:
+        out = [0] * (2 * half)
+        for r in range(step):
+            out[r::2 * step] = lo[r::step]
+            out[r + step::2 * step] = hi[r::step]
+    else:
+        out = []
+        for start in range(0, half, step):
+            out += lo[start:start + step]
+            out += hi[start:start + step]
+    return out
+
+
+def _halves(box: BoxTable, party: int) -> list:
+    """For each input of ``party``, the sum S and the difference D over its
+    output bit of ``box``'s cells at that input: (S, D) as (rat, surd)
+    pairs over the other parties, surd None when there is no sqrt2 part."""
+    parts = []
+    for vec in (box.rat, box.surd):
+        if vec is None:
+            parts.append(((None, None), (None, None)))
+            continue
+        halves = (_split(half, party - 1) for half in _split(vec, box.n + party - 1))
+        parts.append([(list(map(add, lo, hi)), list(map(sub, lo, hi))) for lo, hi in halves])
+    return [tuple(zip(rat, surd)) for rat, surd in zip(*parts)]
+
+
+def wired(a: BoxTable, b: BoxTable, i: int, j: int) -> BoxTable:
+    """``merge_parties(tensor(a, b), i, a.n + j)``, without writing the product.
+
+    At each input z of the merged party, let S and D be the sum and the
+    difference over the wired party's output bit of a table's cells at z
+    (party i of ``a``, party j of ``b``).  The merged output is 0 when the
+    two output bits agree, so its cells are (S_a*S_b + D_a*D_b) / 2 and
+    (S_a*S_b - D_a*D_b) / 2, each product laid out as ``_outer`` lays out
+    the tensor of the other parties; ``_interleave`` then puts the merged
+    output bit and input bit back at slot i."""
+    if not (1 <= i <= a.n and 1 <= j <= b.n):
+        raise ArityError(f"wiring needs a party of each table, got {i} of {a.n} and {j} of {b.n}")
+    m = a.n + b.n - 1
+    _check_cap(m)
+    na, nb = a.n - 1, b.n - 1
+    by_input = []
+    for (sa, da), (sb, db) in zip(_halves(a, i), _halves(b, j)):  # input z = 0, then 1
+        p, q = _outer_pair(sa, sb, na, nb), _outer_pair(da, db, na, nb)
+        by_input.append([None if x is None else
+                         _interleave(list(map(add, x, y)), list(map(sub, x, y)), i - 1)
+                         for x, y in zip(p, q)])
+    rat, surd = (None if x is None else _interleave(x, y, m + i - 1) for x, y in zip(*by_input))
+    return BoxTable.from_numerators(m, 2 * a.den * b.den, rat, surd)
 
 
 def _gather(vec: Sequence[int], n: int, size: int, row_at: Sequence, col_at: Sequence) -> list:

@@ -62,12 +62,6 @@ def _kernel_by_popcount(n: int) -> list:
     return by_popcount
 
 
-def success_kernel(n: int) -> tuple[Scalar, ...]:
-    """Kernel H per consumed-input word; depends only on the popcount."""
-    by_popcount = _kernel_by_popcount(n)
-    return tuple(Scalar(by_popcount[y.bit_count()]) for y in range(2**n))
-
-
 class CouplerEffect:
     """The success weights of a coupler on N consumed ends, stored as its
     ``kernel`` H(k) for each popcount k = 0..N of the consumed inputs:

@@ -3,7 +3,9 @@
 Documents are emitted with sorted keys, two-space indent, and a trailing
 newline, so that a load/save round trip is byte-identical and diffs stay
 readable.  All parse-level failures surface as SpecFileError, and so do the
-field checks the document loaders share.
+field checks the document loaders share.  ``canonical_dumps`` renders a
+dict that a document holds at several places (as box documents share
+their cell values) once per indent, and copies that text where it recurs.
 """
 
 from __future__ import annotations
@@ -42,14 +44,19 @@ def canonical_dumps(obj) -> str:
     in one recursive pass: with an indent ``json`` always takes its slower
     pure-Python encoder.  Other leaves (floats, unsupported objects) go to
     ``json.dumps``, so they print, or raise TypeError, as there; a dict key
-    that is not a string raises TypeError."""
+    that is not a string raises TypeError.
+
+    A dict met again at the same indent is rendered once: ``memo`` maps
+    ``(id(obj), newline)`` to where its text sits in ``out``, and on the
+    second meeting to that text joined.  Every object stays alive while the
+    call runs, so an id is never reused within it."""
     out: list = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, out: list, newline: str) -> None:
+def _write(obj, out: list, newline: str, memo: dict) -> None:
     """Append ``obj``'s canonical text; ``newline`` is a line break plus the
     indent of the line ``obj`` starts on."""
     if isinstance(obj, str):
@@ -70,20 +77,29 @@ def _write(obj, out: list, newline: str) -> None:
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, out, inner)
+            _write(item, out, inner, memo)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        key = (id(obj), newline)
+        seen = memo.get(key)
+        if seen is not None:
+            if type(seen) is tuple:  # met once: its text is out[start:end]
+                seen = memo[key] = "".join(out[seen[0]:seen[1]])
+            out.append(seen)
+            return
+        start = len(out)
         inner = newline + "  "
         sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out.append(sep + _quoted(key) + ": ")
-            _write(value, out, inner)
+        for name, value in sorted(obj.items()):
+            out.append(sep + _quoted(name) + ": ")
+            _write(value, out, inner, memo)
             sep = "," + inner
         out.append(newline + "}")
+        memo[key] = (start, len(out))
     else:
         out.append(json.dumps(obj))
 

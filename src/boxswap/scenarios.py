@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .bell import BoundTriple, Classification, bounds, ch_evaluate, classify
 from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, isotropic, merge_parties, named_box, tensor,
-                    validate)
+                    validate, wired)
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
 from .fileio import json_bit, json_positive_int, json_str
@@ -370,9 +370,11 @@ def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
     """Fold the pools left to right, applying each wiring as soon as both of
     its ends are in the fold.  ``folds`` maps each prefix of pools folded in
     this run to its (labels, box), so branches that share their first pools
-    share that product.  Every merge puts the merged label in its pair's
-    earlier slot, so labels and table come out as if all pools were
-    tensored first and wired after."""
+    share that product.  When a pool closes a wiring with the fold, the
+    first such wiring joins the two through ``wired``, which never writes
+    their product; a pool that closes none is tensored on.  Every merge
+    puts the merged label in its pair's earlier slot, so labels and table
+    come out as if all pools were tensored first and wired after."""
     labels: list = []
     box = None
     key: tuple = ()
@@ -380,8 +382,17 @@ def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
         key += (pool,)
         fold = folds.get(key)
         if fold is None:
-            labels = labels + pool.labels
-            box = pool.box if box is None else tensor(box, pool.box)
+            ends = next(((labels.index(p) + 1, pool.labels.index(q) + 1, w.merged)
+                         for w in wirings for p, q in (w.pair, w.pair[::-1])
+                         if p in labels and q in pool.labels), None)
+            if ends is None:
+                labels = labels + pool.labels
+                box = pool.box if box is None else tensor(box, pool.box)
+            else:
+                i, j, merged = ends
+                box = wired(box, pool.box, i, j)
+                labels = (labels[:i - 1] + [merged] + labels[i:]
+                          + pool.labels[:j - 1] + pool.labels[j:])
             for w in wirings:
                 if w.pair[0] in labels and w.pair[1] in labels:
                     i = labels.index(w.pair[0]) + 1

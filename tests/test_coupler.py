@@ -27,7 +27,6 @@ from boxswap import (
     isotropic,
     mixed,
     pr,
-    success_kernel,
     success_probability,
     tensor,
     validate,
@@ -37,17 +36,23 @@ from boxswap.errors import ArityError, CouplerInvalidError
 THIRD = Scalar.rational(1, 3)
 
 
+def _kernel_by_word(n: int) -> tuple:
+    """The coupler's kernel H at every consumed-input word."""
+    kernel = build_coupler(n).kernel
+    return tuple(kernel[y.bit_count()] for y in range(2**n))
+
+
 def test_kernel_two_ends_matches_sign_pattern():
-    assert success_kernel(2) == (Scalar(1), Scalar(1), Scalar(1), Scalar(-1))
+    assert _kernel_by_word(2) == (1, 1, 1, -1)
 
 
 def test_kernel_three_and_four_ends_by_popcount():
     by_count = {0: 0, 1: 2, 2: 0, 3: -2}
-    assert success_kernel(3) == tuple(Scalar(by_count[y.bit_count()]) for y in range(8))
+    assert _kernel_by_word(3) == tuple(by_count[y.bit_count()] for y in range(8))
     by_count = {0: -2, 1: 2, 2: 2, 3: -2, 4: -2}
-    assert success_kernel(4) == tuple(Scalar(by_count[y.bit_count()]) for y in range(16))
+    assert _kernel_by_word(4) == tuple(by_count[y.bit_count()] for y in range(16))
     with pytest.raises(ArityError):
-        success_kernel(1)
+        build_coupler(1)
 
 
 def test_weight_table_golden_entries():

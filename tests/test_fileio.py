@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxswap import ONE, canonical_dumps, load_json, save_json
+from boxswap import INV_SQRT2, ONE, BoxTable, canonical_dumps, isotropic, load_json, save_json
 from boxswap.errors import SpecFileError
 from boxswap.scenarios import swap_two
 
@@ -55,10 +55,35 @@ _json_values = st.recursive(
 )
 
 
+@st.composite
+def _shared_trees(draw):
+    """A tree that holds one dict object, itself holding another shared
+    dict, at several positions and indents, and holds itself twice."""
+    inner = draw(st.dictionaries(_strings, _json_values, min_size=1, max_size=3))
+    shared = draw(st.dictionaries(_strings, _json_values | st.just(inner), min_size=1,
+                                  max_size=3))
+    tree = draw(st.recursive(
+        _leaves | st.just(shared) | st.just(inner),
+        lambda more: (st.lists(more, max_size=4) | st.lists(more, max_size=4).map(tuple)
+                      | st.dictionaries(_strings, more, max_size=4)),
+        max_leaves=20))
+    return [tree, shared, {"again": [shared, inner, tree]}, [[inner]]]
+
+
 @settings(max_examples=100, deadline=None)
-@given(_json_values)
+@given(_json_values | _shared_trees())
 def test_canonical_dumps_matches_json_dumps(value):
     assert canonical_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_box_document_with_shared_values_round_trips():
+    box = isotropic(3, INV_SQRT2)
+    doc = box.to_json()
+    values = [cell[2] for cell in doc["probs"]]
+    assert len({id(v) for v in values}) == 2 < len(values)  # two distinct cell values
+    text = canonical_dumps(doc)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert BoxTable.from_json(json.loads(text)) == box
 
 
 @pytest.mark.parametrize("bad", [{1, 2}, ONE, [{"a": {3}}], {"k": ONE}, {(1,): 2}])

@@ -6,7 +6,8 @@ parties: valid boxes with rational and sqrt(2) weights, nonsignaling quasi
 tables with negative cells, valid boxes with sqrt(2) shifted between cells,
 and arbitrary (signaling, unnormalized) tables.  The lazy ``tensor`` and the
 factor-wise coupler contraction are also run on products of up to four such
-tables, up to seven parties in all.
+tables, up to seven parties in all, and the fused ``wired`` kernel on two
+tables, built or lazy, of up to seven parties together.
 Results must be equal as tables, errors must name the same party or branch.
 """
 
@@ -43,8 +44,10 @@ from boxswap import (
     tensor,
     validate,
 )
+from boxswap.boxes import _interleave, _split, wired
 from boxswap.coupler import _contracted
-from boxswap.errors import ArityError, CouplerInvalidError, SignalingError, ValidationError
+from boxswap.errors import (ArityError, CouplerInvalidError, PartyCapError, SignalingError,
+                            ValidationError)
 
 XIS = (ONE, ZERO, -ONE, Scalar.rational(1, 2), Scalar.rational(-1, 3), INV_SQRT2,
        Scalar(Fraction(1, 4), Fraction(1, 4)), Scalar(Fraction(3, 8), Fraction(-1, 8)))
@@ -291,3 +294,37 @@ def test_tensor_and_validate_on_products(seed, kinds):
     shifted = BoxTable(want.n, probs)
     report = validate(shifted)
     assert (report.normalized, report.nonnegative, report.nonsignaling) == oracle.validate(shifted)
+
+
+def _built_or_lazy(rng, n, kind):
+    """An n-party table of ``kind``: built, or a lazy product of two tables."""
+    if n > 1 and rng.random() < 0.5:
+        k = rng.randint(1, n - 1)
+        return tensor(_table(rng, k, kind), _table(rng, n - k, rng.choice(KINDS)))
+    return _table(rng, n, kind)
+
+
+@given(seeds, st.integers(1, 4), st.integers(1, 4), st.sampled_from(KINDS),
+       st.sampled_from(KINDS))
+@settings(max_examples=30, deadline=None)
+def test_wired_is_the_merge_of_the_product(seed, na, nb, kind_a, kind_b):
+    rng = random.Random(seed)
+    nb = min(nb, 7 - na)
+    a, b = _built_or_lazy(rng, na, kind_a), _built_or_lazy(rng, nb, kind_b)
+    i, j = rng.randint(1, na), rng.randint(1, nb)
+    got = wired(a, b, i, j)
+    assert got == merge_parties(tensor(a, b), i, na + j)
+    assert got == oracle.merge_parties(oracle.tensor(a, b), i, na + j)
+    for vec in (a.rat, got.rat, got.surd or b.rat):
+        for bit in range(len(vec).bit_length() - 1):
+            assert _interleave(*_split(vec, bit), bit) == list(vec)
+
+
+def test_wired_checks_its_parties_and_the_cap():
+    with pytest.raises(ArityError):
+        wired(isotropic(2, ONE), isotropic(2, ONE), 3, 1)
+    with pytest.raises(ArityError):
+        wired(isotropic(2, ONE), isotropic(2, ONE), 1, 0)
+    # 6 + 6 - 1 parties: refused before a cell is read
+    with pytest.raises(PartyCapError):
+        wired(isotropic(6, ONE), isotropic(6, ONE), 1, 1)

@@ -472,22 +472,44 @@ def test_ring_of_five_follows_the_failure_law(monkeypatch):
 def test_large_swaps_never_write_their_joint(monkeypatch, build, survivors):
     # the 10- and 9-party joints are contracted factor by factor: no table,
     # built or materialized, has more parties than the coupler leaves
-    sizes = []
+    products, built = _counted_tables(monkeypatch)
+    for xi in (INV_SQRT2, Scalar(Fraction(1, 4), Fraction(1, 4))):
+        products.clear()
+        built.clear()
+        report = build(xi)
+        assert report.all_checks_passed
+        assert len(report.branches) == 2 and report.total_probability == ONE
+        sizes = products + built
+        assert sizes and max(sizes) == survivors
+
+
+@pytest.mark.parametrize("build, users", [
+    (lambda: ring(5), 5),
+    (lambda: ScenarioSpec.from_json(load_json(ROOT / "scenarios" / "hybrid_three.json")), 3),
+], ids=["ring(5)", "hybrid_three.json"])
+def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
+    # each pool is wired onto the fold without their product: the fold peaks
+    # at N + 1 parties, just before the pool that closes the ring
+    products, built = _counted_tables(monkeypatch)
+    report = run_scenario(build())
+    assert report.all_checks_passed
+    assert products == [] and max(built) == users + 1
+
+
+def _counted_tables(monkeypatch):
+    """Lists that fill, as ``boxes`` runs, with the party count of every
+    lazy product materialized and of every table built from numerators."""
+    products, built = [], []
     product, from_numerators = boxes._product, BoxTable.from_numerators.__func__
 
     def counting_product(factors):
-        sizes.append(sum(f.n for f in factors))
+        products.append(sum(f.n for f in factors))
         return product(factors)
 
     def counting_build(cls, n, *args):
-        sizes.append(n)
+        built.append(n)
         return from_numerators(cls, n, *args)
 
     monkeypatch.setattr(boxes, "_product", counting_product)
     monkeypatch.setattr(BoxTable, "from_numerators", classmethod(counting_build))
-    for xi in (INV_SQRT2, Scalar(Fraction(1, 4), Fraction(1, 4))):
-        sizes.clear()
-        report = build(xi)
-        assert report.all_checks_passed
-        assert len(report.branches) == 2 and report.total_probability == ONE
-        assert sizes and max(sizes) == survivors
+    return products, built
