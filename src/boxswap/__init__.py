@@ -10,6 +10,7 @@ from .errors import (
     ArityError,
     BoxSwapError,
     CouplerInvalidError,
+    DigitLimitError,
     PartyCapError,
     SignalingError,
     SpecFileError,

@@ -72,8 +72,17 @@ def row_sums(vec: Sequence[int], n: int) -> list:
 
 
 def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None:
-    """Index of the first cell whose ``rat + surd*sqrt(2)`` is negative."""
-    if min(rat) >= 0 and (surd is None or min(surd) >= 0):
+    """Index of the first cell whose ``rat + surd*sqrt(2)`` is negative.
+
+    Two minima settle most tables before any cell is read.  Let ``low`` be
+    the least rational numerator and ``s_low`` the least sqrt(2) numerator
+    (0 without one).  If ``low >= 0`` and either ``s_low >= 0`` or
+    ``low**2 > 2*s_low**2``, no cell is negative, exactly: every r is at
+    least ``low >= 0``, and every s < 0 has 2*s**2 <= 2*s_low**2 < low**2
+    <= r**2, so r > |s|*sqrt(2).  Otherwise each cell's sign is tested."""
+    low = min(rat)
+    s_low = 0 if surd is None else min(surd)
+    if low >= 0 and (s_low >= 0 or low * low > 2 * s_low * s_low):
         return None
     cells = enumerate(zip(rat, surd or repeat(0)))
     return next((i for i, (r, s) in cells if qsign(r, s) < 0), None)
@@ -93,7 +102,7 @@ class BoxTable:
             raise ArityError(f"a box needs at least one party, got n={n}")
         probs = tuple(probs)
         if len(probs) != 4**n:
-            raise ArityError(f"table for n={n} needs {4**n} entries, got {len(probs)}")
+            raise ArityError(f"table for n={n} needs 4**{n} entries, got {len(probs)}")
         self.n, self.factors = n, None
         self.den, self.rat, self.surd = common_form(probs)
         self._probs = probs
@@ -199,7 +208,7 @@ class BoxTable:
 def _check_cap(n: int) -> None:
     if n > PARTY_CAP:
         raise PartyCapError(
-            f"n={n} parties means 4**{n} = {4**n} exact entries; the cap is {PARTY_CAP}. "
+            f"n={n} parties means 4**{n} exact entries; the cap is {PARTY_CAP}. "
             "Marginalize earlier."
         )
 
@@ -245,11 +254,20 @@ def mixed(n: int) -> BoxTable:
 
 
 def isotropic(n: int, xi) -> BoxTable:
-    """Convex-affine slide between gsb(n) (xi=1) and the fully mixed box (xi=0)."""
+    """Convex-affine slide between gsb(n) (xi=1) and the fully mixed box (xi=0).
+
+    The box holds two values: (1 + xi)/2**n where gsb(n) has a 1 and
+    (1 - xi)/2**n elsewhere, both nonnegative for |xi| <= 1.  With
+    xi = (p + q*sqrt2)/d they share the denominator d * 2**n."""
     xi = xi if isinstance(xi, Scalar) else Scalar(xi)
     if not (-ONE <= xi <= ONE):
         raise ValidationError(f"isotropic weight must lie in [-1, 1], got {xi}")
-    return mix([(xi, gsb(n)), (ONE - xi, mixed(n))])
+    cells = gsb(n).rat  # checks the arity and the cap before any work on n
+    p, q, d = xi.r, xi.s, xi.d
+    hit, miss = d + p, d - p
+    rat = [hit if c else miss for c in cells]
+    surd = [q if c else -q for c in cells] if q else None
+    return BoxTable.from_numerators(n, d << n, rat, surd)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ Verbs:
 Every verb takes ``--format {table,json}`` (default table) and ``--output
 PATH`` (default stdout); ``reproduce`` also takes ``--filter NAME``.  Exit
 codes: 0 success, 2 validation/input failure, 3 coupler invalid on its
-input, 1 internal error.  All numbers in table output are exact, with a
-12-digit decimal annotation in parentheses.
+input, 1 internal error (an uncaught exception, with its traceback).  All
+numbers in table output are exact, with a 12-digit decimal annotation in
+parentheses.
 """
 
 from __future__ import annotations
@@ -284,12 +285,9 @@ def main(argv=None) -> int:
     except CouplerInvalidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpecFileError, ValueError) as exc:
+    except BoxSwapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BoxSwapError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

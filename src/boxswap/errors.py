@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: input/validation problems exit with 2,
-a coupler applied outside its valid region exits with 3, anything else is
-an internal error (1).
+The CLI maps these onto exit codes: a coupler applied outside its valid
+region exits with 3, every other error of this package (input and
+validation problems) with 2.  Any other exception is a bug and is not
+caught: it ends in a traceback and exit code 1.
 """
 
 from __future__ import annotations
@@ -53,3 +54,13 @@ class CouplerInvalidError(BoxSwapError):
 
 class SpecFileError(BoxSwapError, ValueError):
     """A JSON document (box or scenario) is malformed."""
+
+
+class DigitLimitError(BoxSwapError, ValueError):
+    """An exact value has a part too long to write out in decimal.
+
+    Python refuses to turn an integer of more than a few thousand digits
+    (``sys.set_int_max_str_digits``) into text.  Every integer a document
+    holds is within that limit, but a value computed from several of them
+    (a sum over coprime denominators, say) need not be.
+    """

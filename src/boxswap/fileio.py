@@ -108,7 +108,7 @@ def load_json(path) -> object:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bytes the text codec cannot decode
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

@@ -206,6 +206,12 @@ class Scalar:
         return f"Scalar({self.rat!r}, {self.surd!r})"
 
     def __str__(self):
+        try:
+            return self._text()
+        except ValueError as exc:
+            raise _too_long() from exc
+
+    def _text(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -269,7 +275,17 @@ def scalar_json(r: int, s: int, d: int) -> dict:
     """The JSON form of ``(r + s*sqrt(2)) / d``, ``d > 0``: each part as a
     ``[numerator, denominator]`` pair of decimal strings in lowest terms."""
     (rn, rd), (sn, sd) = _lowest(r, d), _lowest(s, d)
-    return {"r": [str(rn), str(rd)], "s": [str(sn), str(sd)]}
+    try:
+        return {"r": [str(rn), str(rd)], "s": [str(sn), str(sd)]}
+    except ValueError as exc:
+        raise _too_long() from exc
+
+
+def _too_long():
+    """The error for a value whose parts ``str`` refuses to write out."""
+    from .errors import DigitLimitError
+
+    return DigitLimitError("a value has a numerator or denominator too long to write in decimal")
 
 
 def qsign(r: int, s: int) -> int:

@@ -121,6 +121,9 @@ class ScenarioSpec:
             parties = item.get("parties")
             if not isinstance(parties, list) or not parties:
                 raise SpecFileError(f"box entry needs a nonempty 'parties' list: {item!r}")
+            n = json_positive_int(item.get("n", len(parties)), "box 'n'")
+            if n > PARTY_CAP:
+                raise SpecFileError(f"box entry has n={n} parties; the cap is {PARTY_CAP}")
             xi = item.get("xi")
             table = item.get("table")
             boxes.append(
@@ -128,7 +131,7 @@ class ScenarioSpec:
                     name=json_str(item.get("name", f"box{len(boxes) + 1}"), "box 'name'"),
                     kind=json_str(item.get("kind", "inline" if table is not None else ""),
                                   "box 'kind'"),
-                    n=json_positive_int(item.get("n", len(parties)), "box 'n'"),
+                    n=n,
                     parties=tuple(json_str(p, "party label") for p in parties),
                     xi=None if xi is None else Scalar.from_json(xi),
                     table=None if table is None else BoxTable.from_json(table),

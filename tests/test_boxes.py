@@ -142,6 +142,14 @@ def test_party_cap_is_enforced():
         tensor(mixed(6), mixed(5))
 
 
+@pytest.mark.parametrize("build", [gsb, lambda n: isotropic(n, HALF)])
+def test_party_cap_error_never_writes_four_to_the_n(build):
+    # 4**n written out in the message would pass the 4,300-digit int-to-string limit
+    with pytest.raises(PartyCapError, match="the cap is 10") as caught:
+        build(10**5)
+    assert len(str(caught.value)) < 200
+
+
 def test_marginalize_requires_valid_args():
     with pytest.raises(ArityError):
         marginalize(pr(), [])

@@ -357,6 +357,27 @@ def test_show_refuses_an_overlong_integer_literal(tmp_path, capsys):
     assert "cannot be loaded" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("verb, rest", [("run", []), ("show", []), ("eval", ["gsi"])])
+def test_a_file_that_is_not_utf8_is_a_spec_error(tmp_path, capsys, verb, rest):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"n": 2, "order": "\xff"}')
+    assert main([verb, str(path), *rest]) == 2
+    assert "cannot read" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_value_too_long_to_write_is_an_input_error(tmp_path, capsys, fmt):
+    # two cells over coprime 4,299-digit denominators: the gsi value's
+    # denominator has about 8,600 digits, more than str() writes out
+    b = 10**4298 + 1
+    cells = [["00", "00", {"r": ["1", str(b)], "s": ["0", "1"]}],
+             ["00", "11", {"r": ["1", str(b + 2)], "s": ["0", "1"]}]]
+    path = tmp_path / "box.json"
+    save_json(path, {"n": 2, "order": "party1-lsb", "probs": cells})
+    assert main(["eval", str(path), "gsi", "--format", fmt]) == 2
+    assert "too long to write" in _one_line_error(capsys)
+
+
 def test_coupler_over_the_party_cap_is_a_spec_error(tmp_path, capsys):
     # 14 PR boxes, one end of each consumed by one coupler: refused before
     # anything of size 4**14 is built
@@ -369,6 +390,15 @@ def test_coupler_over_the_party_cap_is_a_spec_error(tmp_path, capsys):
     save_json(path, doc)
     assert main(["run", str(path)]) == 2
     assert "party cap" in _one_line_error(capsys)
+
+
+def test_box_over_the_party_cap_is_a_spec_error(tmp_path, capsys):
+    # one gsb box of 8,000 labels: refused by the loader, without 4**8000 in the message
+    doc = {"boxes": [{"kind": "gsb", "parties": [f"p{i}" for i in range(8000)]}]}
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    assert "the cap is 10" in _one_line_error(capsys)
 
 
 def _fresh(argv) -> tuple:

@@ -7,7 +7,10 @@ tables with negative cells, valid boxes with sqrt(2) shifted between cells,
 and arbitrary (signaling, unnormalized) tables.  The lazy ``tensor`` and the
 factor-wise coupler contraction are also run on products of up to four such
 tables, up to seven parties in all, and the fused ``wired`` kernel on two
-tables, built or lazy, of up to seven parties together.
+tables, built or lazy, of up to seven parties together.  The closed-form
+``isotropic`` is run next to ``mix`` and the oracle's ``mix`` of gsb(n) and
+mixed(n), and the two-minimum sign test in ``first_negative`` next to a
+per-cell ``qsign`` scan, on cells drawn on both sides of r = |s|*sqrt(2).
 Results must be equal as tables, errors must name the same party or branch.
 """
 
@@ -15,6 +18,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -35,19 +39,22 @@ from boxswap import (
     correlator,
     deterministic_local,
     evaluate,
+    gsb,
     gsi,
     isotropic,
     marginalize,
     merge_parties,
     mix,
+    mixed,
     permute_parties,
     tensor,
     validate,
 )
-from boxswap.boxes import _interleave, _split, wired
+from boxswap.boxes import _interleave, _split, first_negative, wired
 from boxswap.coupler import _contracted
 from boxswap.errors import (ArityError, CouplerInvalidError, PartyCapError, SignalingError,
                             ValidationError)
+from boxswap.scalar import qsign
 
 XIS = (ONE, ZERO, -ONE, Scalar.rational(1, 2), Scalar.rational(-1, 3), INV_SQRT2,
        Scalar(Fraction(1, 4), Fraction(1, 4)), Scalar(Fraction(3, 8), Fraction(-1, 8)))
@@ -328,3 +335,59 @@ def test_wired_checks_its_parties_and_the_cap():
     # 6 + 6 - 1 parties: refused before a cell is read
     with pytest.raises(PartyCapError):
         wired(isotropic(6, ONE), isotropic(6, ONE), 1, 1)
+
+
+# -- isotropic in closed form, and the two-minimum sign test --------------
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+ISO_WEIGHTS = st.one_of(
+    st.sampled_from((ONE, ZERO, -ONE, INV_SQRT2, -INV_SQRT2)),
+    _fractions.filter(lambda f: abs(f) <= 1).map(Scalar),
+    st.builds(Scalar, _fractions, _fractions).filter(lambda x: -ONE <= x <= ONE),
+)
+
+
+@given(ISO_WEIGHTS, st.integers(2, 6))
+@settings(max_examples=40, deadline=None)
+def test_isotropic_is_the_mix_of_gsb_and_mixed(xi, n):
+    terms = [(xi, gsb(n)), (ONE - xi, mixed(n))]
+    box = isotropic(n, xi)
+    assert box == mix(terms)
+    assert box == oracle.mix(terms)
+
+
+def test_isotropic_checks_weight_arity_and_cap():
+    for xi in (Scalar(2), -ONE - INV_SQRT2, ONE + Scalar(0, Fraction(1, 10**6))):
+        with pytest.raises(ValidationError):
+            isotropic(2, xi)
+    with pytest.raises(ArityError):
+        isotropic(1, Scalar.rational(1, 2))
+    with pytest.raises(PartyCapError):
+        isotropic(11, Scalar.rational(1, 2))
+
+
+def _reference_first_negative(rat, surd):
+    cells = zip(rat, surd if surd is not None else repeat(0))
+    return next((i for i, (r, s) in enumerate(cells) if qsign(r, s) < 0), None)
+
+
+def _near_bound(s: int, above: bool, flip: bool) -> tuple:
+    """A cell ``(r, s)`` with ``|r|`` next to ``|s|*sqrt(2)``: just below it
+    (``isqrt(2s**2)``) or just above it (one more)."""
+    r = isqrt(2 * s * s) + above
+    return (-r if flip else r), s
+
+
+_CELLS = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.builds(_near_bound, st.integers(-10**12, 10**12), st.booleans(), st.booleans()),
+    st.builds(_near_bound, st.integers(-50, 50), st.booleans(), st.just(False)),
+)
+
+
+@given(st.lists(_CELLS, min_size=1, max_size=12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_first_negative_agrees_with_the_per_cell_sign(cells, with_surd):
+    rat = [r for r, _ in cells]
+    surd = [s for _, s in cells] if with_surd else None
+    assert first_negative(rat, surd) == _reference_first_negative(rat, surd)
