@@ -21,17 +21,19 @@ from its numerators, and shares it across the cells that hold it.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
-factor by factor without ever writing it.  ``wired`` joins two tables at a
-wiring between them the same way: it equals ``merge_parties`` of their
-``tensor`` but never writes that product.
+factor by factor without ever writing it.  ``wired`` joins two tables across
+any number of wirings between them the same way: it equals ``merge_parties``
+of their ``tensor``, pair by pair, but never writes that product.  A wired
+cell is an XOR convolution over the wired output bits, which the sum and
+difference over each such bit turn into a plain product.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
@@ -468,43 +470,105 @@ def _interleave(lo: Sequence[int], hi: Sequence[int], bit: int) -> list:
     return out
 
 
-def _halves(box: BoxTable, party: int) -> list:
-    """For each input of ``party``, the sum S and the difference D over its
-    output bit of ``box``'s cells at that input: (S, D) as (rat, surd)
-    pairs over the other parties, surd None when there is no sqrt2 part."""
-    parts = []
-    for vec in (box.rat, box.surd):
-        if vec is None:
-            parts.append(((None, None), (None, None)))
-            continue
-        halves = (_split(half, party - 1) for half in _split(vec, box.n + party - 1))
-        parts.append([(list(map(add, lo, hi)), list(map(sub, lo, hi))) for lo, hi in halves])
-    return [tuple(zip(rat, surd)) for rat, surd in zip(*parts)]
+@lru_cache(maxsize=64)
+def _join_plan(na: int, nb: int, pairs: tuple) -> tuple:
+    """The index plan of ``wired`` for sorted ``pairs``: the result's party
+    count m, and for each of the result's 2**m words, the word of ``b`` it
+    holds: wired party j at the word's bit i - 1, the rest of ``b`` at its
+    bits from ``na`` up, in order.  The map is the same for input and output
+    words, so it also serves, through an ``itemgetter``, to lay one row of
+    ``b`` out in the result's output order."""
+    m = na + nb - len(pairs)
+    source = {j - 1: i - 1 for i, j in pairs}  # b's bit -> the result's bit
+    rest = iter(range(na, m))
+    source.update((q, next(rest)) for q in range(nb) if q not in source)
+    words = tuple(sum(((w >> source[q]) & 1) << q for q in range(nb)) for w in range(1 << m))
+    return m, words, itemgetter(*words)
 
 
-def wired(a: BoxTable, b: BoxTable, i: int, j: int) -> BoxTable:
-    """``merge_parties(tensor(a, b), i, a.n + j)``, without writing the product.
+def _butterflied(vec: Sequence[int], bits: Iterable[int]) -> list:
+    """``vec`` with each index bit in ``bits`` turned into sum and difference:
+    per bit, the cell with it clear gets lo + hi and the cell with it set
+    gets lo - hi.  Applied twice, it multiplies ``vec`` by 2**len(bits)."""
+    for bit in bits:
+        lo, hi = _split(vec, bit)
+        vec = _interleave(list(map(add, lo, hi)), list(map(sub, lo, hi)), bit)
+    return vec
 
-    At each input z of the merged party, let S and D be the sum and the
-    difference over the wired party's output bit of a table's cells at z
-    (party i of ``a``, party j of ``b``).  The merged output is 0 when the
-    two output bits agree, so its cells are (S_a*S_b + D_a*D_b) / 2 and
-    (S_a*S_b - D_a*D_b) / 2, each product laid out as ``_outer`` lays out
-    the tensor of the other parties; ``_interleave`` then puts the merged
-    output bit and input bit back at slot i."""
-    if not (1 <= i <= a.n and 1 <= j <= b.n):
-        raise ArityError(f"wiring needs a party of each table, got {i} of {a.n} and {j} of {b.n}")
-    m = a.n + b.n - 1
-    _check_cap(m)
-    na, nb = a.n - 1, b.n - 1
-    by_input = []
-    for (sa, da), (sb, db) in zip(_halves(a, i), _halves(b, j)):  # input z = 0, then 1
-        p, q = _outer_pair(sa, sb, na, nb), _outer_pair(da, db, na, nb)
-        by_input.append([None if x is None else
-                         _interleave(list(map(add, x, y)), list(map(sub, x, y)), i - 1)
-                         for x, y in zip(p, q)])
-    rat, surd = (None if x is None else _interleave(x, y, m + i - 1) for x, y in zip(*by_input))
-    return BoxTable.from_numerators(m, 2 * a.den * b.den, rat, surd)
+
+def _transformed(box: BoxTable, bits: Sequence[int]) -> tuple:
+    """``box``'s rat and surd (None for none) butterflied over output
+    ``bits``.  The bits lie below the table's size, so both vectors go
+    through one pass side by side."""
+    if box.surd is None:
+        return _butterflied(box.rat, bits), None
+    both = _butterflied(box.rat + box.surd, bits)
+    return both[:len(box.rat)], both[len(box.rat):]
+
+
+def _check_pairs(na: int, nb: int, pairs: tuple) -> None:
+    if not pairs:
+        raise ArityError("a wiring between two tables needs at least one pair")
+    for i, j in pairs:
+        if not (1 <= i <= na and 1 <= j <= nb):
+            raise ArityError(
+                f"wiring needs a party of each table, got {i} of {na} and {j} of {nb}")
+    for side in (0, 1):
+        ends = [p[side] for p in pairs]
+        if len(set(ends)) != len(ends):
+            raise ArityError(f"wiring pairs {list(pairs)} use one party twice")
+
+
+def wired(a: BoxTable, b: BoxTable, pairs: Iterable[tuple]) -> BoxTable:
+    """Wire party i of ``a`` to party j of ``b`` for every ``(i, j)`` in
+    ``pairs``, without writing their product.  Each merged party sits at its
+    slot in ``a``; the wired parties of ``b`` drop out and the rest of ``b``
+    follows in order.  The result equals ``merge_parties`` of
+    ``tensor(a, b)`` applied pair by pair.
+
+    A merged output bit is the XOR of the two wired bits, so each cell is an
+    XOR convolution over the k wired output bits.  In the sum/difference
+    domain of those bits (``_butterflied``) a convolution is a plain
+    product with the bit shared: each result cell is one transformed cell
+    of ``a`` times one of ``b``.  A result row's input word names its two
+    source rows, and ``_join_plan`` lays ``b``'s row out in the result's
+    output order, so the product is built row by row.  One more sum and
+    difference per merged output bit gives 2**k times the result, which the
+    denominator a.den * b.den * 2**k takes back out.  For k = 1 the cells
+    are (S_a*S_b + D_a*D_b) / 2 and (S_a*S_b - D_a*D_b) / 2, S and D the
+    sum and difference over the wired output bits."""
+    pairs = tuple(sorted(pairs))
+    na, nb, k = a.n, b.n, len(pairs)
+    _check_pairs(na, nb, pairs)
+    _check_cap(na + nb - k)
+    m, words, gather = _join_plan(na, nb, pairs)
+    rep = 1 << (m - na)
+    a_bits, b_bits = [i - 1 for i, _ in pairs], [j - 1 for _, j in pairs]
+
+    def a_rows(vec):
+        # a's row at input x, repeated once per output word of b's free parties
+        return vec and [vec[x:x + (1 << na)] * rep for x in range(0, len(vec), 1 << na)]
+
+    def b_rows(vec):
+        # b's row at input x, in the result's output order
+        return vec and [gather(vec[x:x + (1 << nb)]) for x in range(0, len(vec), 1 << nb)]
+
+    def products(u, v):
+        # the result's input word x reads a's row at its low na bits, which
+        # cycle, and b's row at words[x]
+        return chain.from_iterable(map(map, repeat(mul), u * rep, map(v.__getitem__, words)))
+
+    (ar, a_s), (br, bs) = _transformed(a, a_bits), _transformed(b, b_bits)
+    doubled = b_rows(a_s and bs and [2 * v for v in bs])
+    ar, a_s, br, bs = a_rows(ar), a_rows(a_s), b_rows(br), b_rows(bs)
+    # (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2
+    rat = products(ar, br)
+    if doubled:
+        rat = map(add, rat, products(a_s, doubled))
+    terms = [products(x, y) for x, y in ((a_s, br), (ar, bs)) if x and y]
+    surd = map(add, *terms) if len(terms) == 2 else terms[0] if terms else None
+    out = [None if v is None else _butterflied(list(v), a_bits) for v in (rat, surd)]
+    return BoxTable.from_numerators(m, (a.den * b.den) << k, *out)
 
 
 def _gather(vec: Sequence[int], n: int, size: int, row_at: Sequence, col_at: Sequence) -> list:

@@ -17,6 +17,7 @@ parentheses.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from functools import cache
 
@@ -29,11 +30,21 @@ from .scenarios import ScenarioSpec, run_scenario
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` as UTF-8 to the file ``output``, or to stdout: in its
+    own encoding if that is UTF-8 or it takes no bytes, else as UTF-8 bytes
+    to its buffer, so that a locale such as C cannot refuse a "√"."""
     if output:
-        with open(output, "w") as handle:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+        return
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None or codecs.lookup(stream.encoding).name == "utf-8":
+        stream.write(text)
     else:
-        sys.stdout.write(text)
+        stream.flush()
+        buffer.write(text.encode("utf-8"))
+        buffer.flush()
 
 
 def _annotated(value) -> str:

@@ -1,8 +1,9 @@
 """Canonical JSON reading and writing.
 
-Documents are emitted with sorted keys, two-space indent, and a trailing
-newline, so that a load/save round trip is byte-identical and diffs stay
-readable.  All parse-level failures surface as SpecFileError, and so do the
+Documents are read and written as UTF-8, whatever the locale.  They are
+emitted with sorted keys, two-space indent, and a trailing newline, so that
+a load/save round trip is byte-identical and diffs stay readable.  All
+parse-level failures surface as SpecFileError, and so do the
 field checks the document loaders share.  ``canonical_dumps`` renders a
 dict that a document holds at several places (as box documents share
 their cell values) once per indent, and copies that text where it recurs.
@@ -56,59 +57,88 @@ def canonical_dumps(obj) -> str:
     return "".join(out)
 
 
+# the text of a leaf whose type is exactly one of these; a subclass of str
+# or int takes the longer path through ``_write``
+_LEAVES = {
+    str: _quoted,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _write(obj, out: list, newline: str, memo: dict) -> None:
     """Append ``obj``'s canonical text; ``newline`` is a line break plus the
-    indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        out.append(_quoted(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+    indent of the line ``obj`` starts on.  Inside a list or dict, a leaf of
+    a type in ``_LEAVES`` and a dict already rendered at that indent are
+    appended in place; anything else recurses."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in obj:
-            out.append(sep)
-            _write(item, out, inner, memo)
-            sep = "," + inner
+            leaf = _LEAVES.get(type(item))
+            if leaf is not None:
+                out.append(sep + leaf(item))
+            elif type(item) is dict and (id(item), inner) in memo:
+                out.append(sep + _again(item, inner, out, memo))
+            else:
+                out.append(sep)
+                _write(item, out, inner, memo)
+            sep = comma
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         key = (id(obj), newline)
-        seen = memo.get(key)
-        if seen is not None:
-            if type(seen) is tuple:  # met once: its text is out[start:end]
-                seen = memo[key] = "".join(out[seen[0]:seen[1]])
-            out.append(seen)
+        if key in memo:
+            out.append(_again(obj, newline, out, memo))
             return
         start = len(out)
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for name, value in sorted(obj.items()):
-            out.append(sep + _quoted(name) + ": ")
-            _write(value, out, inner, memo)
-            sep = "," + inner
+            head = sep + _quoted(name) + ": "
+            leaf = _LEAVES.get(type(value))
+            if leaf is not None:
+                out.append(head + leaf(value))
+            elif type(value) is dict and (id(value), inner) in memo:
+                out.append(head + _again(value, inner, out, memo))
+            else:
+                out.append(head)
+                _write(value, out, inner, memo)
+            sep = comma
         out.append(newline + "}")
         memo[key] = (start, len(out))
+    elif isinstance(obj, str):
+        out.append(_quoted(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
     else:
         out.append(json.dumps(obj))
+
+
+def _again(obj: dict, newline: str, out: list, memo: dict) -> str:
+    """The text of a dict met before at this indent: on the second meeting
+    its span in ``out`` is joined and kept in ``memo`` in place of the span."""
+    key = (id(obj), newline)
+    seen = memo[key]
+    if type(seen) is tuple:  # met once: its text is out[start:end]
+        seen = memo[key] = "".join(out[seen[0]:seen[1]])
+    return seen
 
 
 def load_json(path) -> object:
     path = Path(path)
     try:
-        text = path.read_text()
-    except (OSError, ValueError) as exc:  # ValueError: bytes the text codec cannot decode
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -121,4 +151,4 @@ def load_json(path) -> object:
 
 
 def save_json(path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj))
+    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")

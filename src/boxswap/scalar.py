@@ -21,8 +21,10 @@ from __future__ import annotations
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd, lcm
+
+from .errors import DigitLimitError, SpecFileError
 
 _JSON_INT = re.compile(r"-?[0-9]+")
 
@@ -35,6 +37,15 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact arithmetic; use Fraction or str")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+@lru_cache(maxsize=16)
+def _sqrt2(prec: int, rounding: str) -> Decimal:
+    """sqrt(2) in a context of ``prec`` digits and ``rounding``, computed
+    once per pair: ``Scalar.decimal`` asks for it on every call."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = prec, rounding
+        return Decimal(2).sqrt()
 
 
 def _lowest(num: int, den: int) -> tuple:
@@ -238,7 +249,10 @@ class Scalar:
         (rn, rd), (sn, sd) = _lowest(self.r, self.d), _lowest(self.s, self.d)
         with localcontext() as ctx:
             ctx.prec = digits + 20
-            value = Decimal(rn) / Decimal(rd) + Decimal(sn) / Decimal(sd) * Decimal(2).sqrt()
+            root2 = _sqrt2(ctx.prec, ctx.rounding)
+            # the sqrt(2) term stays in the sum even when it is zero: it sets
+            # the exponent, and so the digits, of the rendering
+            value = Decimal(rn) / Decimal(rd) + Decimal(sn) / Decimal(sd) * root2
             return format(value, f".{digits}g")
 
     # -- serialization -----------------------------------------------------
@@ -249,8 +263,6 @@ class Scalar:
 
     @classmethod
     def from_json(cls, data) -> "Scalar":
-        from .errors import SpecFileError
-
         if not isinstance(data, dict) or set(data) != {"r", "s"}:
             raise SpecFileError(
                 f"scalar object must have exactly keys 'r' and 's': {_clip(data)}")
@@ -283,8 +295,6 @@ def scalar_json(r: int, s: int, d: int) -> dict:
 
 def _too_long():
     """The error for a value whose parts ``str`` refuses to write out."""
-    from .errors import DigitLimitError
-
     return DigitLimitError("a value has a numerator or denominator too long to write in decimal")
 
 

@@ -10,10 +10,12 @@ couples pools together only when a coupler spans them.  A pool no coupler
 has touched yet is the same object in every branch, so within one run each
 coupler is applied once per distinct state of the pools it spans.  At the
 end each branch folds its pools left to right and applies every wiring as
-soon as both of its ends are in the fold; branches that share their first
+soon as both of its ends are in the fold, all the wirings between the fold
+and the next pool in one ``wired`` join; branches that share their first
 pools share that partial product.  Party counts stay as small as the
-scenario allows.  Every probability is exact; branch probabilities over all
-outcome assignments sum to one (checked and reported as a cross-check).
+scenario allows: a ring of N users peaks at N parties.  Every probability
+is exact; branch probabilities over all outcome assignments sum to one
+(checked and reported as a cross-check).
 
 The builders (``swap_two``, ``swap_many``, ``hybrid_three``) check their
 reports against one closed form, the swap law on isotropic boxes: each
@@ -373,11 +375,14 @@ def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
     """Fold the pools left to right, applying each wiring as soon as both of
     its ends are in the fold.  ``folds`` maps each prefix of pools folded in
     this run to its (labels, box), so branches that share their first pools
-    share that product.  When a pool closes a wiring with the fold, the
-    first such wiring joins the two through ``wired``, which never writes
-    their product; a pool that closes none is tensored on.  Every merge
-    puts the merged label in its pair's earlier slot, so labels and table
-    come out as if all pools were tensored first and wired after."""
+    share that product.  When a pool closes wirings with the fold, one
+    ``wired`` join takes all of them at once and never writes the product
+    of the two; a pool that closes none is tensored on.  Only a wiring
+    inside one pool goes through ``merge_parties``.  Every merge puts the
+    merged label in its pair's earlier slot, so labels and table come out
+    as if all pools were tensored first and wired after.  A ring of N users
+    thus peaks at N parties: its closing pool wires both of its ends onto
+    the N-party fold in one join."""
     labels: list = []
     box = None
     key: tuple = ()
@@ -385,18 +390,19 @@ def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
         key += (pool,)
         fold = folds.get(key)
         if fold is None:
-            ends = next(((labels.index(p) + 1, pool.labels.index(q) + 1, w.merged)
-                         for w in wirings for p, q in (w.pair, w.pair[::-1])
-                         if p in labels and q in pool.labels), None)
-            if ends is None:
+            ends = [(labels.index(p) + 1, pool.labels.index(q) + 1, w.merged)
+                    for w in wirings for p, q in (w.pair, w.pair[::-1])
+                    if p in labels and q in pool.labels]
+            if not ends:
                 labels = labels + pool.labels
                 box = pool.box if box is None else tensor(box, pool.box)
             else:
-                i, j, merged = ends
-                box = wired(box, pool.box, i, j)
-                labels = (labels[:i - 1] + [merged] + labels[i:]
-                          + pool.labels[:j - 1] + pool.labels[j:])
-            for w in wirings:
+                box = wired(box, pool.box, [(i, j) for i, j, _ in ends])
+                merged = {i: name for i, _, name in ends}
+                dropped = {j for _, j, _ in ends}
+                labels = ([merged.get(k, p) for k, p in enumerate(labels, 1)]
+                          + [p for k, p in enumerate(pool.labels, 1) if k not in dropped])
+            for w in wirings:  # what is left: wirings inside the new pool
                 if w.pair[0] in labels and w.pair[1] in labels:
                     i = labels.index(w.pair[0]) + 1
                     j = labels.index(w.pair[1]) + 1

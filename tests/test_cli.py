@@ -1,5 +1,6 @@
 """Command-line behavior: formats, outputs, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -420,3 +421,55 @@ def test_main_carries_no_option_into_the_next_call(swap_doc, capsys):
     assert (0, out_first) == _fresh(first)
     assert (0, out_second) == _fresh(second)
     assert not out_second.startswith("{")  # the default table format, not the first call's json
+
+
+# -- a locale whose encoding is not UTF-8 ------------------------------------
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _in_ascii_locale(argv) -> tuple:
+    """Exit code, stdout bytes and stderr text of ``python -m boxswap`` run in
+    the C locale, with neither UTF-8 mode nor locale coercion."""
+    src = Path(boxswap.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), **ASCII_LOCALE)
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-m", "boxswap", *argv], capture_output=True,
+                          env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8", "replace")
+
+
+@pytest.fixture
+def sqrt2_box(tmp_path):
+    path = tmp_path / "box.json"
+    save_json(path, boxswap.isotropic(2, boxswap.INV_SQRT2).to_json())
+    return path
+
+
+def test_eval_writes_utf8_to_a_file_in_an_ascii_locale(sqrt2_box, tmp_path):
+    out = tmp_path / "out.txt"
+    code, _, err = _in_ascii_locale(["eval", str(sqrt2_box), "gsi", "--output", str(out)])
+    assert (code, err) == (0, "")
+    assert "√2".encode("utf-8") in out.read_bytes()
+
+
+def test_show_writes_utf8_to_stdout_in_an_ascii_locale(sqrt2_box):
+    code, out, err = _in_ascii_locale(["show", str(sqrt2_box)])
+    assert (code, err) == (0, "")
+    assert "√2".encode("utf-8") in out
+
+
+def test_run_reads_a_utf8_label_in_an_ascii_locale(tmp_path):
+    doc = {"boxes": [{"name": "g", "kind": "pr", "parties": ["Aliceé", "Bob"]}]}
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    code, out, err = _in_ascii_locale(["run", str(path)])
+    assert (code, err) == (0, "")
+    assert "Aliceé".encode("utf-8") in out
+
+
+def test_a_file_that_is_not_utf8_is_a_spec_error_in_an_ascii_locale(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"n": 2, "order": "\xff"}')
+    code, _, err = _in_ascii_locale(["show", str(path)])
+    assert code == 2 and err.startswith("error: cannot read")

@@ -1,6 +1,8 @@
 """Canonical JSON I/O round trips byte-for-byte."""
 
 import json
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,23 @@ def _shared_trees(draw):
 @settings(max_examples=100, deadline=None)
 @given(_json_values | _shared_trees())
 def test_canonical_dumps_matches_json_dumps(value):
+    assert canonical_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class _Word(str):
+    pass
+
+
+class _Bit(IntEnum):
+    ONE = 1
+
+
+def test_subclassed_leaves_and_dicts_print_as_json_prints_them():
+    # only exact str, int, bool and None leaves and exact dicts are written
+    # in place; these take the longer path and must still match json
+    shared = OrderedDict(b=[_Word("x"), _Bit.ONE], a={"k": _Word("é")})
+    plain = {"v": 1}
+    value = [shared, [shared, plain, plain], {"s": shared, "p": plain, "w": _Word("w")}, _Bit.ONE]
     assert canonical_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 

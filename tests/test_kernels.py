@@ -6,8 +6,8 @@ parties: valid boxes with rational and sqrt(2) weights, nonsignaling quasi
 tables with negative cells, valid boxes with sqrt(2) shifted between cells,
 and arbitrary (signaling, unnormalized) tables.  The lazy ``tensor`` and the
 factor-wise coupler contraction are also run on products of up to four such
-tables, up to seven parties in all, and the fused ``wired`` kernel on two
-tables, built or lazy, of up to seven parties together.  The closed-form
+tables, up to seven parties in all, and the ``wired`` join across one to
+three wirings on two tables, built or lazy, of up to seven parties together.  The closed-form
 ``isotropic`` is run next to ``mix`` and the oracle's ``mix`` of gsb(n) and
 mixed(n), and the two-minimum sign test in ``first_negative`` next to a
 per-cell ``qsign`` scan, on cells drawn on both sides of r = |s|*sqrt(2).
@@ -311,30 +311,36 @@ def _built_or_lazy(rng, n, kind):
     return _table(rng, n, kind)
 
 
-@given(seeds, st.integers(1, 4), st.integers(1, 4), st.sampled_from(KINDS),
+@given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.sampled_from(KINDS),
        st.sampled_from(KINDS))
-@settings(max_examples=30, deadline=None)
-def test_wired_is_the_merge_of_the_product(seed, na, nb, kind_a, kind_b):
+@settings(max_examples=40, deadline=None)
+def test_wired_is_the_pairwise_merge_of_the_product(seed, na, nb, k, kind_a, kind_b):
     rng = random.Random(seed)
     nb = min(nb, 7 - na)
+    k = min(k, na, nb)
     a, b = _built_or_lazy(rng, na, kind_a), _built_or_lazy(rng, nb, kind_b)
-    i, j = rng.randint(1, na), rng.randint(1, nb)
-    got = wired(a, b, i, j)
-    assert got == merge_parties(tensor(a, b), i, na + j)
-    assert got == oracle.merge_parties(oracle.tensor(a, b), i, na + j)
+    pairs = list(zip(rng.sample(range(1, na + 1), k), rng.sample(range(1, nb + 1), k)))
+    got = wired(a, b, pairs)
+    # merge pair by pair, each time at the slots the earlier merges left
+    want, ref, slots = tensor(a, b), oracle.tensor(a, b), list(range(1, na + nb + 1))
+    for i, j in pairs:
+        hi = slots.index(na + j) + 1
+        want, ref = merge_parties(want, i, hi), oracle.merge_parties(ref, i, hi)
+        del slots[hi - 1]
+    assert got == want == ref
     for vec in (a.rat, got.rat, got.surd or b.rat):
         for bit in range(len(vec).bit_length() - 1):
             assert _interleave(*_split(vec, bit), bit) == list(vec)
 
 
-def test_wired_checks_its_parties_and_the_cap():
-    with pytest.raises(ArityError):
-        wired(isotropic(2, ONE), isotropic(2, ONE), 3, 1)
-    with pytest.raises(ArityError):
-        wired(isotropic(2, ONE), isotropic(2, ONE), 1, 0)
+def test_wired_checks_its_pairs_and_the_cap():
+    two = isotropic(2, ONE)
+    for pairs in ([(3, 1)], [(1, 0)], [], [(1, 1), (1, 2)], [(1, 2), (2, 2)]):
+        with pytest.raises(ArityError):
+            wired(two, two, pairs)
     # 6 + 6 - 1 parties: refused before a cell is read
     with pytest.raises(PartyCapError):
-        wired(isotropic(6, ONE), isotropic(6, ONE), 1, 1)
+        wired(isotropic(6, ONE), isotropic(6, ONE), [(1, 1)])
 
 
 # -- isotropic in closed form, and the two-minimum sign test --------------

@@ -1,5 +1,7 @@
 """Exact field arithmetic on numbers of the form r + s*sqrt(2)."""
 
+import decimal
+from decimal import localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -208,3 +210,15 @@ def test_scalar_agrees_with_the_two_fraction_oracle(ta, tb, k, f):
     assert (str(a), repr(a), a.decimal(), a.to_json()) == (
         str(oa), repr(oa), oa.decimal(), oa.to_json())
     _same(Scalar.from_json(a.to_json()), oa)
+
+
+@given(triples, st.integers(1, 30), st.sampled_from((None, "ROUND_DOWN", "ROUND_CEILING")))
+@settings(max_examples=80, deadline=None)
+def test_decimal_matches_the_oracle_at_any_precision_and_rounding(triple, digits, rounding):
+    # sqrt(2) is computed once per precision and rounding and reused after
+    a, oa = _pair(triple)
+    with localcontext() as ctx:
+        if rounding is not None:
+            ctx.rounding = getattr(decimal, rounding)
+        for _ in range(2):
+            assert a.decimal(digits) == oa.decimal(digits)

@@ -453,16 +453,26 @@ def test_hybrid_three_document_applies_each_coupler_once(monkeypatch):
     assert len(report.branches) == 8 and report.all_checks_passed
 
 
-def test_ring_of_five_follows_the_failure_law(monkeypatch):
-    report, calls = _counted_run(monkeypatch, ring(5))
-    assert calls == 5
-    assert len(report.branches) == 32
-    assert report.parties == tuple("acdef")
+def _check_failure_law(monkeypatch, n):
+    """ring(n) applies each coupler once and has 2**n branches; a branch
+    with k failed couplers has probability 2**k / 3**n and a valid box."""
+    report, calls = _counted_run(monkeypatch, ring(n))
+    assert calls == n
+    assert len(report.branches) == 2**n
+    assert report.parties == tuple("acdefghij"[:n])
     for record in report.branches:
         k = sum(record.outcome)
-        assert record.probability == Scalar.rational(2**k, 3**5)
+        assert record.probability == Scalar.rational(2**k, 3**n)
         assert record.validation.all_ok
     assert report.total_probability == ONE and report.all_checks_passed
+
+
+def test_ring_of_five_follows_the_failure_law(monkeypatch):
+    _check_failure_law(monkeypatch, 5)
+
+
+def test_ring_of_six_follows_the_failure_law(monkeypatch):
+    _check_failure_law(monkeypatch, 6)
 
 
 @pytest.mark.parametrize("build, survivors", [
@@ -486,14 +496,19 @@ def test_large_swaps_never_write_their_joint(monkeypatch, build, survivors):
 @pytest.mark.parametrize("build, users", [
     (lambda: ring(5), 5),
     (lambda: ScenarioSpec.from_json(load_json(ROOT / "scenarios" / "hybrid_three.json")), 3),
-], ids=["ring(5)", "hybrid_three.json"])
+    (lambda: ring(6), 6),
+], ids=["ring(5)", "hybrid_three.json", "ring(6)"])
 def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
-    # each pool is wired onto the fold without their product: the fold peaks
-    # at N + 1 parties, just before the pool that closes the ring
+    # each pool is wired onto the fold without their product, and the pool
+    # that closes the ring is joined across both of its wirings at once:
+    # no table, built or materialized, has more than N parties
     products, built = _counted_tables(monkeypatch)
+    merges = []
+    monkeypatch.setattr(scenarios, "merge_parties", lambda *args: merges.append(args))
     report = run_scenario(build())
     assert report.all_checks_passed
-    assert products == [] and max(built) == users + 1
+    assert products == [] and max(built) == users
+    assert merges == []  # every wiring spans two pools: none is merged inside a table
 
 
 def _counted_tables(monkeypatch):
