@@ -5,6 +5,10 @@ or -1 by the population count of the word modulo 4 ({0,1} -> +1, {2,3} -> -1);
 the pattern is the exact integer form of sqrt(2)*cos(pi/2*k - pi/4) and makes
 the generalized Svetlichny boxes the unique algebraic maximizers.  Correlators
 are full n-party parity expectations, in [-1, 1].
+
+``evaluate`` (and so ``classify``) reads a spectral table's full-set column,
+which holds its correlators, and never builds its cells; ``correlator`` and
+``ch_evaluate`` read cells.
 """
 
 from __future__ import annotations
@@ -13,15 +17,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable
 
-from .boxes import BoxTable
+from .boxes import BoxTable, _character
 from .errors import ArityError
 from .scalar import Scalar, common_form
-
-
-@lru_cache(maxsize=None)
-def _parity_signs(n: int) -> tuple:
-    """(-1)**popcount(a) for every n-bit output word a."""
-    return tuple(-1 if a.bit_count() & 1 else 1 for a in range(2**n))
 
 
 def _dot(u, v) -> int:
@@ -32,7 +30,7 @@ def _correlators(vec, n: int) -> list | None:
     """Correlator numerators of one numerator vector, per input word."""
     if vec is None:
         return None
-    signs, width = _parity_signs(n), 2**n
+    signs, width = _character(n, 2**n - 1), 2**n
     return [_dot(signs, vec[i:i + width]) for i in range(0, len(vec), width)]
 
 
@@ -40,7 +38,7 @@ def correlator(box: BoxTable, input_word: int) -> Scalar:
     """Parity expectation sum over outputs of (-1)**popcount * P at one input."""
     if not 0 <= input_word < 2**box.n:
         raise ArityError(f"input word {input_word} out of range for n={box.n}")
-    n, signs = box.n, _parity_signs(box.n)
+    n, signs = box.n, _character(box.n, 2**box.n - 1)
     row = slice(input_word << n, (input_word + 1) << n)
     return Scalar.over(
         _dot(signs, box.rat[row]), _dot(signs, box.surd and box.surd[row]), box.den
@@ -83,11 +81,17 @@ def evaluate(functional: BellFunctional, box: BoxTable) -> Scalar:
     if functional.n != box.n:
         raise ArityError(f"functional is for n={functional.n}, box has n={box.n}")
     den, c_rat, c_surd = functional.form
-    e_rat, e_surd = _correlators(box.rat, box.n), _correlators(box.surd, box.n)
+    n, spectrum = box.n, box.spectrum
+    if spectrum is None:
+        e_den, scale = box.den, 1
+        e_rat, e_surd = _correlators(box.rat, n), _correlators(box.surd, n)
+    else:  # the correlator at x is 2**n times the full-set column at x
+        (e_den, columns), scale = spectrum, 1 << n
+        e_rat, e_surd = columns.get(scale - 1, (None, None))
     # sum_x (c_rat + c_surd*sqrt2)(e_rat + e_surd*sqrt2)
     rat = _dot(c_rat, e_rat) + 2 * _dot(c_surd, e_surd)
     surd = _dot(c_rat, e_surd) + _dot(c_surd, e_rat)
-    return Scalar.over(rat, surd, den * box.den)
+    return Scalar.over(scale * rat, scale * surd, den * e_den)
 
 
 def ch_evaluate(box: BoxTable) -> Scalar:

@@ -1,4 +1,4 @@
-"""Dense joint probability tables for n-party boxes with binary inputs/outputs.
+"""Joint probability tables for n-party boxes with binary inputs/outputs.
 
 A box is the table P(outputs | inputs) for n parties, each holding one input
 bit and one output bit.  Words pack party bits little-endian: party 1 is the
@@ -6,34 +6,48 @@ least significant bit, so for word strings (serialization, CLI) the rightmost
 character belongs to party 1.  Cells are indexed by
 ``(input_word << n) | output_word``.
 
-A table is stored in common-denominator form: one positive integer ``den``
-and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that cell i is
-``(rat[i] + surd[i]*sqrt(2)) / den``; a table without sqrt(2) parts carries
-``surd = None``.  The triple is reduced by the gcd of all its integers, so
-it is canonical and table equality is tuple equality.  The operations
-below work on these tuples in integer arithmetic, through list slices and
-``map`` where they can and per-cell loops where they still must; ``validate``,
-``wired`` and the coupler reach single index bits only through ``_split``,
-and ``wired`` puts them back through its inverse ``_interleave``.  ``Scalar``
-values appear only at the edges: ``prob``, ``probs`` (built on first access)
-and JSON input; ``to_json`` writes each distinct cell value once, straight
-from its numerators, and shares it across the cells that hold it.
+A table's cells are stored in common-denominator form: one positive integer
+``den`` and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that
+cell i is ``(rat[i] + surd[i]*sqrt(2)) / den``; a table without sqrt(2)
+parts carries ``surd = None``.  The triple is reduced by the gcd of all its
+integers, so it is canonical and table equality is tuple equality.  The
+operations below work on these tuples in integer arithmetic, through list
+slices and ``map`` where they can and per-cell loops where they still must;
+``validate``, ``wired`` and the coupler reach single index bits only through
+``_split``, and ``wired`` puts them back through its inverse ``_interleave``.
+``Scalar`` values appear only at the edges: ``prob``, ``probs`` (built on
+first access) and JSON input; ``to_json`` writes each distinct cell value
+once, straight from its numerators, and shares it across the cells that
+hold it.
+
+A table may hold its output spectrum instead of its cells (see "the
+spectral form" below): for each output word S with a nonzero coefficient,
+one column over the 2**n input words.  The isotropic family (``isotropic``,
+``gsb``, ``pr``, ``sb``, ``mixed``, ``anti_pr``, ``failure``) is built this
+way, two columns each, and so are the coupler's branch boxes on products of
+such tables.  ``validate``, ``==`` between two spectral tables, the coupler
+and ``bell.evaluate`` read the columns; the first read of ``den``, ``rat``
+or ``surd`` (``to_json``, ``probs``, ``wired``, ``mix``, ``marginalize``,
+``merge_parties``, equality with a cell table) builds the cells once, by
+the inverse transform, and keeps them.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
-factor by factor without ever writing it.  ``wired`` joins two tables across
-any number of wirings between them the same way: it equals ``merge_parties``
-of their ``tensor``, pair by pair, but never writes that product.  A wired
-cell is an XOR convolution over the wired output bits, which the sum and
-difference over each such bit turn into a plain product.
+factor by factor without ever writing it; a product of spectral tables also
+has a spectrum, the outer products of its factors' columns.  ``wired``
+joins two tables across any number of wirings between them the same way:
+it equals ``merge_parties`` of their ``tensor``, pair by pair, but never
+writes that product.  A wired cell is an XOR convolution over the wired
+output bits, which the sum and difference over each such bit turn into a
+plain product.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from math import lcm
-from operator import add, itemgetter, mul, sub
+from math import gcd, lcm
+from operator import add, eq, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
@@ -90,14 +104,30 @@ def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None
     return next((i for i, (r, s) in cells if qsign(r, s) < 0), None)
 
 
+def _written_form(value) -> tuple | None:
+    """The four strings of a JSON scalar in the form ``scalar_json`` writes,
+    ``{"r": [str, str], "s": [str, str]}``, as a hashable key; None for any
+    other value, which ``Scalar.from_json`` then reads on its own."""
+    if type(value) is dict and len(value) == 2:
+        r, s = value.get("r"), value.get("s")
+        if type(r) is list and type(s) is list and len(r) == len(s) == 2:
+            (a, b), (c, d) = r, s
+            if type(a) is type(b) is type(c) is type(d) is str:
+                return a, b, c, d
+    return None
+
+
 class BoxTable:
-    """Immutable dense table; see the module docstring for the layout.
+    """Immutable table; see the module docstring for the layout.
 
     ``factors`` is None for a built table; for a ``tensor`` product it is
     the tuple of built tables whose product it is, lowest party slots first,
-    and ``den``, ``rat`` and ``surd`` are built from it on first read."""
+    and ``den``, ``rat`` and ``surd`` are built from it on first read.
+    ``spectrum`` is ``(den, columns)`` for a spectral table (see
+    ``from_spectrum``), None for a table built from its cells, and for a
+    product, the product of its factors' spectra if each has one."""
 
-    __slots__ = ("n", "factors", "den", "rat", "surd", "_probs")
+    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs")
 
     def __init__(self, n: int, probs: Sequence[Scalar]):
         if n < 1:
@@ -105,7 +135,7 @@ class BoxTable:
         probs = tuple(probs)
         if len(probs) != 4**n:
             raise ArityError(f"table for n={n} needs 4**{n} entries, got {len(probs)}")
-        self.n, self.factors = n, None
+        self.n, self.factors, self.spectrum = n, None, None
         self.den, self.rat, self.surd = common_form(probs)
         self._probs = probs
 
@@ -113,16 +143,32 @@ class BoxTable:
     def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
         """The table with cells ``(rat[i] + surd[i]*sqrt(2)) / den``, ``den > 0``."""
         self = object.__new__(cls)
-        self.n, self.factors = n, None
+        self.n, self.factors, self.spectrum = n, None, None
         self.den, self.rat, self.surd = reduce_form(den, rat, surd)
         self._probs = None
         return self
 
+    @classmethod
+    def from_spectrum(cls, n: int, den: int, columns: dict) -> "BoxTable":
+        """The spectral table whose cell (x, a) is
+        ``sum_S (-1)**popcount(a & S) * (rat_S[x] + surd_S[x]*sqrt(2)) / den``
+        over the ``columns`` ``{S: (rat_S, surd_S)}``, ``den > 0``, each
+        column 2**n integers long (surd None for none).  Its cells are built
+        on first read."""
+        return _spectral(n, _reduced_spectrum(den, columns))
+
     def __getattr__(self, name):
-        # only reached while a slot is unset: den, rat, surd of a lazy product
-        if name not in ("den", "rat", "surd") or self.factors is None:
+        # only reached while a slot is unset: the spectrum of a lazy product,
+        # and den, rat, surd of a lazy product or a spectral table
+        if name == "spectrum" and self.factors is not None:
+            self.spectrum = _product_spectrum(self.factors)
+            return self.spectrum
+        if name not in ("den", "rat", "surd"):
             raise AttributeError(name)
-        self.den, self.rat, self.surd = _product(self.factors)
+        if self.factors is not None:
+            self.den, self.rat, self.surd = _product(self.factors)
+        else:
+            self.den, self.rat, self.surd = _cells(self.n, self.spectrum)
         return getattr(self, name)
 
     @property
@@ -148,8 +194,15 @@ class BoxTable:
     def __eq__(self, other):
         if not isinstance(other, BoxTable):
             return NotImplemented
-        return (self.n, self.den, self.rat, self.surd) == (
-            other.n, other.den, other.rat, other.surd)
+        if self.n != other.n:
+            return False
+        # two spectra compare column by column, canonical as they are
+        mine = self.spectrum
+        if mine is not None:
+            theirs = other.spectrum
+            if theirs is not None:
+                return mine == theirs
+        return (self.den, self.rat, self.surd) == (other.den, other.rat, other.surd)
 
     __hash__ = None
 
@@ -188,14 +241,25 @@ class BoxTable:
         items = data.get("probs", [])
         if not isinstance(items, list):
             raise SpecFileError(f"box document 'probs' must be a list, got {items!r}")
-        cells = {}
+        cells, parsed = {}, {}
+        words = {word_to_str(w, n): w for w in range(2**n)}
         for item in items:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise SpecFileError(f"box entry must be [inputs, outputs, scalar]: {item!r}")
-            index = (str_to_word(item[0], n) << n) | str_to_word(item[1], n)
+            try:
+                index = (words[item[0]] << n) | words[item[1]]
+            except (KeyError, TypeError):  # str_to_word says what is wrong
+                index = (str_to_word(item[0], n) << n) | str_to_word(item[1], n)
             if index in cells:
                 raise SpecFileError(f"duplicate box entry for inputs={item[0]} outputs={item[1]}")
-            cells[index] = Scalar.from_json(item[2])
+            key = _written_form(item[2])
+            if key is None:
+                cells[index] = Scalar.from_json(item[2])
+            else:  # each distinct value as the writer writes it is parsed once
+                value = parsed.get(key)
+                if value is None:
+                    value = parsed[key] = Scalar.from_json(item[2])
+                cells[index] = value
         # the listed cells share their reduced form with the whole table
         den, rat, surd = common_form(list(cells.values()))
         table = [[0] * 4**n, [0] * 4**n]
@@ -216,22 +280,39 @@ def _check_cap(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _gsb_signs(n: int) -> tuple:
+    """(-1)**C(popcount(x), 2) for every n-bit input word x: the parity of
+    the pairwise products of the input bits, as a sign."""
+    return tuple(-1 if (x.bit_count() * (x.bit_count() - 1) // 2) & 1 else 1
+                 for x in range(2**n))
+
+
+def _isotropic(family: str, n: int, xi: Scalar) -> BoxTable:
+    """The spectral table of ``isotropic(n, xi)``.  With xi = (p + q*sqrt2)/d
+    its cell (x, a) is (d + (-1)**(popcount(a) + C(popcount(x), 2)) * xi*d)
+    / (d * 2**n): the empty-set column d and the full-set column xi*d times
+    the gsb sign of x, over d * 2**n."""
+    if n < 2:
+        raise ArityError(f"{family} needs n >= 2")
+    _check_cap(n)
+    p, q, d = xi.r, xi.s, xi.d
+    signs = _gsb_signs(n)
+    columns = {0: ((d,) * 2**n, None)}
+    if p or q:
+        columns[2**n - 1] = (tuple(p * s for s in signs),
+                             tuple(q * s for s in signs) if q else None)
+    # canonical as it stands: gcd(d * 2**n, d, p, q) = gcd(p, q, d) = 1
+    return _spectral(n, (d << n, columns))
+
+
+@lru_cache(maxsize=None)
 def gsb(n: int) -> BoxTable:
     """Generalized Svetlichny box: outputs XOR to the pairwise-product parity
-    of the inputs, uniformly over the 2**(n-1) output words that comply.
+    of the inputs, uniformly over the 2**(n-1) output words that comply;
+    ``isotropic(n, 1)``.
 
     Tables are immutable, so the named constructors cache and share them."""
-    if n < 2:
-        raise ArityError("gsb needs n >= 2")
-    _check_cap(n)
-    odd = [a.bit_count() & 1 for a in range(2**n)]
-    even = [1 - bit for bit in odd]
-    rat = []
-    for x in range(2**n):
-        k = x.bit_count()
-        # XOR over unordered pairs j<k of input bits: C(k, 2) mod 2 of the set bits.
-        rat += odd if (k * (k - 1) // 2) & 1 else even
-    return BoxTable.from_numerators(n, 2 ** (n - 1), rat)
+    return _isotropic("gsb", n, ONE)
 
 
 def pr() -> BoxTable:
@@ -249,33 +330,27 @@ def anti_pr() -> BoxTable:
 
 @lru_cache(maxsize=None)
 def mixed(n: int) -> BoxTable:
-    if n < 2:
-        raise ArityError("mixed needs n >= 2")
-    _check_cap(n)
-    return BoxTable.from_numerators(n, 2**n, [1] * 4**n)
+    """The fully mixed box, uniform over all outputs: ``isotropic(n, 0)``."""
+    return _isotropic("mixed", n, ZERO)
 
 
 def isotropic(n: int, xi) -> BoxTable:
     """Convex-affine slide between gsb(n) (xi=1) and the fully mixed box (xi=0).
 
     The box holds two values: (1 + xi)/2**n where gsb(n) has a 1 and
-    (1 - xi)/2**n elsewhere, both nonnegative for |xi| <= 1.  With
-    xi = (p + q*sqrt2)/d they share the denominator d * 2**n."""
+    (1 - xi)/2**n elsewhere, both nonnegative for |xi| <= 1.  It is a
+    spectral table of two columns (see ``_isotropic``)."""
     xi = xi if isinstance(xi, Scalar) else Scalar(xi)
     if not (-ONE <= xi <= ONE):
         raise ValidationError(f"isotropic weight must lie in [-1, 1], got {xi}")
-    cells = gsb(n).rat  # checks the arity and the cap before any work on n
-    p, q, d = xi.r, xi.s, xi.d
-    hit, miss = d + p, d - p
-    rat = [hit if c else miss for c in cells]
-    surd = [q if c else -q for c in cells] if q else None
-    return BoxTable.from_numerators(n, d << n, rat, surd)
+    return _isotropic("isotropic", n, xi)
 
 
 @lru_cache(maxsize=None)
 def failure(n: int) -> BoxTable:
-    """The box left behind by an unsuccessful swap: (3*mixed - gsb)/2."""
-    return mix([(Scalar.rational(3, 2), mixed(n)), (Scalar.rational(-1, 2), gsb(n))])
+    """The box left behind by an unsuccessful swap: (3*mixed - gsb)/2, which
+    is ``isotropic(n, -1/2)``."""
+    return _isotropic("failure", n, Scalar.rational(-1, 2))
 
 
 def deterministic_local(assignments: Sequence[tuple]) -> BoxTable:
@@ -337,8 +412,8 @@ def named_box(kind: str, n: int | None = None, xi=None) -> BoxTable:
 # follows (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2.
 
 
-def _scaled(vec: Sequence[int] | None, k: int) -> list | None:
-    return None if vec is None else [k * v for v in vec]
+def _scaled(vec: Sequence[int] | None, k: int) -> Sequence[int] | None:
+    return vec if vec is None or k == 1 else [k * v for v in vec]
 
 
 def _sum(*vecs) -> list | None:
@@ -401,16 +476,27 @@ def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
     return [p * q for row_v in rows_v for row_u in rows_u for q in row_v for p in row_u]
 
 
-def _outer_pair(u: tuple, v: tuple, nu: int, nv: int) -> tuple:
-    """``_outer`` of two (rat, surd) numerator pairs, surd None for none:
+def _pair_product(u: tuple, v: tuple, outer) -> tuple:
+    """``outer`` of two (rat, surd) numerator pairs, surd None for none:
     (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2."""
     (ur, us), (vr, vs) = u, v
-    rat = _outer(ur, vr, nu, nv)
+    rat = outer(ur, vr)
     if us is not None and vs is not None:
-        rat = _sum(rat, _outer(us, _scaled(vs, 2), nu, nv))
-    surds = [_outer(p, q, nu, nv) for p, q in ((ur, vs), (us, vr))
-             if p is not None and q is not None]
+        rat = _sum(rat, outer(us, _scaled(vs, 2)))
+    surds = [outer(p, q) for p, q in ((ur, vs), (us, vr)) if p is not None and q is not None]
     return rat, _sum(*surds)
+
+
+def _outer_pair(u: tuple, v: tuple, nu: int, nv: int) -> tuple:
+    """``_outer`` of two (rat, surd) numerator pairs, surd None for none."""
+    return _pair_product(u, v, lambda p, q: _outer(p, q, nu, nv))
+
+
+def _combined(terms) -> tuple:
+    """``sum w * (rat + surd*sqrt2)`` over the ``(w, (rat, surd))`` terms,
+    integer w, as a (rat, surd) pair, surd None for none."""
+    rat = _sum(*(_scaled(r, w) for w, (r, _) in terms))
+    return rat, _sum(*(_scaled(s, w) for w, (_, s) in terms if s is not None))
 
 
 def _product(factors: Sequence[BoxTable]) -> tuple:
@@ -432,6 +518,124 @@ def tensor(a: BoxTable, b: BoxTable) -> BoxTable:
     self = object.__new__(BoxTable)
     self.n, self.factors, self._probs = n, (a.factors or (a,)) + (b.factors or (b,)), None
     return self
+
+
+# -- the spectral form ----------------------------------------------------
+#
+# The output spectrum of a row x is the Walsh-Hadamard transform of its
+# cells over the output bits: c_S(x) = sum_a (-1)**popcount(a & S) * P(a|x).
+# A spectral table keeps, for each output word S whose coefficient is
+# nonzero at some x, the column of numerators col_S over the 2**n input
+# words, scaled so that cell (x, a) = sum_S (-1)**popcount(a & S) *
+# col_S[x] / den; c_S(x) is then 2**n * col_S[x] / den.  Columns are
+# (rat, surd) pairs, surd None for none, held in a dict keyed by S; the
+# ``(den, columns)`` pair is reduced like the cells (``_reduced_spectrum``),
+# so it is canonical and two spectral tables are equal exactly when their
+# pairs are.  In this domain a row's mass is 2**n times its empty-set
+# column, a party's input is free exactly when every column without the
+# party's output bit is the same at both of its inputs, and the correlator
+# at x is 2**n times the full-set column.
+
+
+@lru_cache(maxsize=256)
+def _character(n: int, word: int) -> tuple:
+    """(-1)**popcount(a & word) for every n-bit output word a."""
+    return tuple(-1 if (a & word).bit_count() & 1 else 1 for a in range(2**n))
+
+
+def _spectral(n: int, spectrum: tuple) -> BoxTable:
+    """The table of a canonical ``(den, columns)`` spectrum."""
+    self = object.__new__(BoxTable)
+    self.n, self.factors, self.spectrum, self._probs = n, None, spectrum, None
+    return self
+
+
+def _reduced_spectrum(den: int, columns: dict) -> tuple:
+    """The canonical ``(den, columns)``: no all-zero column, surd None where
+    it is all zero, every integer divided by the gcd of them all."""
+    kept = {}
+    for word, (rat, surd) in columns.items():
+        if surd is not None and not any(surd):
+            surd = None
+        if surd is not None or any(rat):
+            kept[word] = (rat, surd)
+    g = gcd(den, *chain.from_iterable(chain(r, s or ()) for r, s in kept.values()))
+    if g == 1:
+        return den, {w: (tuple(r), s and tuple(s)) for w, (r, s) in kept.items()}
+    return den // g, {w: (tuple(v // g for v in r), s and tuple(v // g for v in s))
+                      for w, (r, s) in kept.items()}
+
+
+def _cells(n: int, spectrum: tuple) -> tuple:
+    """The reduced (den, rat, surd) of a spectral table's cells: each
+    column, spread over its row's outputs by its character, summed."""
+    den, columns = spectrum
+    spread = [(1, tuple(col and [c * sign for c in col for sign in _character(n, word)]
+                        for col in pair))
+              for word, pair in columns.items()]
+    rat, surd = _combined(spread) if spread else ([0] * 4**n, None)
+    return reduce_form(den, rat, surd)
+
+
+def _kron(u: Sequence[int], v: Sequence[int]) -> list:
+    """Products u[i] * v[j] at index i + j * len(u): two columns over the
+    input words of a low and a high block of parties."""
+    return [p * q for q in v for p in u]
+
+
+def _spectral_outer(u: dict, v: dict, nu: int) -> dict:
+    """The columns of the product of two spectral tables, the ``nu``-party
+    ``u`` in the low party slots: one column per pair of columns."""
+    return {su | sv << nu: _pair_product(cu, cv, _kron)
+            for su, cu in u.items() for sv, cv in v.items()}
+
+
+def _product_spectrum(factors: Sequence[BoxTable]) -> tuple | None:
+    """The reduced spectrum of a product of built tables, or None unless
+    every factor is spectral."""
+    spectra = [f.spectrum for f in factors]
+    if any(spectrum is None for spectrum in spectra):
+        return None
+    (den, columns), n = spectra[0], factors[0].n
+    for f, (f_den, f_columns) in zip(factors[1:], spectra[1:]):
+        columns, den, n = _spectral_outer(columns, f_columns, n), den * f_den, n + f.n
+    return _reduced_spectrum(den, columns)
+
+
+@lru_cache(maxsize=256)
+def _pattern_words(words: frozenset) -> tuple:
+    """Output words a, 2**d of them for a span of dimension d, at which the
+    signs (-1)**popcount(a & S), S in ``words``, take every pattern they
+    take over all outputs.  Over GF(2) these signs are the linear forms
+    a -> a.S; a basis of the span with distinct leading bits makes the
+    words over those leading bits meet each pattern once."""
+    leading: dict = {}
+    for w in words:
+        while w:
+            top = w.bit_length() - 1
+            if top not in leading:
+                leading[top] = w
+                break
+            w ^= leading[top]
+    out = [0]
+    for top in leading:
+        out += [a | 1 << top for a in out]
+    return tuple(out)
+
+
+def spectral_negative(columns: dict) -> bool:
+    """True iff some cell of the spectral table with ``columns`` is
+    negative: every row's distinct cells are its pattern sums, one per
+    word of ``_pattern_words``, and those are tested together."""
+    if not columns:
+        return False
+    rat, surd = [], []
+    for a in _pattern_words(frozenset(columns)):
+        r, s = _combined([(-1 if (a & w).bit_count() & 1 else 1, pair)
+                          for w, pair in columns.items()])
+        rat += r
+        surd += s or repeat(0, len(r))
+    return first_negative(rat, surd if any(surd) else None) is not None
 
 
 def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:
@@ -693,7 +897,26 @@ def _input_free(vec: Sequence[int], n: int, party: int) -> bool:
     return x0 == x1
 
 
+def _spectral_report(n: int, spectrum: tuple) -> ValidationReport:
+    """``validate`` on the columns: a row's mass is 2**n times its empty-set
+    column, and party p's input is free when each column without p's output
+    bit is the same at both of p's inputs."""
+    den, columns = spectrum
+    rat, surd = columns.get(0, ((0,), None))
+    normalized = surd is None and all(v << n == den for v in rat)
+    nonsignaling = {}
+    for party in range(1, n + 1):
+        bit = 1 << (party - 1)
+        nonsignaling[party] = all(
+            eq(*_split(col, party - 1))
+            for word, pair in columns.items() if not word & bit
+            for col in pair if col is not None)
+    return ValidationReport(normalized, not spectral_negative(columns), nonsignaling)
+
+
 def validate(box: BoxTable) -> ValidationReport:
+    if box.spectrum is not None:
+        return _spectral_report(box.n, box.spectrum)
     n, rat, surd = box.n, box.rat, box.surd
     normalized = all(v == box.den for v in row_sums(rat, n)) and (
         surd is None or not any(row_sums(surd, n)))

@@ -30,7 +30,10 @@ The documented-deviation tests pin this down rather than hiding it.
 
 ``apply_coupler`` contracts a ``tensor`` product factor by factor (see
 ``_contracted``), so the product of the boxes a coupler joins is never
-written out.
+written out.  When every factor is a spectral table (the isotropic family
+and the branch boxes this module makes from it), the contraction reads
+columns instead of cells and its branch boxes are spectral tables, whose
+cells are built only if something later reads them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from operator import add, sub
 from typing import Sequence
 
 from .bell import evaluate, gsi
-from .boxes import BoxTable, _outer_pair, _scaled, _split, _sum, first_negative, row_sums
+from .boxes import (BoxTable, _combined, _outer_pair, _spectral_outer, _split, first_negative,
+                    row_sums, spectral_negative, subwords)
 from .errors import ArityError, CouplerInvalidError
 from .scalar import ZERO, Scalar, qsign
 
@@ -94,8 +98,8 @@ class CouplerEffect:
         if box.n != self.n:
             raise ArityError(f"coupler consumes {self.n} ends, box has {box.n}")
         den, _, tables = _contracted(self, box, range(1, self.n + 1))
-        rat, surd = tables[branch]
-        return Scalar.over(rat[0], surd[0] if surd else 0, den)
+        (rat,), (surd,) = _masses(tables[branch], 0)
+        return Scalar.over(rat, surd, den)
 
     def __repr__(self):
         return f"CouplerEffect(n={self.n})"
@@ -146,7 +150,9 @@ def apply_coupler(
     Returns both branches.  Each branch table must come out with an
     input-independent mass and nonnegative entries, otherwise the coupler is
     not valid on this joint and CouplerInvalidError says which branch broke.
-    Survivors keep their relative order.
+    Survivors keep their relative order.  When every factor of ``joint`` is
+    spectral, so is the contraction, and each branch box is a spectral table
+    (see ``_contracted``): no cell is built.
     """
     consumed = list(consumed)
     if len(consumed) != coupler.n:
@@ -158,9 +164,8 @@ def apply_coupler(
 
     den, m, tables = _contracted(coupler, joint, consumed)
     results = []
-    for branch, (rat, surd) in enumerate(tables):
-        masses = row_sums(rat, m)
-        surd_masses = row_sums(surd, m) if surd else [0] * len(masses)
+    for branch, table in enumerate(tables):
+        masses, surd_masses = _masses(table, m)
         mass_r, mass_s = masses[0], surd_masses[0]
         if any(v != mass_r for v in masses) or any(v != mass_s for v in surd_masses):
             raise CouplerInvalidError(
@@ -170,15 +175,15 @@ def apply_coupler(
         if sign < 0:
             raise CouplerInvalidError(branch)
         if not sign:
-            if any(rat) or (surd and any(surd)):
+            if _nonzero(table):
                 raise CouplerInvalidError(
                     branch, f"branch {branch} has zero mass but nonzero entries"
                 )
             results.append(BranchResult(branch, ZERO, None))
             continue
-        if first_negative(rat, surd) is not None:
+        if _negative(table):
             raise CouplerInvalidError(branch)
-        box = _divided(m, rat, surd, mass_r, mass_s)
+        box = _divided(m, table, mass_r, mass_s)
         results.append(BranchResult(branch, Scalar.over(mass_r, mass_s, den), box))
     return tuple(results)
 
@@ -189,16 +194,45 @@ def apply_coupler(
 # the consumed inputs only through their popcount, and both add up over the
 # factors of a product; so each factor is reduced over its own consumed ends
 # and only tables over survivors are multiplied out.  A built table is a
-# product of one factor.  Numerator vectors travel as (rat, surd) pairs,
-# surd None when there is no sqrt2 part.
+# product of one factor.  A branch table is either dense, a (rat, surd)
+# pair of numerator vectors (surd None when there is no sqrt2 part), or,
+# when every factor is spectral, a spectrum: a dict of such pairs, one
+# column over the survivors' inputs per survivor output word (see the
+# spectral form in ``boxes``).  Both reduce the consumed inputs the same
+# way (``_summed``, ``_graded``) and multiply the factors out the same way
+# (``_branches``); they differ in the output pass and in what a product is.
+
+
+def _summed(vec, at: int, ends: Sequence[int]) -> list:
+    """``vec`` summed over the consumed inputs, the index bits ``at + p - 1``
+    for p in ``ends`` (descending, so lower bits stay in place)."""
+    for p in ends:
+        vec = list(map(add, *_split(vec, at + p - 1)))
+    return vec
+
+
+def _graded(vec, at: int, ends: Sequence[int]) -> list:
+    """``vec`` summed like ``_summed``, into one table per popcount k of the
+    consumed inputs: entry k sums over the consumed inputs with k bits set."""
+    graded = [vec]
+    for p in ends:
+        grown = []
+        for table in graded:
+            at0, at1 = _split(table, at + p - 1)
+            if grown:  # input 0 keeps the grade, input 1 raises it by one
+                grown[-1] = list(map(add, grown[-1], at0))
+            else:
+                grown.append(at0)
+            grown.append(at1)
+        graded = grown
+    return graded
 
 
 def _reduced(vec, n: int, ends: Sequence[int]) -> tuple[list, list]:
     """One numerator vector of an n-party factor reduced over its consumed
-    ``ends``: the sum of each survivor cell over the consumed cells, and
-    ``graded[k]``, the same sum signed by the parity of the consumed outputs
-    and taken over consumed inputs of popcount k only."""
-    ends = sorted(ends, reverse=True)  # the higher end first keeps lower bits in place
+    ``ends`` (descending): the sum of each survivor cell over the consumed
+    cells, and ``graded[k]``, the same sum signed by the parity of the
+    consumed outputs and taken over consumed inputs of popcount k only."""
     plain = signed = vec
     for p in ends:  # outputs first: both sums start from the same halves
         if plain is signed:
@@ -208,79 +242,152 @@ def _reduced(vec, n: int, ends: Sequence[int]) -> tuple[list, list]:
             plain = list(map(add, *_split(plain, p - 1)))
             signed = list(map(sub, *_split(signed, p - 1)))
     n -= len(ends)  # output bits left: the inputs now start at bit n
-    graded = [signed]
-    for p in ends:
-        plain = list(map(add, *_split(plain, n + p - 1)))
-        grown = []
-        for table in graded:
-            at0, at1 = _split(table, n + p - 1)
-            if grown:  # input 0 keeps the grade, input 1 raises it by one
-                grown[-1] = list(map(add, grown[-1], at0))
-            else:
-                grown.append(at0)
-            grown.append(at1)
-        graded = grown
-    return plain, graded
+    return _summed(plain, n, ends), _graded(signed, n, ends)
+
+
+def _dense_part(f: BoxTable, ends: Sequence[int]) -> tuple:
+    """(den, total, graded) of a factor's cells: see ``_reduced``."""
+    rat_total, rat_graded = _reduced(f.rat, f.n, ends)
+    surd_total, surd_graded = ((None, [None] * len(rat_graded)) if f.surd is None
+                               else _reduced(f.surd, f.n, ends))
+    return f.den, (rat_total, surd_total), list(zip(rat_graded, surd_graded))
+
+
+def _spectral_part(f: BoxTable, ends: Sequence[int]) -> tuple:
+    """(den, total, graded) of a factor's columns.  Summing the consumed
+    outputs of a column's character leaves 2**|ends| where it holds no
+    consumed bit and 0 elsewhere; signing them by their parity first, where
+    it holds every consumed bit.  So the total comes from the columns
+    without a consumed output bit and the graded part from those with all of
+    them, each keyed by its survivor bits and reduced over the consumed
+    inputs; the common 2**|ends| is left out, as ``_contracted`` says."""
+    den, columns = f.spectrum
+    mask = sum(1 << (p - 1) for p in ends)
+    keys = subwords(f.n, tuple(p for p in range(1, f.n + 1) if p not in ends))
+    total, graded = {}, [{} for _ in range(len(ends) + 1)]
+    for word, (rat, surd) in columns.items():
+        key = keys[word]
+        if not word & mask:
+            total[key] = (_summed(rat, 0, ends), surd and _summed(surd, 0, ends))
+        if word & mask == mask:
+            surd_graded = [None] * len(graded) if surd is None else _graded(surd, 0, ends)
+            for grade, pair in zip(graded, zip(_graded(rat, 0, ends), surd_graded)):
+                grade[key] = pair
+    return den, total, graded
+
+
+def _spectral_combined(terms) -> dict:
+    """``_combined`` column by column over ``(w, spectrum)`` terms."""
+    by_word: dict = {}
+    for w, table in terms:
+        for word, pair in table.items():
+            by_word.setdefault(word, []).append((w, pair))
+    return {word: _combined(pairs) for word, pairs in by_word.items()}
+
+
+# (outer product of two tables over m and fm survivors, weighted sum, the
+# table of the empty product) for each form
+_DENSE = (_outer_pair, _combined, ([1], None))
+_SPECTRAL = (lambda u, v, m, fm: _spectral_outer(u, v, m), _spectral_combined,
+             {0: ([1], None)})
+
+
+def _branches(kernel, parts, form) -> tuple:
+    """(m, (t0, t1)) from each factor's (survivors, total, graded).
+
+    With ``total`` the product of the factors' totals and G_k the graded
+    table of consumed-input popcount k of the whole product (a sum of
+    products of the factors' graded tables whose grades add up to k),
+    t0 = total + 2 * sum_k H(k) * G_k and t1 = 3 * total - t0.  The last
+    factor's grade j is met directly by the rest's grades i weighted with
+    2 * H(i + j), so the largest tables are written only once per grade."""
+    outer, combine, one = form
+    m, total, graded = parts[0]
+    for fm, f_total, f_graded in parts[1:-1]:
+        total = outer(total, f_total, m, fm)
+        grades = [[] for _ in range(len(graded) + len(f_graded) - 1)]
+        for i, g in enumerate(graded):
+            for j, h in enumerate(f_graded):
+                grades[i + j].append((1, outer(g, h, m, fm)))
+        m += fm
+        graded = [combine(terms) for terms in grades]
+    # a lone factor meets the empty product: no survivors, sum 1, grade 0
+    fm, f_total, f_graded = parts[-1] if len(parts) > 1 else (0, one, [one])
+    total = outer(total, f_total, m, fm)
+    terms = [(1, total)]
+    for j, table in enumerate(f_graded):
+        weights = [2 * kernel[i + j] for i in range(len(graded))]
+        if any(weights):
+            weighted = combine([(w, g) for w, g in zip(weights, graded) if w])
+            terms.append((1, outer(weighted, table, m, fm)))
+    t0 = combine(terms)
+    return m + fm, (t0, combine([(3, total), (-1, t0)]))
 
 
 def _contracted(coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]) -> tuple:
     """(den, m, (t0, t1)): both branch tables of ``joint`` over its m
-    survivors, as (rat, surd) pairs over ``den``.
+    survivors, over ``den``; see ``_branches``.
 
-    With ``total`` the product of the factors' sum tables and G_k the
-    signed table of consumed-input popcount k of the whole product (a sum
-    of products of the factors' graded tables whose grades add up to k),
-    t0 = total + 2 * sum_k H(k) * G_k and t1 = 3 * total - t0.  The last
-    factor's grade j is met directly by the rest's grades i weighted with
-    2 * H(i + j), so the largest tables are written only once per grade."""
+    Dense tables are cells over ``coupler.den`` times the factors' dens.  A
+    spectrum's cells carry the factor 2**N that summing N consumed outputs
+    of a character leaves, which cancels against the 2**N of
+    ``coupler.den = 3 * 2**N``: spectra are over 3 times the factors'
+    dens."""
     factors = joint.factors or (joint,)
-    kernel, den = coupler.kernel, coupler.den
+    spectral = all(f.spectrum is not None for f in factors)
+    part, form = (_spectral_part, _SPECTRAL) if spectral else (_dense_part, _DENSE)
+    den = 3 if spectral else coupler.den
     parts, offset = [], 0
     for f in factors:
-        ends = [p - offset for p in consumed if offset < p <= offset + f.n]
+        ends = sorted((p - offset for p in consumed if offset < p <= offset + f.n),
+                      reverse=True)
         offset += f.n
-        rat_total, rat_graded = _reduced(f.rat, f.n, ends)
-        surd_total, surd_graded = ((None, [None] * len(rat_graded)) if f.surd is None
-                                   else _reduced(f.surd, f.n, ends))
-        parts.append((f.n - len(ends), (rat_total, surd_total),
-                      list(zip(rat_graded, surd_graded))))
-        den *= f.den
-
-    # every factor but the last, multiplied out
-    m, total, graded = parts[0]
-    for fm, f_total, f_graded in parts[1:-1]:
-        total = _outer_pair(total, f_total, m, fm)
-        grades = [[] for _ in range(len(graded) + len(f_graded) - 1)]
-        for i, g in enumerate(graded):
-            for j, h in enumerate(f_graded):
-                grades[i + j].append(_outer_pair(g, h, m, fm))
-        m += fm
-        # zip(*pairs) is the rat parts and the surd parts, each summed
-        graded = [tuple(_sum(*part) for part in zip(*pairs)) for pairs in grades]
-    # a lone factor meets the empty product: no survivors, sum 1, grade 0
-    fm, f_total, f_graded = parts[-1] if len(parts) > 1 else (0, ([1], None), [([1], None)])
-    total = _outer_pair(total, f_total, m, fm)
-    terms = [total]
-    for j, table in enumerate(f_graded):
-        weights = [2 * kernel[i + j] for i in range(len(graded))]
-        if any(weights):
-            weighted = tuple(_sum(*(_scaled(g[part], w) for w, g in zip(weights, graded) if w))
-                             for part in (0, 1))
-            terms.append(_outer_pair(weighted, table, m, fm))
-    t0 = tuple(_sum(*part) for part in zip(*terms))
-    t1 = tuple(_sum(_scaled(a, 3), _scaled(b, -1)) for a, b in zip(total, t0))
-    return den, m + fm, (t0, t1)
+        f_den, total, graded = part(f, ends)
+        parts.append((f.n - len(ends), total, graded))
+        den *= f_den
+    return (den, *_branches(coupler.kernel, parts, form))
 
 
-def _divided(m: int, rat, surd, mass_r: int, mass_s: int) -> BoxTable:
-    """The table ``(rat + surd*sqrt2) / (mass_r + mass_s*sqrt2)`` for a
-    positive mass, multiplied through by the conjugate mass; the shared
-    denominator of table and mass cancels."""
+def _masses(table, m: int) -> tuple:
+    """Each surviving input row's mass numerators: (rat, surd) lists."""
+    if isinstance(table, dict):  # 2**m times the empty-set column
+        rat, surd = table.get(0, ([0] * 2**m, None))
+        return [v << m for v in rat], [v << m for v in surd] if surd else [0] * len(rat)
+    rat, surd = table
+    masses = row_sums(rat, m)
+    return masses, row_sums(surd, m) if surd else [0] * len(masses)
+
+
+def _nonzero(table) -> bool:
+    pairs = table.values() if isinstance(table, dict) else (table,)
+    return any(any(rat) or (surd and any(surd)) for rat, surd in pairs)
+
+
+def _negative(table) -> bool:
+    if isinstance(table, dict):
+        return spectral_negative(table)
+    return first_negative(*table) is not None
+
+
+def _over_mass(rat, surd, mass_r: int, mass_s: int) -> tuple:
+    """``(rat + surd*sqrt2) / (mass_r + mass_s*sqrt2)`` for a positive mass,
+    as (den, rat, surd), multiplied through by the conjugate mass."""
     if not mass_s:
-        return BoxTable.from_numerators(m, mass_r, rat, surd)
+        return mass_r, rat, surd
     surd = surd or [0] * len(rat)
     norm = mass_r * mass_r - 2 * mass_s * mass_s  # nonzero: sqrt2 is irrational
     sign = 1 if norm > 0 else -1
     new_rat = [sign * (r * mass_r - 2 * s * mass_s) for r, s in zip(rat, surd)]
     new_surd = [sign * (s * mass_r - r * mass_s) for r, s in zip(rat, surd)]
-    return BoxTable.from_numerators(m, sign * norm, new_rat, new_surd)
+    return sign * norm, new_rat, new_surd
+
+
+def _divided(m: int, table, mass_r: int, mass_s: int) -> BoxTable:
+    """The branch box: ``table`` over its mass; the shared denominator of
+    table and mass cancels."""
+    if not isinstance(table, dict):
+        return BoxTable.from_numerators(m, *_over_mass(*table, mass_r, mass_s))
+    columns, den = {}, mass_r
+    for word, pair in table.items():
+        den, *columns[word] = _over_mass(*pair, mass_r, mass_s)
+    return BoxTable.from_spectrum(m, den, columns)

@@ -15,6 +15,12 @@ against it on random values.
 ``run_scenario`` is the scenario engine's branch loop as it was before its
 per-run memos; ``test_scenarios.py`` checks the engine against it on random
 scenarios.
+
+``isotropic`` writes the isotropic box cell by cell from its definition,
+``from_spectrum`` writes the cells of a spectral table by the inverse
+transform, and ``spectral`` turns a table into a spectral one by the
+forward transform, one ``Scalar`` at a time; ``test_spectral.py`` checks
+the library's spectral tables against them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 
 from boxswap import BoxTable, ONE, ZERO, Scalar
 from boxswap import scenarios as engine
@@ -75,6 +82,54 @@ def mix(terms, quasi=False):
             if p.sign() < 0:
                 raise ValidationError(f"mix produced a negative entry at index {i}")
     return BoxTable(n, out)
+
+
+def isotropic(n, xi):
+    """P(a|x) = (1 + xi * (-1)**(popcount(a) + C(popcount(x), 2))) / 2**n."""
+    probs = []
+    for x in range(2**n):
+        for a in range(2**n):
+            sign = (a.bit_count() + x.bit_count() * (x.bit_count() - 1) // 2) % 2
+            probs.append((ONE - xi if sign else ONE + xi) * Scalar.rational(1, 2**n))
+    return BoxTable(n, probs)
+
+
+def from_spectrum(n, den, columns):
+    """The cell table of the spectral table with ``columns`` over ``den``:
+    P(a|x) = sum_S (-1)**popcount(a & S) * (rat_S[x] + surd_S[x]*sqrt(2)) / den."""
+    probs = []
+    for x in range(2**n):
+        for a in range(2**n):
+            acc = ZERO
+            for word, (rat, surd) in columns.items():
+                v = Scalar.over(rat[x], surd[x] if surd else 0, den)
+                acc = acc - v if (a & word).bit_count() % 2 else acc + v
+            probs.append(acc)
+    return BoxTable(n, probs)
+
+
+def spectral(box):
+    """The spectral table equal to ``box``: column S at x is
+    sum_a (-1)**popcount(a & S) * P(a|x) / 2**n."""
+    n = box.n
+    columns = {}
+    for word in range(2**n):
+        column = []
+        for x in range(2**n):
+            acc = ZERO
+            for a in range(2**n):
+                p = box.probs[(x << n) | a]
+                acc = acc - p if (a & word).bit_count() % 2 else acc + p
+            column.append(acc * Scalar.rational(1, 2**n))
+        if any(column):
+            columns[word] = column
+    den = 1
+    for column in columns.values():
+        for v in column:
+            den = den * v.d // gcd(den, v.d)
+    return BoxTable.from_spectrum(n, den, {
+        word: ([v.r * (den // v.d) for v in column], [v.s * (den // v.d) for v in column])
+        for word, column in columns.items()})
 
 
 def tensor(a, b):

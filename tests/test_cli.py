@@ -248,6 +248,33 @@ def test_wired_swap_document_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("boxes", 1, "name"), "g", "box names must be unique"),
+        (("boxes", 0, "parties"), ["d", "b1"], "party labels must be unique across boxes"),
+        (("wirings", 0, "pair"), ["c", "zz"], "wiring references unknown label 'zz'"),
+        (("wirings", 0, "pair"), ["c", "b2"], "wiring references consumed label 'b2'"),
+        (("condition",), [0, 1], "'condition' must list one entry per coupler"),
+        (("boxes", 0, "colour"), "red", "box entry has unknown keys ['colour']"),
+        (("couplers", 0, "colour"), "red", "coupler entry has unknown keys ['colour']"),
+        (("wirings", 0, "colour"), "red", "wiring entry has unknown keys ['colour']"),
+    ],
+    ids=["box-name", "party-label", "unknown-wiring-label", "consumed-wiring-label",
+         "condition-length", "box-key", "coupler-key", "wiring-key"],
+)
+def test_scenario_loader_names_each_invalid_document(tmp_path, capsys, field, value, message):
+    # one fault per document, in the otherwise valid _wired_swap: each row
+    # fails if its check is dropped, whether the document then runs or
+    # trips over a later check
+    doc = _wired_swap()
+    _set(doc, field, value)
+    path = tmp_path / "scenario.json"
+    save_json(path, doc)
+    assert main(["run", str(path)]) == 2
+    assert _one_line_error(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "field, value, needle",
     [
         # a float n used to end in a TypeError traceback inside gsb

@@ -1,0 +1,24 @@
+"""Smoke test for ``scripts/profile_round.py``: one ``wide`` round, in-process."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_profile_round_times_and_checks_each_wide_request(capsys):
+    spec = importlib.util.spec_from_file_location("profile_round",
+                                                  ROOT / "scripts" / "profile_round.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--workload", "wide", "--repeat", "1", "--profile", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("wide seed 1: 9 requests, best of 1, round ")
+    rows = [line.split() for line in lines[2:11]]
+    assert sorted(row[2] for row in rows) == sorted(
+        f"wide:{shape}/{cls}" for shape in ("swap_two(3,3)", "swap_two(3,4)", "swap_many(2,2,3)")
+        for cls in ("dyadic", "rational", "sqrt2"))
+    assert abs(sum(float(row[1].rstrip("%")) for row in rows) - 100) < 0.1
+    assert "Ordered by: internal time" in out

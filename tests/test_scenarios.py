@@ -478,19 +478,24 @@ def test_ring_of_six_follows_the_failure_law(monkeypatch):
 @pytest.mark.parametrize("build, survivors", [
     (lambda xi: swap_two(5, 5, xi, xi), 8),
     (lambda xi: swap_many((3, 3, 3), (xi, xi, xi)), 6),
-], ids=["swap_two(5,5)", "swap_many(3,3,3)"])
+    (lambda xi: swap_two(3, 3, xi, xi), 4),
+    (lambda xi: swap_two(3, 4, xi, ONE - xi), 5),
+    (lambda xi: swap_many((2, 2, 3), (xi, xi, xi)), 4),
+], ids=["swap_two(5,5)", "swap_many(3,3,3)", "swap_two(3,3)", "swap_two(3,4)",
+        "swap_many(2,2,3)"])
 def test_large_swaps_never_write_their_joint(monkeypatch, build, survivors):
-    # the 10- and 9-party joints are contracted factor by factor: no table,
-    # built or materialized, has more parties than the coupler leaves
-    products, built = _counted_tables(monkeypatch)
-    for xi in (INV_SQRT2, Scalar(Fraction(1, 4), Fraction(1, 4))):
-        products.clear()
-        built.clear()
+    # the joints of isotropic boxes, up to 10 parties, are contracted column
+    # by column, and the swap's validation, functionals and swap law read
+    # columns too: no table is built from cells, and no product and no
+    # spectral table is materialized, at dyadic, rational or sqrt(2) weights
+    products, built, cells = _counted_tables(monkeypatch)
+    for xi in (INV_SQRT2, Scalar(Fraction(1, 4), Fraction(1, 4)), Scalar.rational(3, 8),
+               Scalar.rational(2, 3)):
         report = build(xi)
-        assert report.all_checks_passed
+        assert report.all_checks_passed and len(report.crosschecks) == 6
         assert len(report.branches) == 2 and report.total_probability == ONE
-        sizes = products + built
-        assert sizes and max(sizes) == survivors
+        assert {r.box.n for r in report.branches} == {survivors}
+        assert products == built == cells == []
 
 
 @pytest.mark.parametrize("build, users", [
@@ -502,7 +507,7 @@ def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
     # each pool is wired onto the fold without their product, and the pool
     # that closes the ring is joined across both of its wirings at once:
     # no table, built or materialized, has more than N parties
-    products, built = _counted_tables(monkeypatch)
+    products, built, _ = _counted_tables(monkeypatch)
     merges = []
     monkeypatch.setattr(scenarios, "merge_parties", lambda *args: merges.append(args))
     report = run_scenario(build())
@@ -513,9 +518,10 @@ def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
 
 def _counted_tables(monkeypatch):
     """Lists that fill, as ``boxes`` runs, with the party count of every
-    lazy product materialized and of every table built from numerators."""
-    products, built = [], []
-    product, from_numerators = boxes._product, BoxTable.from_numerators.__func__
+    lazy product materialized, of every table built from numerators, and of
+    every spectral table whose cells are built."""
+    products, built, cells = [], [], []
+    product, from_numerators, spread = boxes._product, BoxTable.from_numerators.__func__, boxes._cells
 
     def counting_product(factors):
         products.append(sum(f.n for f in factors))
@@ -525,6 +531,11 @@ def _counted_tables(monkeypatch):
         built.append(n)
         return from_numerators(cls, n, *args)
 
+    def counting_cells(n, spectrum):
+        cells.append(n)
+        return spread(n, spectrum)
+
     monkeypatch.setattr(boxes, "_product", counting_product)
     monkeypatch.setattr(BoxTable, "from_numerators", classmethod(counting_build))
-    return products, built
+    monkeypatch.setattr(boxes, "_cells", counting_cells)
+    return products, built, cells
