@@ -43,7 +43,6 @@ from .bell import (
     bounds,
     ch_evaluate,
     classify,
-    correlator,
     evaluate,
     gsi,
 )

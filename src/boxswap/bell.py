@@ -4,11 +4,11 @@ The central family here assigns every n-bit input word a coefficient of +1
 or -1 by the population count of the word modulo 4 ({0,1} -> +1, {2,3} -> -1);
 the pattern is the exact integer form of sqrt(2)*cos(pi/2*k - pi/4) and makes
 the generalized Svetlichny boxes the unique algebraic maximizers.  Correlators
-are full n-party parity expectations, in [-1, 1].
-
-``evaluate`` (and so ``classify``) reads a spectral table's full-set column,
-which holds its correlators, and never builds its cells; ``correlator`` and
-``ch_evaluate`` read cells.
+are full n-party parity expectations, in [-1, 1], and enter only through
+``evaluate``: on cells, the parity-signed sum of each row; on a spectral
+table, 2**n times its full-set column, so ``evaluate`` (and so
+``classify``) never builds a spectral table's cells.  ``ch_evaluate``
+reads four cells.
 """
 
 from __future__ import annotations
@@ -32,17 +32,6 @@ def _correlators(vec, n: int) -> list | None:
         return None
     signs, width = _character(n, 2**n - 1), 2**n
     return [_dot(signs, vec[i:i + width]) for i in range(0, len(vec), width)]
-
-
-def correlator(box: BoxTable, input_word: int) -> Scalar:
-    """Parity expectation sum over outputs of (-1)**popcount * P at one input."""
-    if not 0 <= input_word < 2**box.n:
-        raise ArityError(f"input word {input_word} out of range for n={box.n}")
-    n, signs = box.n, _character(box.n, 2**box.n - 1)
-    row = slice(input_word << n, (input_word + 1) << n)
-    return Scalar.over(
-        _dot(signs, box.rat[row]), _dot(signs, box.surd and box.surd[row]), box.den
-    )
 
 
 def gsi_sign(input_word: int) -> int:

@@ -10,15 +10,16 @@ A table's cells are stored in common-denominator form: one positive integer
 ``den`` and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that
 cell i is ``(rat[i] + surd[i]*sqrt(2)) / den``; a table without sqrt(2)
 parts carries ``surd = None``.  The triple is reduced by the gcd of all its
-integers, so it is canonical and table equality is tuple equality.  The
-operations below work on these tuples in integer arithmetic, through list
-slices and ``map`` where they can and per-cell loops where they still must;
-``validate``, ``wired`` and the coupler reach single index bits only through
-``_split``, and ``wired`` puts them back through its inverse ``_interleave``.
-``Scalar`` values appear only at the edges: ``prob``, ``probs`` (built on
-first access) and JSON input; ``to_json`` writes each distinct cell value
-once, straight from its numerators, and shares it across the cells that
-hold it.
+integers, so it is canonical and table equality is tuple equality.  A
+table is built by ``from_numerators``, ``from_spectrum`` or ``from_json``.
+The operations below work on these tuples in integer arithmetic, through
+list slices and ``map``.  They reach single index bits only through
+``_split`` and its inverse ``_interleave``, and whole words of a party
+subset through the cached ``subwords`` maps; ``_outer`` lays out the tensor
+product, the one layout written by hand.  ``Scalar`` values appear only at
+the edges: ``prob``, ``probs`` (built on first access) and JSON input;
+``to_json`` writes each distinct cell value once, straight from its
+numerators, and shares it across the cells that hold it.
 
 A table may hold its output spectrum instead of its cells (see "the
 spectral form" below): for each output word S with a nonzero coefficient,
@@ -128,16 +129,6 @@ class BoxTable:
     product, the product of its factors' spectra if each has one."""
 
     __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs")
-
-    def __init__(self, n: int, probs: Sequence[Scalar]):
-        if n < 1:
-            raise ArityError(f"a box needs at least one party, got n={n}")
-        probs = tuple(probs)
-        if len(probs) != 4**n:
-            raise ArityError(f"table for n={n} needs 4**{n} entries, got {len(probs)}")
-        self.n, self.factors, self.spectrum = n, None, None
-        self.den, self.rat, self.surd = common_form(probs)
-        self._probs = probs
 
     @classmethod
     def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
@@ -353,7 +344,7 @@ def failure(n: int) -> BoxTable:
     return _isotropic("failure", n, Scalar.rational(-1, 2))
 
 
-def deterministic_local(assignments: Sequence[tuple]) -> BoxTable:
+def deterministic_local(assignments: Iterable[tuple]) -> BoxTable:
     """Deterministic local box: party i outputs ``c ^ (m & x_i)`` for its
     assignment pair ``(c, m)``.  The 4**n such boxes for fixed n are the
     vertices of the local deterministic polytope with binary strategies."""
@@ -362,14 +353,10 @@ def deterministic_local(assignments: Sequence[tuple]) -> BoxTable:
     if n < 1:
         raise ArityError("deterministic_local needs at least one party")
     _check_cap(n)
-    rat = [0] * 4**n
-    for x in range(2**n):
-        a = 0
-        for i, (c, m) in enumerate(assignments):
-            bit = c ^ (m & (x >> i))
-            a |= (bit & 1) << i
-        rat[(x << n) | a] = 1
-    return BoxTable.from_numerators(n, 1, rat)
+    # party i alone outputs c at input 0 and c ^ m at input 1
+    parties = [BoxTable.from_numerators(1, 1, (1 - c, c, 1 - (c ^ m), c ^ m))
+               for c, m in assignments]
+    return BoxTable.from_numerators(n, *_product(parties))
 
 
 _NAMED = {
@@ -683,10 +670,9 @@ def _join_plan(na: int, nb: int, pairs: tuple) -> tuple:
     words, so it also serves, through an ``itemgetter``, to lay one row of
     ``b`` out in the result's output order."""
     m = na + nb - len(pairs)
-    source = {j - 1: i - 1 for i, j in pairs}  # b's bit -> the result's bit
-    rest = iter(range(na, m))
-    source.update((q, next(rest)) for q in range(nb) if q not in source)
-    words = tuple(sum(((w >> source[q]) & 1) << q for q in range(nb)) for w in range(1 << m))
+    source = {j: i for i, j in pairs}  # b's party -> the result's party
+    rest = iter(range(na + 1, m + 1))
+    words = subwords(m, tuple(source.get(q) or next(rest) for q in range(1, nb + 1)))
     return m, words, itemgetter(*words)
 
 
@@ -775,30 +761,16 @@ def wired(a: BoxTable, b: BoxTable, pairs: Iterable[tuple]) -> BoxTable:
     return BoxTable.from_numerators(m, (a.den * b.den) << k, *out)
 
 
-def _gather(vec: Sequence[int], n: int, size: int, row_at: Sequence, col_at: Sequence) -> list:
-    """Sum cell (x, a) of an n-party vector into ``out[row_at[x] | col_at[a]]``,
-    skipping input words whose ``row_at`` is None."""
-    out = [0] * size
-    width = 1 << n
-    for x, row in enumerate(row_at):
-        if row is None:
-            continue
-        for a, v in enumerate(vec[x * width:(x + 1) * width]):
-            if v:
-                out[row | col_at[a]] += v
-    return out
-
-
-def _marginals(box: BoxTable, keep: tuple, dropped: tuple) -> list:
-    """The marginal on ``keep`` at every input assignment of ``dropped``, as
-    ``(rat, surd)`` numerator pairs over ``box.den``."""
-    n, m = box.n, len(keep)
-    kept, lost = subwords(n, keep), subwords(n, dropped)
-    row_at = [(lost[x] << (2 * m)) | (kept[x] << m) for x in range(2**n)]
-    size, total = 4**m, 4**m << len(dropped)
-    rat, surd = (_gather(vec, n, total, row_at, kept) if vec else None
-                 for vec in (box.rat, box.surd))
-    return [(rat[i:i + size], surd and surd[i:i + size]) for i in range(0, total, size)]
+def _traced(vec: Sequence[int], m: int, dropped: tuple) -> list:
+    """The marginals of a numerator vector on its m parties not in the
+    ascending ``dropped``, in ascending party order, at every input
+    assignment of ``dropped`` (bit i of the assignment is dropped[i]'s input)."""
+    for party in reversed(dropped):  # the dropped outputs, highest first
+        vec = list(map(add, *_split(vec, party - 1)))
+    parts = [vec]  # then their inputs, party p's now at bit m + p - 1
+    for party in reversed(dropped):
+        parts = [half for part in parts for half in _split(part, m + party - 1)]
+    return parts
 
 
 def marginalize(box: BoxTable, keep: Sequence[int]) -> BoxTable:
@@ -814,14 +786,23 @@ def marginalize(box: BoxTable, keep: Sequence[int]) -> BoxTable:
         raise ArityError(f"keep must list distinct parties, got {list(keep)}")
     if any(p < 1 or p > box.n for p in keep):
         raise ArityError(f"keep={list(keep)} out of range for n={box.n}")
+    m = len(keep)
     dropped = tuple(p for p in range(1, box.n + 1) if p not in keep)
-    tables = _marginals(box, keep, dropped)
+    rat, surd = (vec and _traced(vec, m, dropped) for vec in (box.rat, box.surd))
+    tables = list(zip(rat, surd or repeat(None)))
     for assign in range(len(tables)):
         for i, party in enumerate(dropped):
             if tables[assign] != tables[assign ^ (1 << i)]:
                 raise SignalingError(party)
     rat, surd = tables[0]
-    return BoxTable.from_numerators(len(keep), box.den, rat, surd)
+    ascending = tuple(sorted(keep))
+    if keep != ascending:
+        # the result's row w is the ascending row words[w], its cells reordered
+        words = subwords(m, tuple(keep.index(p) + 1 for p in ascending))
+        gather, width = itemgetter(*words), 1 << m
+        rat, surd = (vec and list(chain.from_iterable(
+            gather(vec[w * width:(w + 1) * width]) for w in words)) for vec in (rat, surd))
+    return BoxTable.from_numerators(m, box.den, rat, surd)
 
 
 def permute_parties(box: BoxTable, order: Sequence[int]) -> BoxTable:
@@ -829,6 +810,16 @@ def permute_parties(box: BoxTable, order: Sequence[int]) -> BoxTable:
     if sorted(order) != list(range(1, box.n + 1)):
         raise ArityError(f"order must be a permutation of 1..{box.n}, got {list(order)}")
     return marginalize(box, order)
+
+
+def _merged(vec: Sequence[int], n: int, lo: int, hi: int) -> list:
+    """``merge_parties`` on one numerator vector: the rows where parties lo
+    and hi have equal inputs, then a_hi folded into a_lo by XOR."""
+    zero, one = (_split(half, n + lo - 1) for half in _split(vec, n + hi - 1))
+    vec = _interleave(zero[0], one[1], n + lo - 1)
+    (a0, a1), (b0, b1) = (_split(half, lo - 1) for half in _split(vec, hi - 1))
+    # merged bit 0 from a_lo = a_hi, merged bit 1 from a_lo != a_hi
+    return _interleave(list(map(add, a0, b1)), list(map(add, a1, b0)), lo - 1)
 
 
 def merge_parties(box: BoxTable, i: int, j: int) -> BoxTable:
@@ -840,20 +831,9 @@ def merge_parties(box: BoxTable, i: int, j: int) -> BoxTable:
         raise ArityError(f"merge needs two distinct parties in range, got {i}, {j}")
     if box.n < 2:
         raise ArityError("merge needs at least two parties")
-    lo, hi = min(i, j), max(i, j)
-    n, m = box.n, box.n - 1
-    # result slot -> original party, with lo's slot standing for the pair
-    slots = tuple(p for p in range(1, n + 1) if p != hi)
-    lo_slot = slots.index(lo)
-    sub = subwords(n, slots)
-    # only inputs that agree on the pair's two slots occur; the merged output
-    # bit is the XOR of the pair's output bits
-    row_at = [sub[x] << m if (x >> (lo - 1) ^ x >> (hi - 1)) & 1 == 0 else None
-              for x in range(2**n)]
-    col_at = [sub[a] ^ (((a >> (hi - 1)) & 1) << lo_slot) for a in range(2**n)]
-    rat, surd = (_gather(vec, n, 4**m, row_at, col_at) if vec else None
-                 for vec in (box.rat, box.surd))
-    return BoxTable.from_numerators(m, box.den, rat, surd)
+    n, lo, hi = box.n, min(i, j), max(i, j)
+    rat, surd = (vec and _merged(vec, n, lo, hi) for vec in (box.rat, box.surd))
+    return BoxTable.from_numerators(n - 1, box.den, rat, surd)
 
 
 # -- validation -------------------------------------------------------------

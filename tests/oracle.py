@@ -21,6 +21,10 @@ scenarios.
 transform, and ``spectral`` turns a table into a spectral one by the
 forward transform, one ``Scalar`` at a time; ``test_spectral.py`` checks
 the library's spectral tables against them.
+
+``from_probs`` builds a table from its cells, one ``Scalar`` each: the
+library builds tables only from integer numerators, spectra and documents,
+and the oracle and the tests write theirs cell by cell.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from boxswap import BoxTable, ONE, ZERO, Scalar
 from boxswap import scenarios as engine
 from boxswap.coupler import BranchResult
 from boxswap.errors import ArityError, CouplerInvalidError, SignalingError, ValidationError
-from boxswap.scalar import qsign
+from boxswap.scalar import common_form, qsign
+
+
+def from_probs(n, probs):
+    """The n-party table whose cells, in index order, are the Scalars ``probs``."""
+    return BoxTable.from_numerators(n, *common_form(list(probs)))
 
 
 def _entries(box):
@@ -81,7 +90,7 @@ def mix(terms, quasi=False):
         for i, p in enumerate(out):
             if p.sign() < 0:
                 raise ValidationError(f"mix produced a negative entry at index {i}")
-    return BoxTable(n, out)
+    return from_probs(n, out)
 
 
 def isotropic(n, xi):
@@ -91,7 +100,7 @@ def isotropic(n, xi):
         for a in range(2**n):
             sign = (a.bit_count() + x.bit_count() * (x.bit_count() - 1) // 2) % 2
             probs.append((ONE - xi if sign else ONE + xi) * Scalar.rational(1, 2**n))
-    return BoxTable(n, probs)
+    return from_probs(n, probs)
 
 
 def from_spectrum(n, den, columns):
@@ -105,7 +114,7 @@ def from_spectrum(n, den, columns):
                 v = Scalar.over(rat[x], surd[x] if surd else 0, den)
                 acc = acc - v if (a & word).bit_count() % 2 else acc + v
             probs.append(acc)
-    return BoxTable(n, probs)
+    return from_probs(n, probs)
 
 
 def spectral(box):
@@ -143,7 +152,7 @@ def tensor(a, b):
             if not pb:
                 continue
             out[((xa | (xb << na)) << n) | (aa | (ab << na))] = pa * pb
-    return BoxTable(n, out)
+    return from_probs(n, out)
 
 
 def marginalize(box, keep):
@@ -168,7 +177,7 @@ def marginalize(box, keep):
         for i, party in enumerate(dropped):
             if tables[assign] != tables[assign ^ (1 << i)]:
                 raise SignalingError(party)
-    return BoxTable(m, tables[0])
+    return from_probs(m, tables[0])
 
 
 def merge_parties(box, i, j):
@@ -189,7 +198,7 @@ def merge_parties(box, i, j):
                 a |= (t ^ merged_bit) << (hi - 1)
                 acc = acc + box.probs[(x << n) | a]
             out[(xr << m) | ar] = acc
-    return BoxTable(m, out)
+    return from_probs(m, out)
 
 
 def validate(box):
@@ -288,7 +297,7 @@ def branch_results(tables, m):
             if v.sign() < 0:
                 raise CouplerInvalidError(branch)
             probs.append(v / mass)
-        results.append(BranchResult(branch, mass, BoxTable(m, probs)))
+        results.append(BranchResult(branch, mass, from_probs(m, probs)))
     return tuple(results)
 
 

@@ -1,4 +1,4 @@
-"""Functionals: correlators, the +--+ family, CH form, bounds, verdicts."""
+"""Functionals: the +--+ family, CH form, bounds, verdicts."""
 
 from fractions import Fraction
 
@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from boxswap import (
     Scalar,
     INV_SQRT2,
-    ONE,
     ZERO,
     anti_pr,
     bounds,
     ch_evaluate,
     classify,
-    correlator,
     deterministic_local,
     evaluate,
     gsb,
@@ -27,23 +25,6 @@ from boxswap import (
 )
 from boxswap.bell import gsi_sign
 from boxswap.errors import ArityError
-
-
-def test_correlator_values_on_pr():
-    # E = +1 except on the (1,1) input where outputs anti-align
-    assert correlator(pr(), 0b00) == ONE
-    assert correlator(pr(), 0b01) == ONE
-    assert correlator(pr(), 0b10) == ONE
-    assert correlator(pr(), 0b11) == -ONE
-    with pytest.raises(ArityError):
-        correlator(pr(), 4)
-
-
-def test_correlator_range_on_mixtures():
-    box = isotropic(2, Scalar.rational(1, 3))
-    for x in range(4):
-        value = correlator(box, x)
-        assert -ONE <= value <= ONE
 
 
 def test_gsi_sign_pattern():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from boxswap import (
     BoxTable,
     Scalar,
@@ -103,6 +104,22 @@ def test_deterministic_local_outputs():
     assert validate(box).all_ok
 
 
+def test_deterministic_local_arity_cap_and_cells():
+    with pytest.raises(ArityError, match="^deterministic_local needs at least one party$"):
+        deterministic_local([])
+    pairs = [(1, 1), (0, 1), (1, 0)]
+    box = deterministic_local(pair for pair in pairs)
+    assert box == deterministic_local(pairs)
+    with pytest.raises(PartyCapError):
+        deterministic_local([(0, 1)] * 11)
+    # party i outputs c ^ (m & x_i), one cell of each row holding 1
+    probs = [ZERO] * 64
+    for x in range(8):
+        a = sum((c ^ (m & (x >> i))) << i for i, (c, m) in enumerate(pairs))
+        probs[(x << 3) | a] = ONE
+    assert box == oracle.from_probs(3, probs)
+
+
 def test_named_box_dispatch():
     assert named_box("pr") == pr()
     assert named_box("gsb", 4) == gsb(4)
@@ -122,7 +139,7 @@ def test_mix_checks_weights_and_sign():
         mix([(HALF, pr()), (QUARTER, mixed(2))])
     with pytest.raises(ValidationError):
         mix([(Scalar(2), pr()), (Scalar(-1), anti_pr())])
-    quasi = BoxTable(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
+    quasi = oracle.from_probs(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
     assert min(p.sign() for p in quasi.probs) < 0
 
 
@@ -166,12 +183,25 @@ def test_marginalize_detects_signaling():
         x1 = x & 1
         for a1 in range(2):
             probs[(x << 2) | (x1 << 1) | a1] = HALF
-    box = BoxTable(2, probs)
+    box = oracle.from_probs(2, probs)
     with pytest.raises(SignalingError) as err:
         marginalize(box, [2])
     assert err.value.party == 1
     # keeping the signaling party instead is fine
     assert marginalize(box, [1]) == marginalize(mixed(2), [1])
+
+
+def test_marginalize_names_the_first_signaling_party():
+    # a1 = a2 = 0 and a3 = x2 * (1 - x1): keeping party 3, party 2's input
+    # shifts the marginal at x1 = 0, party 1's only at x2 = 1; assignments
+    # are compared in ascending order, so party 2 is named
+    rat = [0] * 64
+    for x in range(8):
+        x1, x2 = x & 1, (x >> 1) & 1
+        rat[(x << 3) | (x2 * (1 - x1)) << 2] = 1
+    with pytest.raises(SignalingError) as err:
+        marginalize(BoxTable.from_numerators(3, 1, rat), [3])
+    assert err.value.party == 2
 
 
 def test_permute_parties_round_trip():
@@ -205,10 +235,10 @@ def test_validate_flags_bad_tables():
     assert good.nonsignaling == {1: True, 2: True}
 
     short = [p * HALF for p in pr().probs]
-    report = validate(BoxTable(2, short))
+    report = validate(oracle.from_probs(2, short))
     assert not report.normalized and not report.all_ok
 
-    quasi = BoxTable(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
+    quasi = oracle.from_probs(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
     report = validate(quasi)
     assert not report.nonnegative
 

@@ -230,7 +230,7 @@ def test_inline_table_boxes_run():
 
 
 def test_inline_table_must_be_valid():
-    quasi = BoxTable(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
+    quasi = oracle.from_probs(2, [2 * p - q for p, q in zip(pr().probs, anti_pr().probs)])
     spec = ScenarioSpec(
         name="bad-inline",
         boxes=(ScenarioBox("q", "inline", 2, ("a", "b"), table=quasi),),
