@@ -1,7 +1,7 @@
 """Where one benchmark round spends its time, request by request, in-process.
 
     python3 scripts/profile_round.py --workload {checks,documents,wide} \\
-        [--seed S] [--repeat R] [--profile N]
+        [--seed S] [--repeat R] [--phases] [--profile N]
 
 The workload's round of requests is built by ``perfbench/workloads.py``
 (imported as it is) against this checkout's ``src/``, with documents written
@@ -9,9 +9,15 @@ to a temporary directory.  One untimed round warms the library's caches;
 then each request runs R times (default 5), and its best time and that
 time's share of the round (the sum of the best times) are printed, slowest
 first.  Every output is checked after its call, outside the timed interval;
-a failed check is printed and the exit code is 1.  ``--profile N`` runs one
-more round under cProfile and prints the N functions with the most self
-time.  Times are wall-clock times of this host, with no correction for its
+a failed check is printed and the exit code is 1.  ``--phases`` splits
+each ``run`` and ``reproduce`` request into the steps of ``boxswap.cli``,
+load (``load_json``), spec (``ScenarioSpec.from_json``), run
+(``run_scenario`` or ``run_checks``), to_json, dumps (``canonical_dumps``)
+and emit (``_emit``), runs them R more times, and prints each step's best
+time per request and summed over those requests (a ``reproduce`` request
+has no load or spec step); the output of every such run is checked as the
+request's own.  ``--profile N`` runs one more round under cProfile and
+prints the N functions with the most self time.  Times are wall-clock times of this host, with no correction for its
 speed: compare two checkouts by alternating runs on one machine.
 """
 
@@ -61,11 +67,74 @@ def best_times(requests, repeat: int) -> list:
     return rows
 
 
+PHASES = ("load", "spec", "run", "to_json", "dumps", "emit")
+
+
+def phase_times(boxswap, request, repeat: int) -> tuple | None:
+    """(best seconds per phase, None where a phase does not apply, problem
+    or None) for a ``run`` or ``reproduce`` request of ``boxswap.cli``,
+    with the steps of its ``cmd_run``/``cmd_reproduce`` timed one by one;
+    None for any other request."""
+    argv = getattr(request, "argv", None)
+    if not argv or argv[0] not in ("run", "reproduce"):
+        return None
+    from boxswap.checks import run_checks
+    from boxswap.cli import _build_parser, _emit
+    from boxswap.fileio import canonical_dumps, load_json
+    args = _build_parser().parse_args(argv)
+    best, problem = [float("inf")] * len(PHASES), None
+    for _ in range(repeat):
+        request.prepare()
+        marks = [perf_counter()]
+        if args.verb == "run":
+            data = load_json(args.scenario)
+            marks.append(perf_counter())
+            spec = boxswap.ScenarioSpec.from_json(data)
+            marks.append(perf_counter())
+            report = boxswap.run_scenario(spec)
+            marks.append(perf_counter())
+            doc = report.to_json()
+            rc = 0 if report.all_checks_passed else 2
+        else:
+            marks += marks * 2  # no document to load
+            results = run_checks(args.filter)
+            marks.append(perf_counter())
+            doc = {"checks": [r.to_json() for r in results],
+                   "all_passed": all(r.passed for r in results)}
+            rc = 0 if doc["all_passed"] else 2
+        marks.append(perf_counter())
+        text = canonical_dumps(doc)
+        marks.append(perf_counter())
+        _emit(text, args.output)
+        marks.append(perf_counter())
+        best = [min(b, end - start) for b, start, end in zip(best, marks, marks[1:])]
+        problem = problem or request.check(rc)
+    if args.verb == "reproduce":
+        best[:2] = [None, None]
+    return best, problem
+
+
+def _phase_table(rows: list) -> list:
+    """The lines of the ``--phases`` table: one per request, slowest first,
+    then the round's sum of each phase."""
+    def line(times, label):
+        cells = ["-" if t is None else f"{t * 1e3:.3f}" for t in times]
+        return "  ".join(f"{c:>8}" for c in cells) + f"  {label}"
+    total = lambda times: sum(t for t in times if t is not None)  # noqa: E731
+    lines = ["  ".join(f"{name:>8}" for name in PHASES + ("total",)) + "  request"]
+    for label, times in sorted(rows, key=lambda row: -total(row[1])):
+        lines.append(line(times + [total(times)], label))
+    sums = [sum(times[i] or 0 for _, times in rows) for i in range(len(PHASES))]
+    lines.append(line(sums + [sum(sums)], "(round)"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=("checks", "documents", "wide"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--phases", action="store_true")
     parser.add_argument("--profile", type=int, default=0, metavar="N")
     args = parser.parse_args(argv)
     if args.repeat < 1:
@@ -76,6 +145,13 @@ def main(argv=None) -> int:
         problems = [(r.label, _checked(r)) for r in requests]  # the warm-up round
         rows = best_times(requests, args.repeat)
         problems += [(label, problem) for label, _, problem in rows]
+        phases = []
+        if args.phases:
+            for request in requests:
+                split = phase_times(boxswap, request, args.repeat)
+                if split is not None:
+                    phases.append((request.label, split[0]))
+                    problems.append((request.label, split[1]))
         if args.profile:
             profiler = cProfile.Profile()
             for request in requests:
@@ -87,6 +163,9 @@ def main(argv=None) -> int:
     print(f"{'ms':>9}  {'share':>6}  request")
     for label, best, _ in sorted(rows, key=lambda row: -row[1]):
         print(f"{best * 1e3:9.3f}  {best / total:6.1%}  {label}")
+    if args.phases:
+        print(f"phases of {len(phases)} run/reproduce requests, best of {args.repeat} each, ms")
+        print("\n".join(_phase_table(phases)))
     if args.profile:
         text = io.StringIO()
         pstats.Stats(profiler, stream=text).sort_stats("tottime").print_stats(args.profile)

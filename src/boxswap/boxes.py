@@ -26,21 +26,20 @@ spectral form" below): for each output word S with a nonzero coefficient,
 one column over the 2**n input words.  The isotropic family (``isotropic``,
 ``gsb``, ``pr``, ``sb``, ``mixed``, ``anti_pr``, ``failure``) is built this
 way, two columns each, and so are the coupler's branch boxes on products of
-such tables.  ``validate``, ``==`` between two spectral tables, the coupler
-and ``bell.evaluate`` read the columns; the first read of ``den``, ``rat``
-or ``surd`` (``to_json``, ``probs``, ``wired``, ``mix``, ``marginalize``,
-``merge_parties``, equality with a cell table) builds the cells once, by
-the inverse transform, and keeps them.
+such tables and every ``wired`` join.  ``validate``, ``==`` between two
+spectral tables, ``wired``, the coupler and ``bell.evaluate`` read the
+columns; the first read of ``den``, ``rat`` or ``surd`` (``to_json``,
+``probs``, ``mix``, ``marginalize``, ``merge_parties``, equality with a
+cell table) builds the cells once, by the inverse transform, and keeps them.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
 factor by factor without ever writing it; a product of spectral tables also
 has a spectrum, the outer products of its factors' columns.  ``wired``
-joins two tables across any number of wirings between them the same way:
-it equals ``merge_parties`` of their ``tensor``, pair by pair, but never
-writes that product.  A wired cell is an XOR convolution over the wired
-output bits, which the sum and difference over each such bit turn into a
-plain product.
+joins two tables across any number of wirings between them without their
+product: it equals ``merge_parties`` of their ``tensor``, pair by pair, and
+is spectral, each column the product of a column of each table that agree
+on the wired output bits.  So a ring of boxes folds on columns alone.
 """
 
 from __future__ import annotations
@@ -126,9 +125,12 @@ class BoxTable:
     and ``den``, ``rat`` and ``surd`` are built from it on first read.
     ``spectrum`` is ``(den, columns)`` for a spectral table (see
     ``from_spectrum``), None for a table built from its cells, and for a
-    product, the product of its factors' spectra if each has one."""
+    product, the product of its factors' spectra if each has one.
+    ``nonnegative`` is True once a sign test has cleared the cells (a
+    coupler's branch boxes, and joins of them), and ``validate`` takes it as
+    it is; None otherwise."""
 
-    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs")
+    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs", "nonnegative")
 
     @classmethod
     def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
@@ -150,7 +152,10 @@ class BoxTable:
 
     def __getattr__(self, name):
         # only reached while a slot is unset: the spectrum of a lazy product,
-        # and den, rat, surd of a lazy product or a spectral table
+        # den, rat, surd of a lazy product or a spectral table, and a sign
+        # verdict that none has recorded
+        if name == "nonnegative":
+            return None
         if name == "spectrum" and self.factors is not None:
             self.spectrum = _product_spectrum(self.factors)
             return self.spectrum
@@ -208,13 +213,10 @@ class BoxTable:
         n, den, mask = self.n, self.den, 2**self.n - 1
         words = [word_to_str(w, n) for w in range(2**n)]
         values: dict = {}
-        probs = []
-        for i, cell in enumerate(zip(self.rat, self.surd or repeat(0))):
-            if cell[0] or cell[1]:
-                value = values.get(cell)
-                if value is None:
-                    value = values[cell] = scalar_json(*cell, den)
-                probs.append([words[i >> n], words[i & mask], value])
+        probs = [[words[i >> n], words[i & mask],
+                  values.get(cell) or values.setdefault(cell, scalar_json(*cell, den))]
+                 for i, cell in enumerate(zip(self.rat, self.surd or repeat(0)))
+                 if cell[0] or cell[1]]
         return {"n": n, "order": WORD_ORDER, "probs": probs}
 
     @classmethod
@@ -555,8 +557,11 @@ def _reduced_spectrum(den: int, columns: dict) -> tuple:
 
 def _cells(n: int, spectrum: tuple) -> tuple:
     """The reduced (den, rat, surd) of a spectral table's cells: each
-    column, spread over its row's outputs by its character, summed."""
+    column spread over its row's outputs by its character and summed, or,
+    for more than n columns, one inverse butterfly (``_inverse``)."""
     den, columns = spectrum
+    if len(columns) > n:
+        return reduce_form(den, *_inverse(n, columns))
     spread = [(1, tuple(col and [c * sign for c in col for sign in _character(n, word)]
                         for col in pair))
               for word, pair in columns.items()]
@@ -610,14 +615,19 @@ def _pattern_words(words: frozenset) -> tuple:
     return tuple(out)
 
 
-def spectral_negative(columns: dict) -> bool:
-    """True iff some cell of the spectral table with ``columns`` is
+def spectral_negative(n: int, columns: dict) -> bool:
+    """True iff some cell of the n-party spectral table with ``columns`` is
     negative: every row's distinct cells are its pattern sums, one per
-    word of ``_pattern_words``, and those are tested together."""
+    word of ``_pattern_words``, and those are tested together.  Once those
+    sums cost more than n passes over every cell, the cells are built by
+    one inverse butterfly and tested instead."""
     if not columns:
         return False
+    patterns = _pattern_words(frozenset(columns))
+    if len(patterns) * len(columns) > n << n:
+        return first_negative(*_inverse(n, columns)) is not None
     rat, surd = [], []
-    for a in _pattern_words(frozenset(columns)):
+    for a in patterns:
         r, s = _combined([(-1 if (a & w).bit_count() & 1 else 1, pair)
                           for w, pair in columns.items()])
         rat += r
@@ -664,36 +674,58 @@ def _interleave(lo: Sequence[int], hi: Sequence[int], bit: int) -> list:
 @lru_cache(maxsize=64)
 def _join_plan(na: int, nb: int, pairs: tuple) -> tuple:
     """The index plan of ``wired`` for sorted ``pairs``: the result's party
-    count m, and for each of the result's 2**m words, the word of ``b`` it
-    holds: wired party j at the word's bit i - 1, the rest of ``b`` at its
-    bits from ``na`` up, in order.  The map is the same for input and output
-    words, so it also serves, through an ``itemgetter``, to lay one row of
-    ``b`` out in the result's output order."""
+    count m; an ``itemgetter`` that lays a column over ``b``'s input words
+    out over the result's (the word of ``b`` a result word holds: wired
+    party j at the word's bit i - 1, the rest of ``b`` at its bits from
+    ``na`` up, in order); the wired bits of each word of ``a`` and of ``b``,
+    in pair order; and for each word of ``b``, its unwired bits at their
+    place in the result."""
     m = na + nb - len(pairs)
     source = {j: i for i, j in pairs}  # b's party -> the result's party
     rest = iter(range(na + 1, m + 1))
     words = subwords(m, tuple(source.get(q) or next(rest) for q in range(1, nb + 1)))
-    return m, words, itemgetter(*words)
+    free = tuple(q for q in range(1, nb + 1) if q not in source)
+    return (m, itemgetter(*words), subwords(na, tuple(i for i, _ in pairs)),
+            subwords(nb, tuple(j for _, j in pairs)), [w << na for w in subwords(nb, free)])
 
 
 def _butterflied(vec: Sequence[int], bits: Iterable[int]) -> list:
     """``vec`` with each index bit in ``bits`` turned into sum and difference:
     per bit, the cell with it clear gets lo + hi and the cell with it set
-    gets lo - hi.  Applied twice, it multiplies ``vec`` by 2**len(bits)."""
+    gets lo - hi.  Over a table's n output bits it is the transform between
+    cells and columns, either way: applied twice, it multiplies ``vec`` by
+    2**len(bits)."""
     for bit in bits:
         lo, hi = _split(vec, bit)
         vec = _interleave(list(map(add, lo, hi)), list(map(sub, lo, hi)), bit)
     return vec
 
 
-def _transformed(box: BoxTable, bits: Sequence[int]) -> tuple:
-    """``box``'s rat and surd (None for none) butterflied over output
-    ``bits``.  The bits lie below the table's size, so both vectors go
-    through one pass side by side."""
-    if box.surd is None:
-        return _butterflied(box.rat, bits), None
-    both = _butterflied(box.rat + box.surd, bits)
-    return both[:len(box.rat)], both[len(box.rat):]
+def _forward(box: BoxTable) -> tuple:
+    """The reduced spectrum of a table read from its cells: one butterfly
+    over the output bits leaves den * c_S(x) at cell (x, S), so column S is
+    that stride over ``den * 2**n``.  rat and surd go through side by side."""
+    n, rat, surd = box.n, box.rat, box.surd
+    size, width = len(rat), 1 << n
+    both = _butterflied(rat if surd is None else rat + surd, range(n))
+    return _reduced_spectrum(box.den << n, {
+        word: (both[word:size:width], None if surd is None else both[size + word::width])
+        for word in range(width)})
+
+
+def _inverse(n: int, columns: dict) -> tuple:
+    """The unreduced (rat, surd) cells of ``columns``: each column placed at
+    the cells (x, S) of its word S, and one butterfly over the output bits."""
+    width = 1 << n
+    size = width << n
+    surd = any(s is not None for _, s in columns.values())
+    both = [0] * (2 * size if surd else size)
+    for word, (r, s) in columns.items():
+        both[word:size:width] = r
+        if s is not None:
+            both[size + word::width] = s
+    both = _butterflied(both, range(n))
+    return (both[:size], both[size:]) if surd else (both, None)
 
 
 def _check_pairs(na: int, nb: int, pairs: tuple) -> None:
@@ -714,51 +746,45 @@ def wired(a: BoxTable, b: BoxTable, pairs: Iterable[tuple]) -> BoxTable:
     ``pairs``, without writing their product.  Each merged party sits at its
     slot in ``a``; the wired parties of ``b`` drop out and the rest of ``b``
     follows in order.  The result equals ``merge_parties`` of
-    ``tensor(a, b)`` applied pair by pair.
+    ``tensor(a, b)`` applied pair by pair, and it is a spectral table.
 
-    A merged output bit is the XOR of the two wired bits, so each cell is an
-    XOR convolution over the k wired output bits.  In the sum/difference
-    domain of those bits (``_butterflied``) a convolution is a plain
-    product with the bit shared: each result cell is one transformed cell
-    of ``a`` times one of ``b``.  A result row's input word names its two
-    source rows, and ``_join_plan`` lays ``b``'s row out in the result's
-    output order, so the product is built row by row.  One more sum and
-    difference per merged output bit gives 2**k times the result, which the
-    denominator a.den * b.den * 2**k takes back out.  For k = 1 the cells
-    are (S_a*S_b + D_a*D_b) / 2 and (S_a*S_b - D_a*D_b) / 2, S and D the
-    sum and difference over the wired output bits."""
+    A merged output bit is the XOR of the two wired bits, so the result's
+    coefficient at an output word T is a's coefficient at T's bits in
+    ``a`` times b's at the word with T's merged bits at b's wired parties.
+    So each pair of columns, S of ``a`` and T of ``b``, whose bits agree on
+    every wired party is one column of the result: their product at the
+    joined input word (``_join_plan``), times 2**k for the k output bits
+    the product no longer counts twice; a pair that disagrees cancels.  A
+    table held as cells enters through one forward butterfly (``_forward``),
+    and the result's cells are built only if something reads them."""
     pairs = tuple(sorted(pairs))
     na, nb, k = a.n, b.n, len(pairs)
     _check_pairs(na, nb, pairs)
     _check_cap(na + nb - k)
-    m, words, gather = _join_plan(na, nb, pairs)
-    rep = 1 << (m - na)
-    a_bits, b_bits = [i - 1 for i, _ in pairs], [j - 1 for _, j in pairs]
+    m, gather, key_a, key_b, placed = _join_plan(na, nb, pairs)
+    (den_a, cols_a), (den_b, cols_b) = (
+        box.spectrum if box.spectrum is not None else _forward(box) for box in (a, b))
+    g = gcd(den_a * den_b, 1 << k)
+    den, scale, rep = den_a * den_b // g, (1 << k) // g, 1 << (m - na)
+    by_key: dict = {}
+    for word, pair in cols_b.items():
+        by_key.setdefault(key_b[word], []).append((placed[word], pair))
 
-    def a_rows(vec):
-        # a's row at input x, repeated once per output word of b's free parties
-        return vec and [vec[x:x + (1 << na)] * rep for x in range(0, len(vec), 1 << na)]
+    def outer(u, v):
+        # the result's input word x reads u at its low na bits, which cycle
+        return list(map(mul, u * rep, gather(v)))
 
-    def b_rows(vec):
-        # b's row at input x, in the result's output order
-        return vec and [gather(vec[x:x + (1 << nb)]) for x in range(0, len(vec), 1 << nb)]
-
-    def products(u, v):
-        # the result's input word x reads a's row at its low na bits, which
-        # cycle, and b's row at words[x]
-        return chain.from_iterable(map(map, repeat(mul), u * rep, map(v.__getitem__, words)))
-
-    (ar, a_s), (br, bs) = _transformed(a, a_bits), _transformed(b, b_bits)
-    doubled = b_rows(a_s and bs and [2 * v for v in bs])
-    ar, a_s, br, bs = a_rows(ar), a_rows(a_s), b_rows(br), b_rows(bs)
-    # (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2
-    rat = products(ar, br)
-    if doubled:
-        rat = map(add, rat, products(a_s, doubled))
-    terms = [products(x, y) for x, y in ((a_s, br), (ar, bs)) if x and y]
-    surd = map(add, *terms) if len(terms) == 2 else terms[0] if terms else None
-    out = [None if v is None else _butterflied(list(v), a_bits) for v in (rat, surd)]
-    return BoxTable.from_numerators(m, (a.den * b.den) << k, *out)
+    columns = {}
+    for word, (rat, surd) in cols_a.items():
+        matches = by_key.get(key_a[word])
+        if matches:
+            pair = _scaled(rat, scale), _scaled(surd, scale)
+            for top, other in matches:
+                columns[word | top] = _pair_product(pair, other, outer)
+    box = _spectral(m, _reduced_spectrum(den, columns))
+    # a cell of the join is a sum of products of a cell of each
+    box.nonnegative = True if a.nonnegative and b.nonnegative else None
+    return box
 
 
 def _traced(vec: Sequence[int], m: int, dropped: tuple) -> list:
@@ -877,7 +903,7 @@ def _input_free(vec: Sequence[int], n: int, party: int) -> bool:
     return x0 == x1
 
 
-def _spectral_report(n: int, spectrum: tuple) -> ValidationReport:
+def _spectral_report(n: int, spectrum: tuple, nonnegative: bool | None) -> ValidationReport:
     """``validate`` on the columns: a row's mass is 2**n times its empty-set
     column, and party p's input is free when each column without p's output
     bit is the same at both of p's inputs."""
@@ -891,16 +917,19 @@ def _spectral_report(n: int, spectrum: tuple) -> ValidationReport:
             eq(*_split(col, party - 1))
             for word, pair in columns.items() if not word & bit
             for col in pair if col is not None)
-    return ValidationReport(normalized, not spectral_negative(columns), nonsignaling)
+    if nonnegative is None:
+        nonnegative = not spectral_negative(n, columns)
+    return ValidationReport(normalized, nonnegative, nonsignaling)
 
 
 def validate(box: BoxTable) -> ValidationReport:
     if box.spectrum is not None:
-        return _spectral_report(box.n, box.spectrum)
-    n, rat, surd = box.n, box.rat, box.surd
+        return _spectral_report(box.n, box.spectrum, box.nonnegative)
+    n, rat, surd, nonnegative = box.n, box.rat, box.surd, box.nonnegative
     normalized = all(v == box.den for v in row_sums(rat, n)) and (
         surd is None or not any(row_sums(surd, n)))
-    nonnegative = first_negative(rat, surd) is None
+    if nonnegative is None:
+        nonnegative = first_negative(rat, surd) is None
     nonsignaling = {
         party: _input_free(rat, n, party) and (surd is None or _input_free(surd, n, party))
         for party in range(1, n + 1)

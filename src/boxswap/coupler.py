@@ -181,7 +181,7 @@ def apply_coupler(
                 )
             results.append(BranchResult(branch, ZERO, None))
             continue
-        if _negative(table):
+        if _negative(table, m):
             raise CouplerInvalidError(branch)
         box = _divided(m, table, mass_r, mass_s)
         results.append(BranchResult(branch, Scalar.over(mass_r, mass_s, den), box))
@@ -363,9 +363,9 @@ def _nonzero(table) -> bool:
     return any(any(rat) or (surd and any(surd)) for rat, surd in pairs)
 
 
-def _negative(table) -> bool:
+def _negative(table, m: int) -> bool:
     if isinstance(table, dict):
-        return spectral_negative(table)
+        return spectral_negative(m, table)
     return first_negative(*table) is not None
 
 
@@ -384,10 +384,15 @@ def _over_mass(rat, surd, mass_r: int, mass_s: int) -> tuple:
 
 def _divided(m: int, table, mass_r: int, mass_s: int) -> BoxTable:
     """The branch box: ``table`` over its mass; the shared denominator of
-    table and mass cancels."""
+    table and mass cancels.  ``apply_coupler`` has found the table
+    nonnegative, and a positive mass keeps every sign, so the box records
+    that verdict and its validation does not test the cells again."""
     if not isinstance(table, dict):
-        return BoxTable.from_numerators(m, *_over_mass(*table, mass_r, mass_s))
-    columns, den = {}, mass_r
-    for word, pair in table.items():
-        den, *columns[word] = _over_mass(*pair, mass_r, mass_s)
-    return BoxTable.from_spectrum(m, den, columns)
+        box = BoxTable.from_numerators(m, *_over_mass(*table, mass_r, mass_s))
+    else:
+        columns, den = {}, mass_r
+        for word, pair in table.items():
+            den, *columns[word] = _over_mass(*pair, mass_r, mass_s)
+        box = BoxTable.from_spectrum(m, den, columns)
+    box.nonnegative = True
+    return box

@@ -71,7 +71,10 @@ def _write(obj, out: list, newline: str, memo: dict) -> None:
     """Append ``obj``'s canonical text; ``newline`` is a line break plus the
     indent of the line ``obj`` starts on.  Inside a list or dict, a leaf of
     a type in ``_LEAVES`` and a dict already rendered at that indent are
-    appended in place; anything else recurses."""
+    appended in place; a row ``[str, str, dict]`` of exactly those types (a
+    box document's cell) is appended as one piece once its dict has been
+    rendered at the row's inner indent, with each distinct word quoted once
+    per list; anything else recurses."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -81,12 +84,29 @@ def _write(obj, out: list, newline: str, memo: dict) -> None:
             return
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
+        texts = None  # at the first row: its indent, and caches of words and dict texts
         for item in obj:
             leaf = _LEAVES.get(type(item))
             if leaf is not None:
                 out.append(sep + leaf(item))
             elif type(item) is dict and (id(item), inner) in memo:
                 out.append(sep + _again(item, inner, out, memo))
+            elif (type(item) is list and len(item) == 3 and type(item[0]) is str
+                  and type(item[1]) is str and type(item[2]) is dict):
+                if texts is None:
+                    deeper, close, texts, words = inner + "  ", inner + "]", {}, {}
+                x, a, value = item
+                qx = words.get(x) or words.setdefault(x, _quoted(x) + "," + deeper)
+                qa = words.get(a) or words.setdefault(a, _quoted(a) + "," + deeper)
+                text = texts.get(id(value))
+                if text is None and (id(value), deeper) in memo:
+                    text = texts[id(value)] = _again(value, deeper, out, memo)
+                if text is None:
+                    out.append(f"{sep}[{deeper}{qx}{qa}")
+                    _write(value, out, deeper, memo)
+                    out.append(close)
+                else:
+                    out.append(f"{sep}[{deeper}{qx}{qa}{text}{close}")
             else:
                 out.append(sep)
                 _write(item, out, inner, memo)

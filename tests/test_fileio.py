@@ -86,6 +86,48 @@ class _Bit(IntEnum):
     ONE = 1
 
 
+# near-rows: one change each to a row [x, a, value], so that the writer must
+# take its generic path on them
+_NEAR_ROWS = (
+    lambda x, a, v: [x, a],
+    lambda x, a, v: [x, a, v, x],
+    lambda x, a, v: (x, a, v),
+    lambda x, a, v: [_Word(x), a, v],
+    lambda x, a, v: [x, _Word(a), v],
+    lambda x, a, v: [x, a, OrderedDict(v)],
+    lambda x, a, v: [_Bit.ONE, a, v],
+    lambda x, a, v: [x, None, v],
+    lambda x, a, v: [x, 1, v],
+    lambda x, a, v: [],
+)
+
+
+@st.composite
+def _row_documents(draw):
+    """A list of [str, str, dict] rows (a box document's cells) mixed with
+    near-rows, whose value dicts, one of them holding a shared inner dict,
+    also appear outside the rows, before and after them, at the rows' value
+    indent and at other indents; the rows also appear at a second indent."""
+    inner = draw(st.dictionaries(_strings, _json_values, min_size=1, max_size=2))
+    values = draw(st.lists(st.dictionaries(_strings, _json_values | st.just(inner), max_size=3),
+                           min_size=1, max_size=3))
+    words = st.sampled_from(["0", "01", "10", "é"]) | _strings
+    picks = st.tuples(words, words, st.sampled_from(values))
+    rows = [[x, a, v] for x, a, v in draw(st.lists(picks, max_size=8))]
+    near = [draw(st.sampled_from(_NEAR_ROWS))(*pick) for pick in draw(st.lists(picks, max_size=3))]
+    mixed = draw(st.permutations(rows + near))
+    # a list in the top list holds its items at the rows' value indent
+    parts = [[[list(values)]], mixed, list(values), {"x": values, "box": {"probs": mixed}},
+             [[inner]], []]
+    return draw(st.permutations(parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_documents())
+def test_rows_are_written_as_json_writes_them(value):
+    assert canonical_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def test_subclassed_leaves_and_dicts_print_as_json_prints_them():
     # only exact str, int, bool and None leaves and exact dicts are written
     # in place; these take the longer path and must still match json

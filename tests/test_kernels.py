@@ -10,7 +10,10 @@ isotropic-family boxes and coupler branch boxes (both spectral) and on lazy
 products.  The lazy ``tensor`` and the
 factor-wise coupler contraction are also run on products of up to four such
 tables, up to seven parties in all, and the ``wired`` join across one to
-three wirings on two tables, built or lazy, of up to seven parties together.  The closed-form
+three wirings on two tables of up to seven parties together: cell tables,
+built or lazy, spectral tables of the isotropic family and coupler branch
+boxes, lazy products of those, and dense spectra, in any pairing; its
+columns, cells and validation must be the oracle's.  The closed-form
 ``isotropic`` is run next to ``mix`` and the oracle's ``mix`` of gsb(n) and
 mixed(n), and the two-minimum sign test in ``first_negative`` next to a
 per-cell ``qsign`` scan, on cells drawn on both sides of r = |s|*sqrt(2).
@@ -336,14 +339,34 @@ def _built_or_lazy(rng, n, kind):
     return _table(rng, n, kind)
 
 
-@given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.sampled_from(KINDS),
-       st.sampled_from(KINDS))
-@settings(max_examples=40, deadline=None)
-def test_wired_is_the_pairwise_merge_of_the_product(seed, na, nb, k, kind_a, kind_b):
+# inputs of ``wired`` beyond SHAPES: lazy products of spectral tables, and
+# dense spectra (the oracle's forward transform of a cell table, whose
+# columns span every output bit)
+JOINED = SHAPES + ("lazy spectral", "dense")
+
+
+def _joinable(rng, n, shape):
+    """An n-party input of ``wired`` of ``shape``; cell tables are built or
+    lazy, and a shape with no table of n parties falls back to a valid box."""
+    if shape in KINDS:
+        return _built_or_lazy(rng, n, shape)
+    if shape == "lazy spectral" and n > 1:
+        k = rng.randint(1, n - 1)
+        return tensor(*(_shaped(rng, size, rng.choice(("family", "branch")))
+                        for size in (k, n - k)))
+    if shape == "dense":
+        return oracle.spectral(_table(rng, n, rng.choice(KINDS)))
+    return _shaped(rng, n, shape)
+
+
+@given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.sampled_from(JOINED),
+       st.sampled_from(JOINED))
+@settings(max_examples=60, deadline=None)
+def test_wired_is_the_pairwise_merge_of_the_product(seed, na, nb, k, shape_a, shape_b):
     rng = random.Random(seed)
     nb = min(nb, 7 - na)
     k = min(k, na, nb)
-    a, b = _built_or_lazy(rng, na, kind_a), _built_or_lazy(rng, nb, kind_b)
+    a, b = _joinable(rng, na, shape_a), _joinable(rng, nb, shape_b)
     pairs = list(zip(rng.sample(range(1, na + 1), k), rng.sample(range(1, nb + 1), k)))
     got = wired(a, b, pairs)
     # merge pair by pair, each time at the slots the earlier merges left
@@ -352,8 +375,15 @@ def test_wired_is_the_pairwise_merge_of_the_product(seed, na, nb, k, kind_a, kin
         hi = slots.index(na + j) + 1
         want, ref = merge_parties(want, i, hi), oracle.merge_parties(ref, i, hi)
         del slots[hi - 1]
+    # the join is spectral, and its columns, cells and signs are the oracle's
+    assert got.spectrum is not None
+    report = validate(got)
+    assert (report.normalized, report.nonnegative, report.nonsignaling) == oracle.validate(ref)
+    if got.n <= 4:  # the oracle's forward transform takes 8**n Scalar steps
+        assert got.spectrum == oracle.spectral(ref).spectrum
     assert got == want == ref
-    for vec in (a.rat, got.rat, got.surd or b.rat):
+    assert got.to_json() == ref.to_json()
+    for vec in (ref.rat, got.rat, got.surd or ref.rat):
         for bit in range(len(vec).bit_length() - 1):
             assert _interleave(*_split(vec, bit), bit) == list(vec)
 

@@ -1,4 +1,6 @@
-"""Smoke test for ``scripts/profile_round.py``: one ``wide`` round, in-process."""
+"""Smoke tests for ``scripts/profile_round.py``: one ``wide`` round, one
+``documents`` round split into phases, and one ``reproduce`` request's
+phases, in-process."""
 
 import importlib.util
 from pathlib import Path
@@ -6,11 +8,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_profile_round_times_and_checks_each_wide_request(capsys):
+def _script():
     spec = importlib.util.spec_from_file_location("profile_round",
                                                   ROOT / "scripts" / "profile_round.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_profile_round_times_and_checks_each_wide_request(capsys):
+    script = _script()
     assert script.main(["--workload", "wide", "--repeat", "1", "--profile", "3"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -28,3 +35,34 @@ def test_profile_round_times_and_checks_each_wide_request(capsys):
         assert abs(float(share.rstrip("%")) - 100 * float(ms) / total) < 0.1
     assert abs(sum(float(ms) for ms, _, _ in rows) - total) <= 0.005 + 1e-9
     assert "Ordered by: internal time" in out
+
+
+def test_profile_round_splits_each_document_run_into_phases(capsys):
+    script = _script()
+    assert script.main(["--workload", "documents", "--repeat", "1", "--phases"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    labels = sorted(line.split()[2] for line in lines[2:14])
+    at = lines.index("phases of 12 run/reproduce requests, best of 1 each, ms")
+    assert lines[at + 1].split() == list(script.PHASES) + ["total", "request"]
+    rows = [line.split() for line in lines[at + 2:at + 14]]
+    assert sorted(row[-1] for row in rows) == labels
+    # seven values to 0.001 ms per row, and thirteen per column
+    for row in rows + [lines[at + 14].split()]:
+        times = [float(t) for t in row[:6]]
+        assert abs(sum(times) - float(row[6])) <= 0.0035 + 1e-9
+    assert lines[at + 14].endswith("(round)") and len(lines) == at + 15
+    for i in range(7):
+        column = sum(float(row[i]) for row in rows)
+        assert abs(column - float(lines[at + 14].split()[i])) <= 0.0065 + 1e-9
+
+
+def test_a_reproduce_request_has_no_load_or_spec_phase(tmp_path):
+    script = _script()
+    boxswap, workloads = script._imports()
+    requests, _ = workloads.build("checks", 1, boxswap, tmp_path)
+    request = next(r for r in requests if r.label == "check:bound-table")
+    times, problem = script.phase_times(boxswap, request, 2)
+    assert problem is None
+    assert times[:2] == [None, None] and all(t >= 0 for t in times[2:])

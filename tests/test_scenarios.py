@@ -475,6 +475,20 @@ def test_ring_of_six_follows_the_failure_law(monkeypatch):
     _check_failure_law(monkeypatch, 6)
 
 
+def test_ring_of_seven_follows_the_failure_law(monkeypatch):
+    _check_failure_law(monkeypatch, 7)
+
+
+def test_ring_of_eight_follows_the_failure_law(monkeypatch):
+    _check_failure_law(monkeypatch, 8)
+
+
+def test_ring_of_nine_runs_exactly(monkeypatch):
+    # 512 branches on nine users, each box spectral from the first join to
+    # its validation; the box law itself (the cycle-parity box) is not checked
+    _check_failure_law(monkeypatch, 9)
+
+
 @pytest.mark.parametrize("build, survivors", [
     (lambda xi: swap_two(5, 5, xi, xi), 8),
     (lambda xi: swap_many((3, 3, 3), (xi, xi, xi)), 6),
@@ -505,14 +519,16 @@ def test_large_swaps_never_write_their_joint(monkeypatch, build, survivors):
 ], ids=["ring(5)", "hybrid_three.json", "ring(6)"])
 def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
     # each pool is wired onto the fold without their product, and the pool
-    # that closes the ring is joined across both of its wirings at once:
-    # no table, built or materialized, has more than N parties
-    products, built, _ = _counted_tables(monkeypatch)
+    # that closes the ring is joined across both of its wirings at once; the
+    # joins, validation and functionals read columns, so no table is built
+    # from cells and no product or spectral table is materialized
+    products, built, cells = _counted_tables(monkeypatch)
     merges = []
     monkeypatch.setattr(scenarios, "merge_parties", lambda *args: merges.append(args))
     report = run_scenario(build())
     assert report.all_checks_passed
-    assert products == [] and max(built) == users
+    assert products == built == cells == []
+    assert len(report.branches) == 2**users
     assert merges == []  # every wiring spans two pools: none is merged inside a table
 
 

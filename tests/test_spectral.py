@@ -43,6 +43,8 @@ from boxswap import (
     tensor,
     validate,
 )
+from boxswap import boxes
+from boxswap.boxes import wired
 from boxswap.errors import CouplerInvalidError
 from boxswap.scenarios import ScenarioBox, ScenarioCoupler, ScenarioSpec
 
@@ -219,3 +221,31 @@ def test_random_spectral_tables_match_the_oracle(seed, n):
         for g, w in zip(results, want_results):
             assert (g.branch, g.probability, g.box) == (w.branch, w.probability, w.box)
     assert got == want and want == got
+
+
+def test_validation_takes_the_recorded_sign_verdict(monkeypatch):
+    # a coupler tests its branch tables' signs before it divides them by
+    # their positive masses, and each branch box records that verdict, on
+    # columns and on cells alike; a join of two boxes with the verdict has
+    # it too.  Validation reads the record and tests nothing again.
+    xi = Scalar(Fraction(1, 4), Fraction(1, 4))
+    found = []
+    for joint in (tensor(named_box("isotropic", 3, xi), named_box("isotropic", 2, INV_SQRT2)),
+                  tensor(oracle.isotropic(3, xi), oracle.isotropic(2, INV_SQRT2))):
+        for result in apply_coupler(build_coupler(2), joint, (3, 4)):
+            found.append(result.box)
+    found.append(wired(found[0], found[1], [(1, 2)]))
+    tested = []
+    for name in ("spectral_negative", "first_negative"):
+        test = getattr(boxes, name)
+        monkeypatch.setattr(boxes, name,
+                            lambda *args, test=test, name=name: tested.append(name) or test(*args))
+    for box in found:
+        assert box.nonnegative is True
+        report = validate(box)
+        assert report.nonnegative and report.all_ok
+    assert tested == []
+    # a table with no record is tested, and so is a join with one
+    for box in (named_box("isotropic", 3, xi), wired(found[0], named_box("pr"), [(3, 1)])):
+        assert box.nonnegative is None and validate(box).all_ok
+    assert tested == ["spectral_negative", "first_negative"] * 2
