@@ -17,8 +17,9 @@ and emit (``_emit``), runs them R more times, and prints each step's best
 time per request and summed over those requests (a ``reproduce`` request
 has no load or spec step); the output of every such run is checked as the
 request's own.  ``--profile N`` runs one more round under cProfile and
-prints the N functions with the most self time.  Times are wall-clock times of this host, with no correction for its
-speed: compare two checkouts by alternating runs on one machine.
+prints the N functions with the most self time.  Times are wall-clock
+times of this host, with no correction for its speed: compare two
+checkouts by alternating runs on one machine.
 """
 
 from __future__ import annotations
@@ -78,16 +79,13 @@ def phase_times(boxswap, request, repeat: int) -> tuple | None:
     argv = getattr(request, "argv", None)
     if not argv or argv[0] not in ("run", "reproduce"):
         return None
-    from boxswap.checks import run_checks
-    from boxswap.cli import _build_parser, _emit
-    from boxswap.fileio import canonical_dumps, load_json
-    args = _build_parser().parse_args(argv)
+    args = boxswap.cli._build_parser().parse_args(argv)
     best, problem = [float("inf")] * len(PHASES), None
     for _ in range(repeat):
         request.prepare()
         marks = [perf_counter()]
         if args.verb == "run":
-            data = load_json(args.scenario)
+            data = boxswap.load_json(args.scenario)
             marks.append(perf_counter())
             spec = boxswap.ScenarioSpec.from_json(data)
             marks.append(perf_counter())
@@ -96,16 +94,16 @@ def phase_times(boxswap, request, repeat: int) -> tuple | None:
             doc = report.to_json()
             rc = 0 if report.all_checks_passed else 2
         else:
-            marks += marks * 2  # no document to load
-            results = run_checks(args.filter)
+            marks *= 3  # no document: empty load and spec steps, reported as None
+            results = boxswap.run_checks(args.filter)
             marks.append(perf_counter())
             doc = {"checks": [r.to_json() for r in results],
                    "all_passed": all(r.passed for r in results)}
             rc = 0 if doc["all_passed"] else 2
         marks.append(perf_counter())
-        text = canonical_dumps(doc)
+        text = boxswap.canonical_dumps(doc)
         marks.append(perf_counter())
-        _emit(text, args.output)
+        boxswap.cli._emit(text, args.output)
         marks.append(perf_counter())
         best = [min(b, end - start) for b, start, end in zip(best, marks, marks[1:])]
         problem = problem or request.check(rc)
@@ -114,16 +112,19 @@ def phase_times(boxswap, request, repeat: int) -> tuple | None:
     return best, problem
 
 
+def _total(times) -> float:
+    return sum(t for t in times if t is not None)
+
+
 def _phase_table(rows: list) -> list:
     """The lines of the ``--phases`` table: one per request, slowest first,
     then the round's sum of each phase."""
     def line(times, label):
         cells = ["-" if t is None else f"{t * 1e3:.3f}" for t in times]
         return "  ".join(f"{c:>8}" for c in cells) + f"  {label}"
-    total = lambda times: sum(t for t in times if t is not None)  # noqa: E731
     lines = ["  ".join(f"{name:>8}" for name in PHASES + ("total",)) + "  request"]
-    for label, times in sorted(rows, key=lambda row: -total(row[1])):
-        lines.append(line(times + [total(times)], label))
+    for label, times in sorted(rows, key=lambda row: -_total(row[1])):
+        lines.append(line(times + [_total(times)], label))
     sums = [sum(times[i] or 0 for _, times in rows) for i in range(len(PHASES))]
     lines.append(line(sums + [sum(sums)], "(round)"))
     return lines
