@@ -9,17 +9,18 @@ to a temporary directory.  One untimed round warms the library's caches;
 then each request runs R times (default 5), and its best time and that
 time's share of the round (the sum of the best times) are printed, slowest
 first.  Every output is checked after its call, outside the timed interval;
-a failed check is printed and the exit code is 1.  ``--phases`` splits
-each ``run`` and ``reproduce`` request into the steps of ``boxswap.cli``,
-load (``load_json``), spec (``ScenarioSpec.from_json``), run
-(``run_scenario`` or ``run_checks``), to_json, dumps (``canonical_dumps``)
-and emit (``_emit``), runs them R more times, and prints each step's best
-time per request and summed over those requests (a ``reproduce`` request
-has no load or spec step); the output of every such run is checked as the
-request's own.  ``--profile N`` runs one more round under cProfile and
-prints the N functions with the most self time.  Times are wall-clock
-times of this host, with no correction for its speed: compare two
-checkouts by alternating runs on one machine.
+a failed check is printed and the exit code is 1.  ``--phases`` runs
+each ``run`` and ``reproduce`` request R more times through the verb of
+``boxswap.cli``, timed between the steps it marks: load (``load_json``),
+spec (``ScenarioSpec.from_json``), run (``run_scenario`` or
+``run_checks``), to_json, dumps (``canonical_dumps``) and emit
+(``_emit``).  It prints each step's best time per request and summed over
+those requests (a ``reproduce`` request has no load or spec step); the
+output of every such run is checked as the request's own.  ``--profile N``
+runs one more round under cProfile and prints the N functions with the
+most self time.  Times are wall-clock times of this host, with no
+correction for its speed: compare two checkouts by alternating runs on one
+machine.
 """
 
 from __future__ import annotations
@@ -73,43 +74,22 @@ PHASES = ("load", "spec", "run", "to_json", "dumps", "emit")
 
 def phase_times(boxswap, request, repeat: int) -> tuple | None:
     """(best seconds per phase, None where a phase does not apply, problem
-    or None) for a ``run`` or ``reproduce`` request of ``boxswap.cli``,
-    with the steps of its ``cmd_run``/``cmd_reproduce`` timed one by one;
-    None for any other request."""
+    or None) for a ``run`` or ``reproduce`` request, timed between the
+    steps that ``cmd_run``/``cmd_reproduce`` of ``boxswap.cli`` mark; None
+    for any other request."""
     argv = getattr(request, "argv", None)
     if not argv or argv[0] not in ("run", "reproduce"):
         return None
     args = boxswap.cli._build_parser().parse_args(argv)
-    best, problem = [float("inf")] * len(PHASES), None
+    best, problem = {}, None
     for _ in range(repeat):
         request.prepare()
-        marks = [perf_counter()]
-        if args.verb == "run":
-            data = boxswap.load_json(args.scenario)
-            marks.append(perf_counter())
-            spec = boxswap.ScenarioSpec.from_json(data)
-            marks.append(perf_counter())
-            report = boxswap.run_scenario(spec)
-            marks.append(perf_counter())
-            doc = report.to_json()
-            rc = 0 if report.all_checks_passed else 2
-        else:
-            marks *= 3  # no document: empty load and spec steps, reported as None
-            results = boxswap.run_checks(args.filter)
-            marks.append(perf_counter())
-            doc = {"checks": [r.to_json() for r in results],
-                   "all_passed": all(r.passed for r in results)}
-            rc = 0 if doc["all_passed"] else 2
-        marks.append(perf_counter())
-        text = boxswap.canonical_dumps(doc)
-        marks.append(perf_counter())
-        boxswap.cli._emit(text, args.output)
-        marks.append(perf_counter())
-        best = [min(b, end - start) for b, start, end in zip(best, marks, marks[1:])]
+        marks = [("start", perf_counter())]
+        rc = args.fn(args, mark=lambda step: marks.append((step, perf_counter())))
+        for (_, start), (step, end) in zip(marks, marks[1:]):
+            best[step] = min(end - start, best.get(step, end - start))
         problem = problem or request.check(rc)
-    if args.verb == "reproduce":
-        best[:2] = [None, None]
-    return best, problem
+    return [best.get(step) for step in PHASES], problem
 
 
 def _total(times) -> float:

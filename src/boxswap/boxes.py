@@ -126,11 +126,11 @@ class BoxTable:
     ``spectrum`` is ``(den, columns)`` for a spectral table (see
     ``from_spectrum``), None for a table built from its cells, and for a
     product, the product of its factors' spectra if each has one.
-    ``nonnegative`` is True once a sign test has cleared the cells (a
-    coupler's branch boxes, and joins of them), and ``validate`` takes it as
-    it is; None otherwise."""
+    ``_nonnegative`` is True once a sign test has cleared the cells (set
+    only on a coupler's branch boxes and on ``wired`` joins of such boxes),
+    and ``validate`` takes it as it is; None otherwise."""
 
-    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs", "nonnegative")
+    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs", "_nonnegative")
 
     @classmethod
     def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
@@ -154,7 +154,7 @@ class BoxTable:
         # only reached while a slot is unset: the spectrum of a lazy product,
         # den, rat, surd of a lazy product or a spectral table, and a sign
         # verdict that none has recorded
-        if name == "nonnegative":
+        if name == "_nonnegative":
             return None
         if name == "spectrum" and self.factors is not None:
             self.spectrum = _product_spectrum(self.factors)
@@ -213,10 +213,13 @@ class BoxTable:
         n, den, mask = self.n, self.den, 2**self.n - 1
         words = [word_to_str(w, n) for w in range(2**n)]
         values: dict = {}
-        probs = [[words[i >> n], words[i & mask],
-                  values.get(cell) or values.setdefault(cell, scalar_json(*cell, den))]
-                 for i, cell in enumerate(zip(self.rat, self.surd or repeat(0)))
-                 if cell[0] or cell[1]]
+        probs = []
+        for i, cell in enumerate(zip(self.rat, self.surd or repeat(0))):
+            if cell[0] or cell[1]:
+                value = values.get(cell)
+                if value is None:
+                    value = values[cell] = scalar_json(*cell, den)
+                probs.append([words[i >> n], words[i & mask], value])
         return {"n": n, "order": WORD_ORDER, "probs": probs}
 
     @classmethod
@@ -556,17 +559,12 @@ def _reduced_spectrum(den: int, columns: dict) -> tuple:
 
 
 def _cells(n: int, spectrum: tuple) -> tuple:
-    """The reduced (den, rat, surd) of a spectral table's cells: each
-    column spread over its row's outputs by its character and summed, or,
-    for more than n columns, one inverse butterfly (``_inverse``)."""
+    """The reduced (den, rat, surd) of a spectral table's cells: row x's
+    cell at output a is its pattern sum (``_pattern_sums``) at a's pattern."""
     den, columns = spectrum
-    if len(columns) > n:
-        return reduce_form(den, *_inverse(n, columns))
-    spread = [(1, tuple(col and [c * sign for c in col for sign in _character(n, word)]
-                        for col in pair))
-              for word, pair in columns.items()]
-    rat, surd = _combined(spread) if spread else ([0] * 4**n, None)
-    return reduce_form(den, rat, surd)
+    d, gather, sums = _pattern_sums(n, columns)
+    return reduce_form(den, *(vec and list(chain.from_iterable(
+        gather(vec[x << d:(x + 1) << d]) for x in range(1 << n))) for vec in sums))
 
 
 def _kron(u: Sequence[int], v: Sequence[int]) -> list:
@@ -595,44 +593,51 @@ def _product_spectrum(factors: Sequence[BoxTable]) -> tuple | None:
 
 
 @lru_cache(maxsize=256)
-def _pattern_words(words: frozenset) -> tuple:
-    """Output words a, 2**d of them for a span of dimension d, at which the
-    signs (-1)**popcount(a & S), S in ``words``, take every pattern they
-    take over all outputs.  Over GF(2) these signs are the linear forms
-    a -> a.S; a basis of the span with distinct leading bits makes the
-    words over those leading bits meet each pattern once."""
-    leading: dict = {}
+def _patterns(n: int, words: frozenset) -> tuple:
+    """The sign patterns of the span of ``words`` over GF(2), of dimension
+    d, on a basis b_1..b_d in which b_i alone has bit t_i set: a word S of
+    the span is sum_i (bit t_i of S) * b_i, so with its coordinates c, its
+    bits at t_1..t_d, and an output word a's pattern p, the parities of
+    a & b_i, (-1)**popcount(a & S) is (-1)**popcount(p & c).  Returns d,
+    each word's coordinates, and an ``itemgetter`` of each output's pattern."""
+    basis: dict = {}  # t_i -> b_i
     for w in words:
-        while w:
+        for top, b in basis.items():
+            if w >> top & 1:
+                w ^= b
+        if w:
             top = w.bit_length() - 1
-            if top not in leading:
-                leading[top] = w
-                break
-            w ^= leading[top]
-    out = [0]
-    for top in leading:
-        out += [a | 1 << top for a in out]
-    return tuple(out)
+            basis = {t: b ^ w if b >> top & 1 else b for t, b in basis.items()}
+            basis[top] = w
+    tops = sorted(basis)
+    coordinates = {w: sum((w >> t & 1) << i for i, t in enumerate(tops)) for w in words}
+    patterns = [sum(((a & basis[t]).bit_count() & 1) << i for i, t in enumerate(tops))
+                for a in range(2**n)]
+    return len(tops), coordinates, itemgetter(*patterns)
+
+
+def _pattern_sums(n: int, columns: dict) -> tuple:
+    """d and the gather of ``_patterns``, and the unreduced (rat, surd) of
+    every row's 2**d distinct cells, surd None for none: at (x << d) | p the
+    sum of (-1)**popcount(p & c_S) * col_S[x], by one butterfly over the d
+    pattern bits with each column placed at its coordinates."""
+    d, coordinates, gather = _patterns(n, frozenset(columns))
+    width, size = 1 << d, 1 << (d + n)
+    surd = any(s is not None for _, s in columns.values())
+    both = [0] * (2 * size if surd else size)
+    for word, (r, s) in columns.items():
+        c = coordinates[word]
+        both[c:size:width] = r
+        if s is not None:
+            both[size + c::width] = s
+    both = _butterflied(both, range(d))
+    return d, gather, (both[:size], both[size:]) if surd else (both, None)
 
 
 def spectral_negative(n: int, columns: dict) -> bool:
     """True iff some cell of the n-party spectral table with ``columns`` is
-    negative: every row's distinct cells are its pattern sums, one per
-    word of ``_pattern_words``, and those are tested together.  Once those
-    sums cost more than n passes over every cell, the cells are built by
-    one inverse butterfly and tested instead."""
-    if not columns:
-        return False
-    patterns = _pattern_words(frozenset(columns))
-    if len(patterns) * len(columns) > n << n:
-        return first_negative(*_inverse(n, columns)) is not None
-    rat, surd = [], []
-    for a in patterns:
-        r, s = _combined([(-1 if (a & w).bit_count() & 1 else 1, pair)
-                          for w, pair in columns.items()])
-        rat += r
-        surd += s or repeat(0, len(r))
-    return first_negative(rat, surd if any(surd) else None) is not None
+    negative: every row's distinct cells are its pattern sums."""
+    return first_negative(*_pattern_sums(n, columns)[2]) is not None
 
 
 def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:
@@ -713,21 +718,6 @@ def _forward(box: BoxTable) -> tuple:
         for word in range(width)})
 
 
-def _inverse(n: int, columns: dict) -> tuple:
-    """The unreduced (rat, surd) cells of ``columns``: each column placed at
-    the cells (x, S) of its word S, and one butterfly over the output bits."""
-    width = 1 << n
-    size = width << n
-    surd = any(s is not None for _, s in columns.values())
-    both = [0] * (2 * size if surd else size)
-    for word, (r, s) in columns.items():
-        both[word:size:width] = r
-        if s is not None:
-            both[size + word::width] = s
-    both = _butterflied(both, range(n))
-    return (both[:size], both[size:]) if surd else (both, None)
-
-
 def _check_pairs(na: int, nb: int, pairs: tuple) -> None:
     if not pairs:
         raise ArityError("a wiring between two tables needs at least one pair")
@@ -783,7 +773,7 @@ def wired(a: BoxTable, b: BoxTable, pairs: Iterable[tuple]) -> BoxTable:
                 columns[word | top] = _pair_product(pair, other, outer)
     box = _spectral(m, _reduced_spectrum(den, columns))
     # a cell of the join is a sum of products of a cell of each
-    box.nonnegative = True if a.nonnegative and b.nonnegative else None
+    box._nonnegative = True if a._nonnegative and b._nonnegative else None
     return box
 
 
@@ -924,8 +914,8 @@ def _spectral_report(n: int, spectrum: tuple, nonnegative: bool | None) -> Valid
 
 def validate(box: BoxTable) -> ValidationReport:
     if box.spectrum is not None:
-        return _spectral_report(box.n, box.spectrum, box.nonnegative)
-    n, rat, surd, nonnegative = box.n, box.rat, box.surd, box.nonnegative
+        return _spectral_report(box.n, box.spectrum, box._nonnegative)
+    n, rat, surd, nonnegative = box.n, box.rat, box.surd, box._nonnegative
     normalized = all(v == box.den for v in row_sums(rat, n)) and (
         surd is None or not any(row_sums(surd, n)))
     if nonnegative is None:

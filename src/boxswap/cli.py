@@ -125,21 +125,33 @@ def _scenario_table(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args) -> int:
-    spec = ScenarioSpec.from_json(load_json(args.scenario))
+def cmd_run(args, mark=lambda step: None) -> int:
+    """``mark`` is called with the name of each step as it ends."""
+    data = load_json(args.scenario)
+    mark("load")
+    spec = ScenarioSpec.from_json(data)
+    mark("spec")
     report = run_scenario(spec)
+    mark("run")
     if args.format == "json":
-        _emit(canonical_dumps(report.to_json()), args.output)
+        doc = report.to_json()
+        mark("to_json")
+        text = canonical_dumps(doc)
+        mark("dumps")
     else:
-        _emit(_scenario_table(report), args.output)
+        text = _scenario_table(report)
+    _emit(text, args.output)
+    mark("emit")
     return 0 if report.all_checks_passed else 2
 
 
 # -- reproduce ---------------------------------------------------------------
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args, mark=lambda step: None) -> int:
+    """``mark`` as in ``cmd_run``."""
     results = run_checks(args.filter)
+    mark("run")
     if not results:
         print(f"error: no check matches filter {args.filter!r}", file=sys.stderr)
         return 2
@@ -148,7 +160,9 @@ def cmd_reproduce(args) -> int:
             "checks": [r.to_json() for r in results],
             "all_passed": all(r.passed for r in results),
         }
-        _emit(canonical_dumps(doc), args.output)
+        mark("to_json")
+        text = canonical_dumps(doc)
+        mark("dumps")
     else:
         rows = [
             [str(r.criterion), r.name, "pass" if r.passed else "FAIL", r.detail]
@@ -156,7 +170,9 @@ def cmd_reproduce(args) -> int:
         ]
         table = _render_table(["#", "check", "result", "detail"], rows)
         passed = sum(1 for r in results if r.passed)
-        _emit(table + f"\n{passed}/{len(results)} checks passed\n", args.output)
+        text = table + f"\n{passed}/{len(results)} checks passed\n"
+    _emit(text, args.output)
+    mark("emit")
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -384,9 +384,8 @@ def _over_mass(rat, surd, mass_r: int, mass_s: int) -> tuple:
 
 def _divided(m: int, table, mass_r: int, mass_s: int) -> BoxTable:
     """The branch box: ``table`` over its mass; the shared denominator of
-    table and mass cancels.  ``apply_coupler`` has found the table
-    nonnegative, and a positive mass keeps every sign, so the box records
-    that verdict and its validation does not test the cells again."""
+    table and mass cancels.  The mass is positive, so the box records the
+    sign verdict ``apply_coupler`` found, and validation takes it."""
     if not isinstance(table, dict):
         box = BoxTable.from_numerators(m, *_over_mass(*table, mass_r, mass_s))
     else:
@@ -394,5 +393,5 @@ def _divided(m: int, table, mass_r: int, mass_s: int) -> BoxTable:
         for word, pair in table.items():
             den, *columns[word] = _over_mass(*pair, mass_r, mass_s)
         box = BoxTable.from_spectrum(m, den, columns)
-    box.nonnegative = True
+    box._nonnegative = True
     return box
