@@ -202,6 +202,17 @@ class BoxTable:
 
     __hash__ = None
 
+    def content_key(self) -> tuple:
+        """A hashable key of the table's value in the form it is held in:
+        ``(n, den, columns)`` for a spectral table, ``(n, den, rat, surd)``
+        for one of cells.  Both forms are canonical, so tables with equal
+        keys are equal; equal tables held in different forms have
+        different keys."""
+        spectrum = self.spectrum
+        if spectrum is not None:
+            return self.n, spectrum[0], frozenset(spectrum[1].items())
+        return self.n, self.den, self.rat, self.surd
+
     def __repr__(self):
         return f"BoxTable(n={self.n})"
 

@@ -216,19 +216,71 @@ class BranchRecord:
     validation: object
 
     def to_json(self) -> dict:
+        """The branch document.  Equal values in it may be one shared
+        object (a box document shares its value dicts across its cells),
+        so treat it as read-only."""
+        return self._json(_Fragments())
+
+    def _json(self, f: "_Fragments") -> dict:
         return {
             "outcome": list(self.outcome),
-            "probability": self.probability.to_json(),
-            "probability_decimal": self.probability.decimal(),
-            "box": None if self.box is None else self.box.to_json(),
-            "functionals": {
-                name: {"value": value.to_json(), "decimal": value.decimal()}
-                for name, value in sorted(self.functionals.items())
-            },
-            "classification": None if self.classification is None else self.classification.to_json(),
-            "bounds": None if self.bound_triple is None else self.bound_triple.to_json(),
-            "validation": None if self.validation is None else self.validation.to_json(),
+            "probability": f.value(self.probability),
+            "probability_decimal": f.decimal(self.probability),
+            "box": f.shared(self.box),
+            "functionals": f.shared(self.functionals, lambda values: {
+                name: {"value": f.value(value), "decimal": f.decimal(value)}
+                for name, value in sorted(values.items())
+            }),
+            "classification": f.shared(self.classification, lambda c: {
+                # Classification.to_json's layout, with the value's parts shared
+                "value": f.value(c.value),
+                "value_decimal": f.decimal(c.value),
+                "exceeds_local": c.exceeds_local,
+                "exceeds_quantum": c.exceeds_quantum,
+            }),
+            "bounds": f.shared(self.bound_triple),
+            "validation": f.shared(self.validation),
         }
+
+
+class _Fragments:
+    """The JSON fragments of one report, each built once and placed
+    wherever it recurs, so that ``canonical_dumps`` writes each once per
+    indent: a Scalar's JSON dict and decimal string by its ``(r, s, d)``
+    triple, and the document of a box, functionals dict, classification,
+    bound triple or validation by the object's identity (``_report`` gives
+    branches whose boxes are equal one box and one set of results).  The
+    report holds every object keyed by identity while it is written, so no
+    id is reused."""
+
+    __slots__ = ("values", "decimals", "documents")
+
+    def __init__(self):
+        self.values, self.decimals, self.documents = {}, {}, {}
+
+    def value(self, x: Scalar) -> dict:
+        key = (x.r, x.s, x.d)
+        doc = self.values.get(key)
+        if doc is None:
+            doc = self.values[key] = x.to_json()
+        return doc
+
+    def decimal(self, x: Scalar) -> str:
+        key = (x.r, x.s, x.d)
+        text = self.decimals.get(key)
+        if text is None:
+            text = self.decimals[key] = x.decimal()
+        return text
+
+    def shared(self, obj, build=None) -> dict | None:
+        """``build(obj)``, by default ``obj.to_json()``, once per object;
+        None for None."""
+        if obj is None:
+            return None
+        doc = self.documents.get(id(obj))
+        if doc is None:
+            doc = self.documents[id(obj)] = obj.to_json() if build is None else build(obj)
+        return doc
 
 
 @dataclass
@@ -252,21 +304,26 @@ class ScenarioReport:
         raise KeyError(f"no branch with outcome {outcome}")
 
     def to_json(self) -> dict:
+        """The report document.  Each distinct box document, value,
+        decimal string, classification, bound triple and validation dict
+        is built once and is one object wherever it recurs (as a box
+        document's value dicts are), so treat the document as read-only."""
+        f = _Fragments()
         doc = {
             "scenario": self.scenario,
             "order": WORD_ORDER,
             "parties": list(self.parties),
-            "branches": [b.to_json() for b in self.branches],
-            "total_probability": self.total_probability.to_json(),
-            "total_probability_decimal": self.total_probability.decimal(),
+            "branches": [b._json(f) for b in self.branches],
+            "total_probability": f.value(self.total_probability),
+            "total_probability_decimal": f.decimal(self.total_probability),
             "crosschecks": [c.to_json() for c in self.crosschecks],
         }
         if self.groups is not None:
             doc["groups"] = [
                 {
                     "failures": g["failures"],
-                    "probability": g["probability"].to_json(),
-                    "probability_decimal": g["probability"].decimal(),
+                    "probability": f.value(g["probability"]),
+                    "probability_decimal": f.decimal(g["probability"]),
                     "branches": g["branches"],
                 }
                 for g in self.groups
@@ -468,29 +525,38 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
 def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
     """Evaluate the spec's reports on each final branch, given in order as
     (outcome, probability, labels, box), with box None where an outcome had
-    zero mass, and attach the cross-checks every scenario gets."""
+    zero mass, and attach the cross-checks every scenario gets.  Branches
+    whose boxes have one content key (``BoxTable.content_key``) share one
+    box and one set of results, so each distinct box is evaluated and
+    validated once, and ``bounds`` is built once per party count."""
     records = []
     final_parties: tuple = ()
+    evaluated: dict = {}  # content key -> (box, functionals, classification, bounds, validation)
+    triples: dict = {}  # party count -> bounds
     for outcome, weight, labels, box in finals:
         if box is None:
             records.append(BranchRecord(outcome, ZERO, None, {}, None, None, None))
             continue
-        functionals = {}
-        classification = None
-        bound_triple = None
-        for r in spec.reports:
-            if r == "gsi":
-                classification = classify(box)
-                functionals["gsi"] = classification.value
-                bound_triple = bounds(box.n)
-            elif r == "ch":
-                if box.n != 2:
-                    raise SpecFileError(
-                        f"scenario {spec.name!r} asks for 'ch' on a {box.n}-party box"
-                    )
-                functionals["ch"] = ch_evaluate(box)
-        records.append(BranchRecord(outcome, weight, box, functionals, classification,
-                                    bound_triple, validate(box)))
+        key = box.content_key()
+        found = evaluated.get(key)
+        if found is None:
+            functionals = {}
+            classification = None
+            bound_triple = None
+            for r in spec.reports:
+                if r == "gsi":
+                    classification = classify(box)
+                    functionals["gsi"] = classification.value
+                    bound_triple = triples.get(box.n) or triples.setdefault(box.n, bounds(box.n))
+                elif r == "ch":
+                    if box.n != 2:
+                        raise SpecFileError(
+                            f"scenario {spec.name!r} asks for 'ch' on a {box.n}-party box"
+                        )
+                    functionals["ch"] = ch_evaluate(box)
+            found = evaluated[key] = (box, functionals, classification, bound_triple,
+                                      validate(box))
+        records.append(BranchRecord(outcome, weight, *found))
         final_parties = tuple(labels)
 
     total = sum((r.probability for r in records), ZERO)

@@ -243,6 +243,30 @@ def test_validate_flags_bad_tables():
     assert not report.nonnegative
 
 
+def test_content_keys_differ_exactly_where_values_do():
+    # unequal tables, as cells and as spectra, that agree on all but den or
+    # on all but their sqrt(2) parts, and two of different n; then equal
+    # tables, each built two ways, in both forms and as a lazy product
+    cells = (1, 1, 1, 1)
+    unequal = [
+        BoxTable.from_numerators(1, 2, cells),
+        BoxTable.from_numerators(1, 4, cells),
+        BoxTable.from_numerators(1, 4, cells, (1, -1, 1, -1)),
+        BoxTable.from_numerators(1, 4, cells, (-1, 1, -1, 1)),
+        BoxTable.from_spectrum(1, 2, {0: ((1, 1), None)}),
+        BoxTable.from_spectrum(1, 4, {0: ((1, 1), None)}),
+        BoxTable.from_spectrum(1, 4, {0: ((1, 1), None), 1: ((0, 0), (1, -1))}),
+        BoxTable.from_spectrum(1, 4, {0: ((1, 1), None), 1: ((0, 0), (-1, 1))}),
+        pr(),
+        sb(),
+    ]
+    keys = [t.content_key() for t in unequal]
+    assert len(set(keys)) == len(keys)
+    assert pr().content_key() == isotropic(2, ONE).content_key()
+    assert tensor(pr(), pr()).content_key() == tensor(isotropic(2, ONE), pr()).content_key()
+    assert mix([(HALF, pr()), (HALF, pr())]).content_key() == mix([(ONE, pr())]).content_key()
+
+
 def test_box_json_round_trip():
     for box in (pr(), sb(), failure(2), isotropic(2, Scalar(0, Fraction(1, 2)))):
         assert BoxTable.from_json(box.to_json()) == box

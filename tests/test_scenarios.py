@@ -1,5 +1,6 @@
 """Scenario engine: declarative wiring, branch bookkeeping, built-ins."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,10 +34,11 @@ from boxswap.errors import (
     SpecFileError,
     ValidationError,
 )
-from boxswap.fileio import load_json
+from boxswap.fileio import canonical_dumps, load_json
 from boxswap.scenarios import (
     ScenarioBox,
     ScenarioCoupler,
+    ScenarioReport,
     ScenarioSpec,
     ScenarioWiring,
     efficiency_compare,
@@ -402,9 +404,28 @@ def _scenario_specs(draw):
     return ScenarioSpec("drawn", tuple(boxes), tuple(couplers), tuple(wirings), reports)
 
 
+def _written(report) -> tuple:
+    """The report's document and its canonical text, after checking that a
+    copy of the document in which no two places share an object writes the
+    same bytes, and that each part built from shared values reads as the
+    unshared ``to_json`` and ``decimal`` of its own values."""
+    doc = report.to_json()
+    text = canonical_dumps(doc)
+    assert text == canonical_dumps(json.loads(json.dumps(doc)))
+    for record, branch in zip(report.branches, doc["branches"]):
+        assert branch["probability"] == record.probability.to_json()
+        assert branch["probability_decimal"] == record.probability.decimal()
+        if record.classification is not None:
+            assert branch["classification"] == record.classification.to_json()
+        assert branch["functionals"] == {
+            name: {"value": value.to_json(), "decimal": value.decimal()}
+            for name, value in record.functionals.items()}
+    return doc, text
+
+
 def _outcome(run, spec):
     try:
-        return run(spec).to_json()
+        return _written(run(spec))
     except BoxSwapError as exc:
         return type(exc).__name__, str(exc)
 
@@ -530,6 +551,75 @@ def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
     assert products == built == cells == []
     assert len(report.branches) == 2**users
     assert merges == []  # every wiring spans two pools: none is merged inside a table
+
+
+# -- one evaluation and one document per distinct branch box ----------------
+
+
+BUNDLED = sorted((ROOT / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("spec", [
+    *(ScenarioSpec.from_json(load_json(path)) for path in BUNDLED),
+    *(ring(n) for n in range(3, 7)),
+], ids=[*(path.stem for path in BUNDLED), *(f"ring({n})" for n in range(3, 7))])
+def test_a_report_writes_the_bytes_of_its_unshared_copy(spec):
+    _written(run_scenario(spec))
+
+
+def _two_sqrt2_swaps() -> ScenarioReport:
+    """Two swaps of isotropic boxes at weights 1/sqrt(2) and 1, side by
+    side: the 4-party boxes of branches (0, 1) and (1, 0) have one den and
+    the same rational columns, and differ only in their sqrt(2) columns."""
+    boxes = (ScenarioBox("g1", "isotropic", 2, ("a", "b1"), INV_SQRT2),
+             ScenarioBox("g2", "isotropic", 2, ("b2", "c"), ONE),
+             ScenarioBox("g3", "isotropic", 2, ("d", "b3"), INV_SQRT2),
+             ScenarioBox("g4", "isotropic", 2, ("b4", "e"), ONE))
+    couplers = (ScenarioCoupler(2, ("b1", "b2")), ScenarioCoupler(2, ("b3", "b4")))
+    return run_scenario(ScenarioSpec("two-sqrt2-swaps", boxes, couplers))
+
+
+def _counted_results(monkeypatch) -> dict:
+    """Counts that fill, as reports are built and written, with the calls
+    of the scenario module's ``validate`` and ``classify`` and of
+    ``BoxTable.to_json``."""
+    counts = dict.fromkeys(("validate", "classify", "to_json"), 0)
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(scenarios, "validate", counting("validate", scenarios.validate))
+    monkeypatch.setattr(scenarios, "classify", counting("classify", scenarios.classify))
+    monkeypatch.setattr(BoxTable, "to_json", counting("to_json", BoxTable.to_json))
+    return counts
+
+
+@pytest.mark.parametrize("build, branches, distinct", [
+    (hybrid_three, 8, 4),
+    (lambda: run_scenario(ring(5)), 32, 6),
+    (_two_sqrt2_swaps, 4, 4),
+], ids=["hybrid_three", "ring(5)", "two_sqrt2_swaps"])
+def test_equal_branch_boxes_are_evaluated_and_written_once(monkeypatch, build, branches,
+                                                           distinct):
+    # a branch box depends only on how many couplers failed, so a ring of N
+    # has N + 1 distinct boxes; boxes that differ only in sqrt(2) parts stay
+    # apart
+    counts = _counted_results(monkeypatch)
+    report = build()
+    report.to_json()
+    assert len(report.branches) == branches
+    assert len({id(r.box) for r in report.branches}) == distinct
+    assert counts == {"validate": distinct, "classify": distinct, "to_json": distinct}
+
+
+def test_a_ring_of_seven_writes_eight_box_documents(monkeypatch):
+    counts = _counted_results(monkeypatch)
+    doc = run_scenario(ring(7)).to_json()
+    assert len(doc["branches"]) == 128
+    assert counts == {"validate": 8, "classify": 8, "to_json": 8}
 
 
 def _counted_tables(monkeypatch):
