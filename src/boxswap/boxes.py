@@ -484,22 +484,17 @@ def _pair_product(u: tuple, v: tuple, outer) -> tuple:
     (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2."""
     (ur, us), (vr, vs) = u, v
     rat = outer(ur, vr)
-    if us is not None and vs is not None:
-        rat = _sum(rat, outer(us, _scaled(vs, 2)))
-    surds = [outer(p, q) for p, q in ((ur, vs), (us, vr)) if p is not None and q is not None]
-    return rat, _sum(*surds)
+    if us is None:
+        return rat, None if vs is None else outer(ur, vs)
+    if vs is None:
+        return rat, outer(us, vr)
+    rat = list(map(add, rat, outer(us, [2 * q for q in vs])))
+    return rat, list(map(add, outer(ur, vs), outer(us, vr)))
 
 
 def _outer_pair(u: tuple, v: tuple, nu: int, nv: int) -> tuple:
     """``_outer`` of two (rat, surd) numerator pairs, surd None for none."""
     return _pair_product(u, v, lambda p, q: _outer(p, q, nu, nv))
-
-
-def _combined(terms) -> tuple:
-    """``sum w * (rat + surd*sqrt2)`` over the ``(w, (rat, surd))`` terms,
-    integer w, as a (rat, surd) pair, surd None for none."""
-    rat = _sum(*(_scaled(r, w) for w, (r, _) in terms))
-    return rat, _sum(*(_scaled(s, w) for w, (_, s) in terms if s is not None))
 
 
 def _product(factors: Sequence[BoxTable]) -> tuple:
@@ -555,17 +550,18 @@ def _spectral(n: int, spectrum: tuple) -> BoxTable:
 
 def _reduced_spectrum(den: int, columns: dict) -> tuple:
     """The canonical ``(den, columns)``: no all-zero column, surd None where
-    it is all zero, every integer divided by the gcd of them all."""
-    kept = {}
+    it is all zero, every integer divided by the gcd of them all, which
+    takes one ``gcd`` per column."""
+    kept, g = {}, den
     for word, (rat, surd) in columns.items():
         if surd is not None and not any(surd):
             surd = None
         if surd is not None or any(rat):
-            kept[word] = (rat, surd)
-    g = gcd(den, *chain.from_iterable(chain(r, s or ()) for r, s in kept.values()))
+            kept[word] = rat, surd
+            g = gcd(g, *rat, *(surd or ()))
     if g == 1:
         return den, {w: (tuple(r), s and tuple(s)) for w, (r, s) in kept.items()}
-    return den // g, {w: (tuple(v // g for v in r), s and tuple(v // g for v in s))
+    return den // g, {w: (tuple([v // g for v in r]), s and tuple([v // g for v in s]))
                       for w, (r, s) in kept.items()}
 
 
@@ -573,9 +569,9 @@ def _cells(n: int, spectrum: tuple) -> tuple:
     """The reduced (den, rat, surd) of a spectral table's cells: row x's
     cell at output a is its pattern sum (``_pattern_sums``) at a's pattern."""
     den, columns = spectrum
-    d, gather, sums = _pattern_sums(n, columns)
-    return reduce_form(den, *(vec and list(chain.from_iterable(
-        gather(vec[x << d:(x + 1) << d]) for x in range(1 << n))) for vec in sums))
+    gather, *sums = _pattern_sums(n, columns)
+    return reduce_form(den, *(vec and list(chain.from_iterable(map(gather, zip(*vec))))
+                              for vec in sums))
 
 
 def _kron(u: Sequence[int], v: Sequence[int]) -> list:
@@ -628,27 +624,34 @@ def _patterns(n: int, words: frozenset) -> tuple:
 
 
 def _pattern_sums(n: int, columns: dict) -> tuple:
-    """d and the gather of ``_patterns``, and the unreduced (rat, surd) of
-    every row's 2**d distinct cells, surd None for none: at (x << d) | p the
-    sum of (-1)**popcount(p & c_S) * col_S[x], by one butterfly over the d
-    pattern bits with each column placed at its coordinates."""
+    """The gather of ``_patterns``, and the unreduced (rat, surd) pattern
+    sums, surd None for none: for each pattern p of the d pattern bits, the
+    vector over the input words x of sum_S (-1)**popcount(p & c_S) *
+    col_S[x], by one butterfly over the d bits of vectors placed at their
+    columns' coordinates c_S."""
     d, coordinates, gather = _patterns(n, frozenset(columns))
-    width, size = 1 << d, 1 << (d + n)
-    surd = any(s is not None for _, s in columns.values())
-    both = [0] * (2 * size if surd else size)
+    zero = (0,) * (1 << n)
+    rat = [zero] * (1 << d)
+    surd = None if all([s is None for _, s in columns.values()]) else [zero] * (1 << d)
     for word, (r, s) in columns.items():
-        c = coordinates[word]
-        both[c:size:width] = r
+        rat[coordinates[word]] = r
         if s is not None:
-            both[size + c::width] = s
-    both = _butterflied(both, range(d))
-    return d, gather, (both[:size], both[size:]) if surd else (both, None)
+            surd[coordinates[word]] = s
+    for sums in (rat, surd) if surd else (rat,):
+        for bit in range(d):
+            for c in range(1 << d):
+                if c >> bit & 1:  # pair each pattern with the one without ``bit``
+                    lo, hi = sums[c ^ 1 << bit], sums[c]
+                    sums[c ^ 1 << bit], sums[c] = list(map(add, lo, hi)), list(map(sub, lo, hi))
+    return gather, rat, surd
 
 
 def spectral_negative(n: int, columns: dict) -> bool:
     """True iff some cell of the n-party spectral table with ``columns`` is
     negative: every row's distinct cells are its pattern sums."""
-    return first_negative(*_pattern_sums(n, columns)[2]) is not None
+    _, rat, surd = _pattern_sums(n, columns)
+    return first_negative(list(chain.from_iterable(rat)),
+                          surd and list(chain.from_iterable(surd))) is not None
 
 
 def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:

@@ -30,22 +30,25 @@ The documented-deviation tests pin this down rather than hiding it.
 
 ``apply_coupler`` contracts a ``tensor`` product factor by factor (see
 ``_contracted``), so the product of the boxes a coupler joins is never
-written out.  When every factor is a spectral table (the isotropic family
-and the branch boxes this module makes from it), the contraction reads
-columns instead of cells and its branch boxes are spectral tables, whose
+written out.  Each factor is reduced through a plan cached per shape (its
+party count and consumed ends, ``_reduction``), so a call does integer
+work only.  When every factor is a spectral table (the isotropic family
+and the branch boxes this module makes from it), the same plans reduce
+columns instead of cells, and the branch boxes are spectral tables, whose
 cells are built only if something later reads them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Sequence
 
 from .bell import evaluate, gsi
-from .boxes import (BoxTable, _combined, _outer_pair, _spectral_outer, _split, first_negative,
-                    row_sums, spectral_negative, subwords)
+from .boxes import (BoxTable, _kron, _outer, _pair_product, first_negative, spectral_negative,
+                    subwords)
 from .errors import ArityError, CouplerInvalidError
 from .scalar import ZERO, Scalar, qsign
 
@@ -98,8 +101,7 @@ class CouplerEffect:
         if box.n != self.n:
             raise ArityError(f"coupler consumes {self.n} ends, box has {box.n}")
         den, _, tables = _contracted(self, box, range(1, self.n + 1))
-        (rat,), (surd,) = _masses(tables[branch], 0)
-        return Scalar.over(rat, surd, den)
+        return Scalar.over(*_mass(branch, tables[branch], 0), den)
 
     def __repr__(self):
         return f"CouplerEffect(n={self.n})"
@@ -145,7 +147,7 @@ class BranchResult:
 def apply_coupler(
     coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]
 ) -> tuple[BranchResult, BranchResult]:
-    """Consume ``consumed`` (ordered, 1-based) parties of ``joint``.
+    """Consume ``consumed`` (ordered, 1-based integer positions) parties of ``joint``.
 
     Returns both branches.  Each branch table must come out with an
     input-independent mass and nonnegative entries, otherwise the coupler is
@@ -154,38 +156,17 @@ def apply_coupler(
     spectral, so is the contraction, and each branch box is a spectral table
     (see ``_contracted``): no cell is built.
     """
-    consumed = list(consumed)
+    consumed = tuple(consumed)
+    if not all([isinstance(p, int) and not isinstance(p, bool) for p in consumed]):
+        raise ArityError(f"consumed parties {list(consumed)} must be integers")
     if len(consumed) != coupler.n:
         raise ArityError(f"coupler consumes {coupler.n} ends, got {len(consumed)} parties")
-    if len(set(consumed)) != len(consumed) or any(p < 1 or p > joint.n for p in consumed):
-        raise ArityError(f"consumed parties {consumed} invalid for n={joint.n}")
+    if len(set(consumed)) != len(consumed) or min(consumed) < 1 or max(consumed) > joint.n:
+        raise ArityError(f"consumed parties {list(consumed)} invalid for n={joint.n}")
     if len(consumed) == joint.n:
         raise ArityError("a coupler must leave at least one surviving party")
-
     den, m, tables = _contracted(coupler, joint, consumed)
-    results = []
-    for branch, table in enumerate(tables):
-        masses, surd_masses = _masses(table, m)
-        mass_r, mass_s = masses[0], surd_masses[0]
-        if any(v != mass_r for v in masses) or any(v != mass_s for v in surd_masses):
-            raise CouplerInvalidError(
-                branch, f"branch {branch} mass depends on surviving inputs"
-            )
-        sign = qsign(mass_r, mass_s)
-        if sign < 0:
-            raise CouplerInvalidError(branch)
-        if not sign:
-            if _nonzero(table):
-                raise CouplerInvalidError(
-                    branch, f"branch {branch} has zero mass but nonzero entries"
-                )
-            results.append(BranchResult(branch, ZERO, None))
-            continue
-        if _negative(table, m):
-            raise CouplerInvalidError(branch)
-        box = _divided(m, table, mass_r, mass_s)
-        results.append(BranchResult(branch, Scalar.over(mass_r, mass_s, den), box))
-    return tuple(results)
+    return tuple([_finished(branch, table, den, m) for branch, table in enumerate(tables)])
 
 
 # -- the factor-wise contraction -------------------------------------------
@@ -194,204 +175,223 @@ def apply_coupler(
 # the consumed inputs only through their popcount, and both add up over the
 # factors of a product; so each factor is reduced over its own consumed ends
 # and only tables over survivors are multiplied out.  A built table is a
-# product of one factor.  A branch table is either dense, a (rat, surd)
-# pair of numerator vectors (surd None when there is no sqrt2 part), or,
-# when every factor is spectral, a spectrum: a dict of such pairs, one
-# column over the survivors' inputs per survivor output word (see the
-# spectral form in ``boxes``).  Both reduce the consumed inputs the same
-# way (``_summed``, ``_graded``) and multiply the factors out the same way
-# (``_branches``); they differ in the output pass and in what a product is.
+# product of one factor.  Every table below is a dict of (rat, surd)
+# columns, surd None for no sqrt2 part: a spectrum's columns keyed by the
+# survivors' output bits (see the spectral form in ``boxes``), or all the
+# cells at word 0.  A factor is reduced by the plan of its shape
+# (``_reduction``): one gather per class of consumed entries, summed by
+# C-level ``map`` and ``zip``.  The grades meet through weights cached per
+# kernel and grade counts (``_pairing``), and each product is added in
+# place into one dict of columns (``_times``).
 
 
-def _summed(vec, at: int, ends: Sequence[int]) -> list:
-    """``vec`` summed over the consumed inputs, the index bits ``at + p - 1``
-    for p in ``ends`` (descending, so lower bits stay in place)."""
-    for p in ends:
-        vec = list(map(add, *_split(vec, at + p - 1)))
-    return vec
+def _gather(indices: list):
+    """``itemgetter(*indices)``, returning a tuple for one index too."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda vec, i=indices[0]: (vec[i],)
 
 
-def _graded(vec, at: int, ends: Sequence[int]) -> list:
-    """``vec`` summed like ``_summed``, into one table per popcount k of the
-    consumed inputs: entry k sums over the consumed inputs with k bits set."""
-    graded = [vec]
-    for p in ends:
-        grown = []
-        for table in graded:
-            at0, at1 = _split(table, at + p - 1)
-            if grown:  # input 0 keeps the grade, input 1 raises it by one
-                grown[-1] = list(map(add, grown[-1], at0))
-            else:
-                grown.append(at0)
-            grown.append(at1)
-        graded = grown
-    return graded
+@lru_cache(maxsize=256)
+def _reduction(n: int, ends: tuple, cells: bool) -> tuple:
+    """The plan that reduces a vector of an n-party factor over its consumed
+    ``ends`` (ascending, at least one): ``cells`` indexed (x << n) | a, or
+    a column indexed by x.  The consumed entries fall into classes by the
+    popcount k of their inputs, and for cells by their outputs' parity too,
+    as class 2k + parity.  Returns each class's gather, its members in a run
+    per survivor entry, and the run's length; then each output word's
+    survivor bits and the consumed bits."""
+    mask = sum(1 << (p - 1) for p in ends)
+    here = [w for w in range(1 << n) if not w & mask]  # the survivors' words
+    there = [w for w in range(1 << n) if w & mask == w]  # the consumed words
+    if cells:
+        rows = [x << n | a for x in here for a in here]
+        members = [[] for _ in range(2 * len(ends) + 2)]
+        for xc, x in enumerate(there):
+            for ac, a in enumerate(there):
+                members[2 * xc.bit_count() + (ac.bit_count() & 1)].append(x << n | a)
+    else:
+        rows, members = here, [[] for _ in range(len(ends) + 1)]
+        for xc, x in enumerate(there):
+            members[xc.bit_count()].append(x)
+    classes = tuple((_gather([r | c for r in rows for c in cls]), len(cls)) for cls in members)
+    return classes, subwords(n, tuple(p for p in range(1, n + 1) if p not in ends)), mask
 
 
-def _reduced(vec, n: int, ends: Sequence[int]) -> tuple[list, list]:
-    """One numerator vector of an n-party factor reduced over its consumed
-    ``ends`` (descending): the sum of each survivor cell over the consumed
-    cells, and ``graded[k]``, the same sum signed by the parity of the
-    consumed outputs and taken over consumed inputs of popcount k only."""
-    plain = signed = vec
-    for p in ends:  # outputs first: both sums start from the same halves
-        if plain is signed:
-            a0, a1 = _split(vec, p - 1)
-            plain, signed = list(map(add, a0, a1)), list(map(sub, a0, a1))
-        else:
-            plain = list(map(add, *_split(plain, p - 1)))
-            signed = list(map(sub, *_split(signed, p - 1)))
-    n -= len(ends)  # output bits left: the inputs now start at bit n
-    return _summed(plain, n, ends), _graded(signed, n, ends)
+def _class_sums(vec, classes) -> list:
+    """Each class's sum at every survivor entry of ``vec`` (see ``_reduction``)."""
+    sums = []
+    for gather, count in classes:
+        run = gather(vec)
+        if count == 2:
+            run = list(map(add, run[::2], run[1::2]))
+        elif count > 2:
+            run = list(map(sum, zip(*[iter(run)] * count)))
+        sums.append(run)
+    return sums
 
 
-def _dense_part(f: BoxTable, ends: Sequence[int]) -> tuple:
-    """(den, total, graded) of a factor's cells: see ``_reduced``."""
-    rat_total, rat_graded = _reduced(f.rat, f.n, ends)
-    surd_total, surd_graded = ((None, [None] * len(rat_graded)) if f.surd is None
-                               else _reduced(f.surd, f.n, ends))
-    return f.den, (rat_total, surd_total), list(zip(rat_graded, surd_graded))
+def _cells_part(f: BoxTable, ends: tuple) -> tuple:
+    """(den, total, graded) of a factor's cells: each survivor cell summed
+    over the consumed cells, and ``graded[k]``, that sum signed by the
+    consumed outputs' parity over consumed inputs of popcount k only."""
+    classes = _reduction(f.n, ends, True)[0]
+    rat = _class_sums(f.rat, classes)
+    surd = f.surd and _class_sums(f.surd, classes)
+    graded = [{0: (list(map(sub, rat[k], rat[k + 1])),
+                   surd and list(map(sub, surd[k], surd[k + 1])))}
+              for k in range(0, len(rat), 2)]
+    return f.den, {0: (list(map(sum, zip(*rat))), surd and list(map(sum, zip(*surd))))}, graded
 
 
-def _spectral_part(f: BoxTable, ends: Sequence[int]) -> tuple:
+def _columns_part(f: BoxTable, ends: tuple) -> tuple:
     """(den, total, graded) of a factor's columns.  Summing the consumed
     outputs of a column's character leaves 2**|ends| where it holds no
-    consumed bit and 0 elsewhere; signing them by their parity first, where
-    it holds every consumed bit.  So the total comes from the columns
-    without a consumed output bit and the graded part from those with all of
-    them, each keyed by its survivor bits and reduced over the consumed
-    inputs; the common 2**|ends| is left out, as ``_contracted`` says."""
+    consumed bit, and signed by their parity, where it holds all of them;
+    elsewhere 0.  So the total sums the columns of the first kind and the
+    graded part those of the second over the consumed inputs, keyed by
+    their survivor bits; the common 2**|ends| is left out (``_contracted``)."""
     den, columns = f.spectrum
-    mask = sum(1 << (p - 1) for p in ends)
-    keys = subwords(f.n, tuple(p for p in range(1, f.n + 1) if p not in ends))
-    total, graded = {}, [{} for _ in range(len(ends) + 1)]
+    classes, keys, mask = _reduction(f.n, ends, False)
+    total, graded = {}, [{} for _ in classes]
     for word, (rat, surd) in columns.items():
-        key = keys[word]
-        if not word & mask:
-            total[key] = (_summed(rat, 0, ends), surd and _summed(surd, 0, ends))
-        if word & mask == mask:
-            surd_graded = [None] * len(graded) if surd is None else _graded(surd, 0, ends)
-            for grade, pair in zip(graded, zip(_graded(rat, 0, ends), surd_graded)):
-                grade[key] = pair
+        held = word & mask
+        if held and held != mask:
+            continue
+        rat = _class_sums(rat, classes)
+        surd = surd and _class_sums(surd, classes)
+        if held:
+            for k, grade in enumerate(graded):
+                grade[keys[word]] = rat[k], surd and surd[k]
+        else:
+            total[keys[word]] = list(map(sum, zip(*rat))), surd and list(map(sum, zip(*surd)))
     return den, total, graded
 
 
-def _spectral_combined(terms) -> dict:
-    """``_combined`` column by column over ``(w, spectrum)`` terms."""
-    by_word: dict = {}
-    for w, table in terms:
-        for word, pair in table.items():
-            by_word.setdefault(word, []).append((w, pair))
-    return {word: _combined(pairs) for word, pairs in by_word.items()}
+def _into(acc: dict, table: dict, w: int = 1) -> dict:
+    """``acc`` plus ``w`` times ``table``, column by column, in place."""
+    for word, (rat, surd) in table.items():
+        if w != 1:
+            rat, surd = [w * v for v in rat], surd and [w * v for v in surd]
+        held = acc.get(word)
+        if held is not None:
+            rat = list(map(add, held[0], rat))
+            if held[1] is not None:
+                surd = held[1] if surd is None else list(map(add, held[1], surd))
+        acc[word] = rat, surd
+    return acc
 
 
-# (outer product of two tables over m and fm survivors, weighted sum, the
-# table of the empty product) for each form
-_DENSE = (_outer_pair, _combined, ([1], None))
-_SPECTRAL = (lambda u, v, m, fm: _spectral_outer(u, v, m), _spectral_combined,
-             {0: ([1], None)})
+def _times(u: dict, v: dict, nu: int, nv: int, acc: dict) -> dict:
+    """``acc`` plus the product of ``u`` (the ``nu`` low survivors) and ``v``:
+    the ``_kron`` of their columns, or, given ``nv``, the ``_outer`` of cells."""
+    outer = _kron if nv is None else (lambda p, q: _outer(p, q, nu, nv))
+    return _into(acc, {su | sv << nu: _pair_product(cu, cv, outer)
+                       for sv, cv in v.items() for su, cu in u.items()})
 
 
-def _branches(kernel, parts, form) -> tuple:
-    """(m, (t0, t1)) from each factor's (survivors, total, graded).
+@lru_cache(maxsize=64)
+def _pairing(kernel: tuple, ni: int, nj: int) -> tuple:
+    """For each grade j < nj of the last factor, the pairs (i, 2 * H(i + j))
+    over the rest's grades i < ni whose weight is not zero."""
+    return tuple(tuple((i, 2 * kernel[i + j]) for i in range(ni) if kernel[i + j])
+                 for j in range(nj))
 
-    With ``total`` the product of the factors' totals and G_k the graded
-    table of consumed-input popcount k of the whole product (a sum of
-    products of the factors' graded tables whose grades add up to k),
-    t0 = total + 2 * sum_k H(k) * G_k and t1 = 3 * total - t0.  The last
-    factor's grade j is met directly by the rest's grades i weighted with
-    2 * H(i + j), so the largest tables are written only once per grade."""
-    outer, combine, one = form
+
+def _branches(kernel: tuple, parts: list, cells: bool) -> tuple:
+    """(m, (t0, t1)) from each factor's (survivors, total, graded): with
+    ``total`` the product of the factors' totals and G_k the graded table
+    of consumed-input popcount k of the product (the products of graded
+    tables whose grades add up to k), t0 = total + 2 * sum_k H(k) * G_k and
+    t1 = 3 * total - t0.  The last factor's grade j meets the rest's grades
+    i weighted with 2 * H(i + j), so the largest tables are written once
+    per grade."""
     m, total, graded = parts[0]
     for fm, f_total, f_graded in parts[1:-1]:
-        total = outer(total, f_total, m, fm)
-        grades = [[] for _ in range(len(graded) + len(f_graded) - 1)]
+        nv = fm if cells else None
+        total = _times(total, f_total, m, nv, {})
+        grades = [{} for _ in range(len(graded) + len(f_graded) - 1)]
         for i, g in enumerate(graded):
             for j, h in enumerate(f_graded):
-                grades[i + j].append((1, outer(g, h, m, fm)))
+                _times(g, h, m, nv, grades[i + j])
         m += fm
-        graded = [combine(terms) for terms in grades]
-    # a lone factor meets the empty product: no survivors, sum 1, grade 0
+        graded = grades
+    one = {0: ((1,), None)}  # the empty product a lone factor meets: sum 1, grade 0
     fm, f_total, f_graded = parts[-1] if len(parts) > 1 else (0, one, [one])
-    total = outer(total, f_total, m, fm)
-    terms = [(1, total)]
-    for j, table in enumerate(f_graded):
-        weights = [2 * kernel[i + j] for i in range(len(graded))]
-        if any(weights):
-            weighted = combine([(w, g) for w, g in zip(weights, graded) if w])
-            terms.append((1, outer(weighted, table, m, fm)))
-    t0 = combine(terms)
-    return m + fm, (t0, combine([(3, total), (-1, t0)]))
+    nv = fm if cells else None
+    total, signed = _times(total, f_total, m, nv, {}), {}
+    for h, pairs in zip(f_graded, _pairing(kernel, len(graded), len(f_graded))):
+        if pairs:
+            weighted = {}
+            for i, w in pairs:
+                _into(weighted, graded[i], w)
+            _times(weighted, h, m, nv, signed)
+    return m + fm, (_into(dict(total), signed), _into(_into({}, total, 2), signed, -1))
 
 
 def _contracted(coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]) -> tuple:
     """(den, m, (t0, t1)): both branch tables of ``joint`` over its m
-    survivors, over ``den``; see ``_branches``.
-
-    Dense tables are cells over ``coupler.den`` times the factors' dens.  A
-    spectrum's cells carry the factor 2**N that summing N consumed outputs
-    of a character leaves, which cancels against the 2**N of
-    ``coupler.den = 3 * 2**N``: spectra are over 3 times the factors'
-    dens."""
+    survivors, over ``den`` (see ``_branches``): (rat, surd) pairs of cells
+    over ``coupler.den`` times the factors' dens, or dicts of columns.  A
+    spectrum's cells carry the 2**N that summing N consumed outputs of a
+    character leaves, which cancels against the 2**N of ``coupler.den =
+    3 * 2**N``: spectra are over 3 times the factors' dens."""
     factors = joint.factors or (joint,)
-    spectral = all(f.spectrum is not None for f in factors)
-    part, form = (_spectral_part, _SPECTRAL) if spectral else (_dense_part, _DENSE)
-    den = 3 if spectral else coupler.den
+    cells = None in [f.spectrum for f in factors]
+    part = _cells_part if cells else _columns_part
+    den = coupler.den if cells else 3
+    consumed = sorted(consumed)
     parts, offset = [], 0
     for f in factors:
-        ends = sorted((p - offset for p in consumed if offset < p <= offset + f.n),
-                      reverse=True)
+        ends = tuple([p - offset for p in consumed if offset < p <= offset + f.n])
         offset += f.n
-        f_den, total, graded = part(f, ends)
+        if ends:
+            f_den, total, graded = part(f, ends)
+        else:  # nothing to reduce: the factor is its own total and grade 0
+            f_den, total = (f.den, {0: (f.rat, f.surd)}) if cells else f.spectrum
+            graded = [total]
         parts.append((f.n - len(ends), total, graded))
         den *= f_den
-    return (den, *_branches(coupler.kernel, parts, form))
+    m, tables = _branches(coupler.kernel, parts, cells)
+    return den, m, [table[0] for table in tables] if cells else tables
 
 
-def _masses(table, m: int) -> tuple:
-    """Each surviving input row's mass numerators: (rat, surd) lists."""
-    if isinstance(table, dict):  # 2**m times the empty-set column
-        rat, surd = table.get(0, ([0] * 2**m, None))
-        return [v << m for v in rat], [v << m for v in surd] if surd else [0] * len(rat)
-    rat, surd = table
-    masses = row_sums(rat, m)
-    return masses, row_sums(surd, m) if surd else [0] * len(masses)
-
-
-def _nonzero(table) -> bool:
-    pairs = table.values() if isinstance(table, dict) else (table,)
-    return any(any(rat) or (surd and any(surd)) for rat, surd in pairs)
-
-
-def _negative(table, m: int) -> bool:
+def _mass(branch: int, table, m: int) -> tuple:
+    """The (rat, surd) numerators of the mass every surviving input row must
+    share: 2**m times the empty-set column, or the row sums of cells."""
     if isinstance(table, dict):
-        return spectral_negative(m, table)
-    return first_negative(*table) is not None
-
-
-def _over_mass(rat, surd, mass_r: int, mass_s: int) -> tuple:
-    """``(rat + surd*sqrt2) / (mass_r + mass_s*sqrt2)`` for a positive mass,
-    as (den, rat, surd), multiplied through by the conjugate mass."""
-    if not mass_s:
-        return mass_r, rat, surd
-    surd = surd or [0] * len(rat)
-    norm = mass_r * mass_r - 2 * mass_s * mass_s  # nonzero: sqrt2 is irrational
-    sign = 1 if norm > 0 else -1
-    new_rat = [sign * (r * mass_r - 2 * s * mass_s) for r, s in zip(rat, surd)]
-    new_surd = [sign * (s * mass_r - r * mass_s) for r, s in zip(rat, surd)]
-    return sign * norm, new_rat, new_surd
-
-
-def _divided(m: int, table, mass_r: int, mass_s: int) -> BoxTable:
-    """The branch box: ``table`` over its mass; the shared denominator of
-    table and mass cancels.  The mass is positive, so the box records the
-    sign verdict ``apply_coupler`` found, and validation takes it."""
-    if not isinstance(table, dict):
-        box = BoxTable.from_numerators(m, *_over_mass(*table, mass_r, mass_s))
+        (rat, surd), shift = table.get(0, ((0,), None)), m
     else:
-        columns, den = {}, mass_r
-        for word, pair in table.items():
-            den, *columns[word] = _over_mass(*pair, mass_r, mass_s)
-        box = BoxTable.from_spectrum(m, den, columns)
+        rat, surd = [vec and list(map(sum, zip(*[iter(vec)] * (1 << m)))) for vec in table]
+        shift = 0
+    masses = set(zip(rat, surd or repeat(0)))
+    if len(masses) != 1:
+        raise CouplerInvalidError(branch, f"branch {branch} mass depends on surviving inputs")
+    ((rat, surd),) = masses
+    return rat << shift, surd << shift
+
+
+def _finished(branch: int, table, den: int, m: int) -> BranchResult:
+    """One branch of ``apply_coupler`` from its table over ``den``: the mass
+    check, the sign tests, then the division by the mass, whose positive
+    sign lets the box record the sign verdict for validation to take."""
+    mass_r, mass_s = _mass(branch, table, m)
+    sign = qsign(mass_r, mass_s)
+    if sign < 0:
+        raise CouplerInvalidError(branch)
+    spectral = isinstance(table, dict)
+    columns = table if spectral else {0: table}
+    if not sign:
+        if any([any(rat) or (surd and any(surd)) for rat, surd in columns.values()]):
+            raise CouplerInvalidError(branch, f"branch {branch} has zero mass but nonzero entries")
+        return BranchResult(branch, ZERO, None)
+    if spectral_negative(m, table) if spectral else (first_negative(*table) is not None):
+        raise CouplerInvalidError(branch)
+    box_den = mass_r
+    if mass_s:  # times the conjugate mass over the norm, nonzero as sqrt2 is irrational
+        norm = mass_r * mass_r - 2 * mass_s * mass_s
+        sign = 1 if norm > 0 else -1
+        box_den, conjugate = sign * norm, ((sign * mass_r,), (-sign * mass_s,))
+        columns = {w: _pair_product(pair, conjugate, _kron) for w, pair in columns.items()}
+    box = (BoxTable.from_spectrum(m, box_den, columns) if spectral
+           else BoxTable.from_numerators(m, box_den, *columns[0]))
     box._nonnegative = True
-    return box
+    return BranchResult(branch, Scalar.over(mass_r, mass_s, den), box)

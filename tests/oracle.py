@@ -22,6 +22,10 @@ transform, and ``spectral`` turns a table into a spectral one by the
 forward transform, one ``Scalar`` at a time; ``test_spectral.py`` checks
 the library's spectral tables against them.
 
+``reduced_cells`` and ``reduced_columns`` reduce one factor of a coupler's
+joint over its consumed ends, entry by entry; ``test_kernels.py`` checks
+the coupler's cached reduction plans against them.
+
 ``from_probs`` builds a table from its cells, one ``Scalar`` each: the
 library builds tables only from integer numerators, spectra and documents,
 and the oracle and the tests write theirs cell by cell.
@@ -265,6 +269,57 @@ def branch_tables(coupler, joint, consumed):
         psum[idx] = psum[idx] + p
     uniform = Scalar(Fraction(1, 2**N))
     return t0, [uniform * s - t for s, t in zip(psum, t0)]
+
+
+def reduced_cells(n, ends, rat, surd):
+    """An n-party factor's cell numerators (surd None for none) summed over
+    its consumed ``ends``, one cell at a time: per survivor cell, the plain
+    sum, and per popcount k of the consumed inputs the sum signed by the
+    parity of the consumed outputs.  Returns (total, graded), each a
+    [rat sums, surd sums] pair, graded one per k."""
+    survivors = [p for p in range(1, n + 1) if p not in ends]
+    m = len(survivors)
+    total = [[0] * 4**m, [0] * 4**m]
+    graded = [[[0] * 4**m, [0] * 4**m] for _ in range(len(ends) + 1)]
+    for index in range(4**n):
+        x, a = index >> n, index & (2**n - 1)
+        cell = (_extract(x, survivors) << m) | _extract(a, survivors)
+        k = _extract(x, ends).bit_count()
+        sign = -1 if _extract(a, ends).bit_count() % 2 else 1
+        for part, vec in enumerate((rat, surd)):
+            value = vec[index] if vec else 0
+            total[part][cell] += value
+            graded[k][part][cell] += sign * value
+    return total, graded
+
+
+def reduced_columns(n, ends, columns):
+    """An n-party factor's spectral ``columns`` ({word: (rat, surd)})
+    summed over its consumed ``ends``, one entry at a time: a column with
+    no consumed output bit summed over the consumed inputs into ``total``,
+    a column with every consumed output bit summed per popcount k of the
+    consumed inputs into ``graded[k]``, each at the column's survivor
+    output bits as a [rat sums, surd sums] pair; other columns drop out."""
+    survivors = [p for p in range(1, n + 1) if p not in ends]
+    m = len(survivors)
+    total, graded = {}, [{} for _ in range(len(ends) + 1)]
+    for word, (rat, surd) in columns.items():
+        held = _extract(word, ends).bit_count()
+        if 0 < held < len(ends):
+            continue
+        sums = [[[0] * 2**m, [0] * 2**m] for _ in range(len(ends) + 1)]
+        for x in range(2**n):
+            k, row = _extract(x, ends).bit_count(), _extract(x, survivors)
+            for part, vec in enumerate((rat, surd)):
+                sums[k][part][row] += vec[x] if vec else 0
+        key = _extract(word, survivors)
+        if held:
+            for k, pair in enumerate(sums):
+                graded[k][key] = pair
+        else:
+            total[key] = [[sum(v) for v in zip(*(pair[part] for pair in sums))]
+                          for part in (0, 1)]
+    return total, graded
 
 
 def apply_coupler(coupler, joint, consumed):

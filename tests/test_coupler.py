@@ -28,9 +28,11 @@ from boxswap import (
     mixed,
     pr,
     success_probability,
+    swap_two,
     tensor,
     validate,
 )
+from boxswap import checks, coupler, scenarios
 from boxswap.errors import ArityError, CouplerInvalidError
 
 THIRD = Scalar.rational(1, 3)
@@ -131,6 +133,53 @@ def test_apply_coupler_argument_checks():
         apply_coupler(chi, pr(), (1, 2))  # nobody would survive
     with pytest.raises(ArityError):
         apply_coupler(chi, tensor(pr(), pr()), (2, 5))
+
+
+def test_apply_coupler_refuses_positions_that_are_not_integers():
+    # one ArityError, before any reduction plan is looked up: a float,
+    # even an integral one, a string and a bool are not party positions
+    chi, joint = build_coupler(2), tensor(pr(), pr())
+    misses = coupler._reduction.cache_info().misses
+    for consumed in ((2, 3.5), ("2", 3), (True, 3), (2.0, 3), (2, False)):
+        with pytest.raises(ArityError):
+            apply_coupler(chi, joint, consumed)
+    assert coupler._reduction.cache_info().misses == misses
+
+
+def _plan_misses() -> list:
+    return [plan.cache_info().misses
+            for plan in (coupler._reduction, coupler._pairing)]
+
+
+def test_plans_are_keyed_by_shape(monkeypatch):
+    # the contraction's caches hold plans per shape, never per value: once
+    # a shape has been contracted, no later call of that shape misses
+    weights = [Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(3, 7), ZERO, ONE,
+               INV_SQRT2, Scalar(Fraction(1, 4), Fraction(1, 4)), Fraction(5, 8),
+               Scalar(Fraction(1, 8), Fraction(1, 4)), Fraction(9, 10)]
+    swap_two(3, 3, weights[0], weights[0])
+    misses = _plan_misses()
+    for xi in weights[1:]:
+        assert swap_two(3, 3, xi, xi).all_checks_passed
+    assert _plan_misses() == misses
+
+    # random-properties' 200 cases, through both places it applies a coupler
+    seen, calls = set(), []
+
+    def shape_checked(effect, joint, consumed):
+        factors = joint.factors or (joint,)
+        shape = (effect.n, tuple(consumed), tuple((f.n, f.spectrum is None) for f in factors))
+        before = _plan_misses()
+        results = coupler.apply_coupler(effect, joint, consumed)
+        assert shape not in seen or _plan_misses() == before, shape
+        seen.add(shape)
+        calls.append(shape)
+        return results
+
+    monkeypatch.setattr(checks, "apply_coupler", shape_checked)
+    monkeypatch.setattr(scenarios, "apply_coupler", shape_checked)
+    assert checks.check_random_properties().passed
+    assert len(calls) > 800 and len(seen) < 20  # three joints and a swap per case
 
 
 def test_success_law_golden_points():

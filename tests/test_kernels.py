@@ -9,10 +9,12 @@ and arbitrary (signaling, unnormalized) tables.  ``marginalize``,
 isotropic-family boxes and coupler branch boxes (both spectral) and on lazy
 products.  The lazy ``tensor`` and the
 factor-wise coupler contraction are also run on products of up to four such
-tables, up to seven parties in all, and the ``wired`` join across one to
-three wirings on two tables of up to seven parties together: cell tables,
-built or lazy, spectral tables of the isotropic family and coupler branch
-boxes, lazy products of those, and dense spectra, in any pairing; its
+tables, up to seven parties in all, its cached reduction plans on every set
+of consumed ends of a factor of one to five parties, and the ``wired`` join
+across one to three wirings on two tables of up to seven parties together:
+cell tables, built or lazy, spectral tables of the isotropic family and
+coupler branch boxes, lazy products of those, and dense spectra, in any
+pairing; its
 columns, cells and validation must be the oracle's.  The closed-form
 ``isotropic`` is run next to ``mix`` and the oracle's ``mix`` of gsb(n) and
 mixed(n), and the two-minimum sign test in ``first_negative`` next to a
@@ -23,7 +25,7 @@ Results must be equal as tables, errors must name the same party or branch.
 import random
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from math import isqrt
 
 import pytest
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 import oracle
 from boxswap import (
     BellFunctional,
+    BoxTable,
     CouplerEffect,
     INV_SQRT2,
     ONE,
@@ -55,7 +58,7 @@ from boxswap import (
     validate,
 )
 from boxswap.boxes import _interleave, _split, first_negative, wired
-from boxswap.coupler import _contracted
+from boxswap.coupler import _cells_part, _columns_part, _contracted
 from boxswap.errors import (ArityError, CouplerInvalidError, PartyCapError, SignalingError,
                             ValidationError)
 from boxswap.scalar import qsign
@@ -309,6 +312,37 @@ def test_apply_coupler_on_lazy_products(seed, kinds):
         assert got_err is not None
         assert (got_err.branch, str(got_err)) == (want_err.branch, str(want_err))
     assert joint == want_joint
+
+
+def _pairs(table: dict) -> dict:
+    """A reduced table of columns as [rat, surd] lists, surd zeros for none."""
+    return {word: [list(rat), list(surd or [0] * len(rat))] for word, (rat, surd) in table.items()}
+
+
+def test_reduction_plans_against_per_cell_sums():
+    # every set of consumed ends of a factor of 1-5 parties, in the ascending
+    # order the contraction hands them over, those that consume every party
+    # included; on cells with and without sqrt(2) parts and on spectra
+    rng = random.Random(1505)
+    for n in range(1, 6):
+        draw = [rng.randint(-9, 9) for _ in range(3 * 4**n)]
+        rat, surd = draw[:4**n], draw[4**n:2 * 4**n]
+        columns = {word: (draw[2 * 4**n + (word << n):2 * 4**n + (word + 1 << n)],
+                          None if word % 3 else draw[word << n:word + 1 << n])
+                   for word in range(2**n)}
+        factors = [BoxTable.from_numerators(n, 1, rat), BoxTable.from_numerators(n, 1, rat, surd),
+                   BoxTable.from_spectrum(n, 1, columns)]
+        for size in range(1, n + 1):
+            for ends in combinations(range(1, n + 1), size):
+                for f in factors[:2]:
+                    _, total, graded = _cells_part(f, ends)
+                    want_total, want_graded = oracle.reduced_cells(n, ends, f.rat, f.surd)
+                    assert _pairs(total) == {0: want_total}
+                    assert [_pairs(g) for g in graded] == [{0: g} for g in want_graded]
+                _, total, graded = _columns_part(factors[2], ends)
+                want_total, want_graded = oracle.reduced_columns(n, ends, factors[2].spectrum[1])
+                assert _pairs(total) == want_total
+                assert [_pairs(g) for g in graded] == want_graded
 
 
 @given(seeds, st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
