@@ -127,7 +127,9 @@ class BoundTriple:
         }
 
 
+@lru_cache(maxsize=None)
 def bounds(n: int) -> BoundTriple:
+    """The local, quantum and algebraic bounds of gsi(n) (cached, immutable)."""
     if n < 2:
         raise ArityError("bounds need n >= 2")
     return BoundTriple(

@@ -14,9 +14,10 @@ integers, so it is canonical and table equality is tuple equality.  A
 table is built by ``from_numerators``, ``from_spectrum`` or ``from_json``.
 The operations below work on these tuples in integer arithmetic, through
 list slices and ``map``.  They reach single index bits only through
-``_split`` and its inverse ``_interleave``, and whole words of a party
-subset through the cached ``subwords`` maps; ``_outer`` lays out the tensor
-product, the one layout written by hand.  ``Scalar`` values appear only at
+``_split`` and its inverse ``_interleave``, whole words of a party subset
+through the cached ``subwords`` maps, and a column's input bits outside an
+output word through the cached ``_masked`` gathers; ``_outer`` lays out the
+tensor product, the one layout written by hand.  ``Scalar`` values appear only at
 the edges: ``prob``, ``probs`` (built on first access) and JSON input;
 ``to_json`` writes each distinct cell value once, straight from its
 numerators, and shares it across the cells that hold it.
@@ -47,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, eq, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
@@ -306,8 +307,8 @@ def _isotropic(family: str, n: int, xi: Scalar) -> BoxTable:
     signs = _gsb_signs(n)
     columns = {0: ((d,) * 2**n, None)}
     if p or q:
-        columns[2**n - 1] = (tuple(p * s for s in signs),
-                             tuple(q * s for s in signs) if q else None)
+        columns[2**n - 1] = (tuple(map(mul, signs, repeat(p))),
+                             tuple(map(mul, signs, repeat(q))) if q else None)
     # canonical as it stands: gcd(d * 2**n, d, p, q) = gcd(p, q, d) = 1
     return _spectral(n, (d << n, columns))
 
@@ -907,26 +908,40 @@ def _input_free(vec: Sequence[int], n: int, party: int) -> bool:
     return x0 == x1
 
 
+@lru_cache(maxsize=256)
+def _masked(n: int, mask: int):
+    """A gather of each n-bit input word's entry with the bits outside
+    ``mask`` cleared: a column equals it iff it ignores those input bits."""
+    return itemgetter(*[x & mask for x in range(2**n)])
+
+
 def _spectral_report(n: int, spectrum: tuple, nonnegative: bool | None) -> ValidationReport:
     """``validate`` on the columns: a row's mass is 2**n times its empty-set
-    column, and party p's input is free when each column without p's output
-    bit is the same at both of p's inputs."""
+    column, and party p's input is free when no column without p's output
+    bit depends on it.  One ``_masked`` gather clears a column at output
+    word S for every party outside S; a column it fails is read again once
+    per such party p, with p's bit alone cleared, to name those that signal."""
     den, columns = spectrum
     rat, surd = columns.get(0, ((0,), None))
-    normalized = surd is None and all(v << n == den for v in rat)
-    nonsignaling = {}
-    for party in range(1, n + 1):
-        bit = 1 << (party - 1)
-        nonsignaling[party] = all(
-            eq(*_split(col, party - 1))
-            for word, pair in columns.items() if not word & bit
-            for col in pair if col is not None)
+    normalized = surd is None and rat[0] << n == den and rat.count(rat[0]) == len(rat)
+    nonsignaling = dict.fromkeys(range(1, n + 1), True)
+    full = 2**n - 1
+    for word, pair in columns.items():
+        for col in pair:
+            if col is not None and col != _masked(n, word)(col):
+                for party in range(1, n + 1):
+                    bit = 1 << (party - 1)
+                    if not word & bit and col != _masked(n, full ^ bit)(col):
+                        nonsignaling[party] = False
     if nonnegative is None:
         nonnegative = not spectral_negative(n, columns)
     return ValidationReport(normalized, nonnegative, nonsignaling)
 
 
 def validate(box: BoxTable) -> ValidationReport:
+    """Normalization, nonnegativity and each party's nonsignaling, exactly:
+    a spectral table on its columns (``_spectral_report``), a cell table by
+    ``_split``; a recorded sign verdict (``_nonnegative``) stands."""
     if box.spectrum is not None:
         return _spectral_report(box.n, box.spectrum, box._nonnegative)
     n, rat, surd, nonnegative = box.n, box.rat, box.surd, box._nonnegative

@@ -25,7 +25,7 @@ from .bell import bounds, ch_evaluate, classify
 from .boxes import BoxTable, validate, word_to_str
 from .checks import run_checks
 from .errors import BoxSwapError, CouplerInvalidError, SpecFileError
-from .fileio import canonical_dumps, load_json
+from .fileio import canonical_dumps, load_json, save_text
 from .scenarios import ScenarioSpec, run_scenario
 
 
@@ -34,8 +34,7 @@ def _emit(text: str, output: str | None) -> None:
     own encoding if that is UTF-8 or it takes no bytes, else as UTF-8 bytes
     to its buffer, so that a locale such as C cannot refuse a "√"."""
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        save_text(output, text)
         return
     stream = sys.stdout
     buffer = getattr(stream, "buffer", None)

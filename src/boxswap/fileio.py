@@ -170,5 +170,14 @@ def load_json(path) -> object:
         raise SpecFileError(f"{path} cannot be loaded: {exc}") from exc
 
 
+def save_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to the file ``path``; a path that cannot be
+    written (a directory, a missing folder) is a SpecFileError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path}: {exc}") from exc
+
+
 def save_json(path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
+    save_text(path, canonical_dumps(obj))

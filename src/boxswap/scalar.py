@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DigitLimitError, SpecFileError
@@ -66,7 +66,6 @@ def _clip(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-@total_ordering
 class Scalar:
     """An element ``(r + s*sqrt(2)) / d`` of Q(sqrt2), kept canonical:
     ``d > 0`` and ``gcd(r, s, d) == 1``.  Treat as immutable."""
@@ -202,6 +201,27 @@ class Scalar:
         d1, d2 = self.d, other.d
         return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) < 0
 
+    def __le__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d1, d2 = self.d, other.d
+        return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) <= 0
+
+    def __gt__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d1, d2 = self.d, other.d
+        return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) > 0
+
+    def __ge__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d1, d2 = self.d, other.d
+        return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) >= 0
+
     def __hash__(self):
         # a rational value hashes like the equal Fraction (and int)
         if not self.s:
@@ -223,24 +243,15 @@ class Scalar:
             raise _too_long() from exc
 
     def _text(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self.r:
-            parts.append(str(self.rat))
-        if self.s:
-            surd = self.surd
-            if surd == 1:
-                term = "√2"
-            elif surd == -1:
-                term = "-√2"
-            else:
-                term = f"{surd}√2"
-            if parts and surd > 0:
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+        (rn, rd), (sn, sd) = _lowest(self.r, self.d), _lowest(self.s, self.d)
+        rat = str(rn) if rd == 1 else f"{rn}/{rd}"
+        if not sn:
+            return rat
+        coefficient = str(sn) if sd == 1 else f"{sn}/{sd}"
+        surd = {"1": "", "-1": "-"}.get(coefficient, coefficient) + "√2"
+        if not rn:
+            return surd
+        return rat + "+" + surd if sn > 0 else rat + surd
 
     def decimal(self, digits: int = 12) -> str:
         """Decimal rendering correct to ``digits`` significant digits."""

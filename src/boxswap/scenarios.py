@@ -30,7 +30,7 @@ from math import comb
 from typing import Sequence
 
 from .bell import BoundTriple, Classification, bounds, ch_evaluate, classify
-from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, isotropic, merge_parties, named_box, tensor,
+from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, _isotropic, merge_parties, named_box, tensor,
                     validate, wired)
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
@@ -528,11 +528,10 @@ def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
     zero mass, and attach the cross-checks every scenario gets.  Branches
     whose boxes have one content key (``BoxTable.content_key``) share one
     box and one set of results, so each distinct box is evaluated and
-    validated once, and ``bounds`` is built once per party count."""
+    validated once."""
     records = []
     final_parties: tuple = ()
     evaluated: dict = {}  # content key -> (box, functionals, classification, bounds, validation)
-    triples: dict = {}  # party count -> bounds
     for outcome, weight, labels, box in finals:
         if box is None:
             records.append(BranchRecord(outcome, ZERO, None, {}, None, None, None))
@@ -547,7 +546,7 @@ def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
                 if r == "gsi":
                     classification = classify(box)
                     functionals["gsi"] = classification.value
-                    bound_triple = triples.get(box.n) or triples.setdefault(box.n, bounds(box.n))
+                    bound_triple = bounds(box.n)
                 elif r == "ch":
                     if box.n != 2:
                         raise SpecFileError(
@@ -595,7 +594,8 @@ def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
     coupler succeeds with probability 1/3 and multiplies the weights, or
     fails with probability 2/3 and halves them with a sign flip.  A branch
     with k failures among c couplers therefore has probability
-    2**k / 3**c and leaves ``isotropic(out, weight * (-1/2)**k)``."""
+    2**k / 3**c and leaves ``isotropic(out, weight * (-1/2)**k)``.  The
+    weights lie in [-1, 1], so the boxes are built without the range check."""
     checks = []
     for r in report.branches:
         k, label = sum(r.outcome), "".join(map(str, r.outcome))
@@ -603,7 +603,7 @@ def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
             _scalar_check(f"branch-{label}-probability", r.probability,
                           Scalar.rational(2**k, 3 ** len(r.outcome))),
             _box_check(f"branch-{label}-box", r.box,
-                       isotropic(out, weight * Scalar.rational((-1) ** k, 2**k))),
+                       _isotropic("isotropic", out, weight * Scalar.rational((-1) ** k, 2**k))),
         ]
     return checks
 

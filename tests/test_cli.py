@@ -429,6 +429,21 @@ def test_box_over_the_party_cap_is_a_spec_error(tmp_path, capsys):
     assert "the cap is 10" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("verb", [["run", "SCENARIO"], ["reproduce", "--filter", "bound-table"]])
+@pytest.mark.parametrize("target", ["a directory", "a missing folder"])
+def test_an_output_that_cannot_be_written_is_an_input_error(swap_doc, tmp_path, verb, target):
+    # in a new process, so that a traceback would show on its standard error
+    output = tmp_path if target == "a directory" else tmp_path / "missing" / "out.json"
+    argv = [str(swap_doc) if arg == "SCENARIO" else arg for arg in verb]
+    src = Path(boxswap.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "boxswap", *argv, "--output", str(output)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {output}: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def _fresh(argv) -> tuple:
     """Exit code and standard output of ``python -m boxswap`` in a new process."""
     src = Path(boxswap.__file__).resolve().parent.parent

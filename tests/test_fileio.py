@@ -1,6 +1,7 @@
 """Canonical JSON I/O round trips byte-for-byte."""
 
 import json
+import re
 from collections import OrderedDict
 from enum import IntEnum
 
@@ -34,6 +35,12 @@ def test_load_json_errors_are_spec_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SpecFileError):
         load_json(bad)
+
+
+def test_save_json_errors_are_spec_file_errors(tmp_path):
+    for path in (tmp_path, tmp_path / "missing" / "out.json"):
+        with pytest.raises(SpecFileError, match=re.escape(f"cannot write {path}: ")):
+            save_json(path, {})
 
 
 def test_load_json_maps_an_overlong_integer_to_a_spec_file_error(tmp_path):

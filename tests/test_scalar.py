@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxswap import INV_SQRT2, ONE, SQRT2, ZERO, Scalar
-from boxswap.errors import SpecFileError
+from boxswap.errors import DigitLimitError, SpecFileError
 from oracle import OracleScalar
 
 rationals = st.fractions(
@@ -34,6 +34,10 @@ def test_floats_are_rejected_everywhere():
         ONE + 0.5
     with pytest.raises(TypeError):
         ONE * 0.5
+    with pytest.raises(TypeError):
+        ONE <= 0.5
+    with pytest.raises(TypeError):
+        0.5 > ONE
 
 
 def test_sqrt2_squares_to_two():
@@ -100,6 +104,15 @@ def test_decimal_annotation_has_twelve_digits():
     assert third.decimal().startswith("0.33333333333")
     assert ZERO.decimal() == "0"
     assert (SQRT2 - SQRT2).decimal() == "0"
+
+
+@pytest.mark.parametrize("value", [Scalar.over(10**4400, 0, 3), Scalar.over(1, 10**4400, 3),
+                                   Scalar.over(1, 1, 10**4400 + 1)],
+                         ids=["rational part", "sqrt(2) part", "denominator"])
+def test_text_too_long_to_write_is_a_digit_limit_error(value):
+    # str() of an int past the int-to-str digit limit raises ValueError
+    with pytest.raises(DigitLimitError):
+        str(value)
 
 
 def test_json_round_trip_and_legacy_ints():
@@ -206,6 +219,8 @@ def test_scalar_agrees_with_the_two_fraction_oracle(ta, tb, k, f):
     assert (a == b) == (oa == ob) and (a == a) and (a != b) == (oa != ob)
     assert (a < b, a <= b, a > b, a >= b) == (oa < ob, oa <= ob, oa > ob, oa >= ob)
     assert (a == f) == (oa == f) and (a < f) == (oa < f) and (a == k) == (oa == k)
+    # reflected: an int or Fraction on the left hands the comparison to the Scalar
+    assert (k <= a, f > a, k >= a, f <= a) == (k <= oa, f > oa, k >= oa, f <= oa)
     assert hash(a) == hash(oa)
     assert (str(a), repr(a), a.decimal(), a.to_json()) == (
         str(oa), repr(oa), oa.decimal(), oa.to_json())

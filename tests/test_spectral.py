@@ -15,15 +15,16 @@ other spectral tables.
 
 Spectral tables of the isotropic family are valid boxes, so random spectral
 tables are drawn as well: columns on random output words, with or without
-sqrt(2) parts, each depending on its own parties' inputs or on one more
-party's, over a denominator that may or may not normalize them.  They are
-validated, evaluated, compared and coupled next to the oracle's cells,
-which reaches every outcome of every check.
+sqrt(2) parts, each depending on its own parties' inputs and on up to three
+other parties' inputs, over a denominator that may or may not normalize
+them.  They are validated, evaluated, compared and coupled next to the
+oracle's cells, which reaches every outcome of every check.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,8 +179,10 @@ def _random_spectrum(rng, n):
     columns = {}
     for word in words:
         # a column that follows only its own parties' inputs is nonsignaling;
-        # one more input makes that party signal
-        follows = word | (1 << rng.randrange(n) if rng.random() < 0.3 else 0)
+        # each other party's input it follows, up to three, makes that party signal
+        follows = word
+        for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+            follows |= 1 << rng.randrange(n)
         values = {}
         column = []
         for x in range(2**n):
@@ -201,7 +204,11 @@ def test_random_spectral_tables_match_the_oracle(seed, n):
     rng = random.Random(seed)
     den, columns = _random_spectrum(rng, n)
     got, want = BoxTable.from_spectrum(n, den, columns), oracle.from_spectrum(n, den, columns)
-    report = validate(got)
+    with pytest.MonkeyPatch.context() as mp:  # validation reads the columns whole
+        split, splits = boxes._split, []
+        mp.setattr(boxes, "_split", lambda *args: splits.append(args) or split(*args))
+        report = validate(got)
+    assert splits == []
     assert (report.normalized, report.nonnegative, report.nonsignaling) == oracle.validate(want)
     assert evaluate(gsi(n), got) == oracle.evaluate(gsi(n), want)
     assert got == oracle.spectral(want)
