@@ -2,6 +2,7 @@
 
     python3 scripts/profile_round.py --workload {checks,documents,wide} \\
         [--seed S] [--repeat R] [--phases] [--profile N]
+    python3 scripts/profile_round.py --imports [--repeat R]
 
 The workload's round of requests is built by ``perfbench/workloads.py``
 (imported as it is) against this checkout's ``src/``, with documents written
@@ -21,6 +22,14 @@ runs one more round under cProfile and prints the N functions with the
 most self time.  Times are wall-clock times of this host, with no
 correction for its speed: compare two checkouts by alternating runs on one
 machine.
+
+``--imports`` times the benchmark's import instead: in R fresh processes,
+run under ``-X importtime`` with PYTHONDONTWRITEBYTECODE=1 on a copy of
+``src/boxswap`` without bytecode (so each compiles the source, as a fresh
+checkout does), it imports the standard-library modules that
+``perfbench/run.py`` and its workloads import, then ``boxswap`` and
+``boxswap.cli``.  It prints the best self and cumulative time of each module
+that only the second import loads, slowest self time first.
 """
 
 from __future__ import annotations
@@ -28,7 +37,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import os
 import pstats
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -67,6 +79,41 @@ def best_times(requests, repeat: int) -> list:
             problem = problem or request.check(out)
         rows.append((request.label, best, problem))
     return rows
+
+
+# what perfbench/run.py and perfbench/workloads.py import before boxswap
+BENCH_STDLIB = ("argparse", "fractions", "gc", "hashlib", "json", "os", "pathlib", "platform",
+                "random", "resource", "shutil", "signal", "statistics", "subprocess", "sys",
+                "time", "typing")
+
+
+def import_times(repeat: int) -> list:
+    """(module, best self seconds, best cumulative seconds) of each module
+    that importing ``boxswap`` and ``boxswap.cli`` loads after
+    BENCH_STDLIB, over ``repeat`` fresh processes, slowest self time first."""
+    code = f"import {', '.join(BENCH_STDLIB)}; import boxswap, boxswap.cli"
+    best = {}
+    with tempfile.TemporaryDirectory() as src:
+        shutil.copytree(ROOT / "src" / "boxswap", Path(src) / "boxswap",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        for _ in range(repeat):
+            err = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                                 capture_output=True, text=True, check=True).stderr
+            pending = []  # an import is printed after the imports it caused, indented
+            for line in err.splitlines():
+                if not line.startswith("import time:") or "self [us]" in line:
+                    continue
+                own, total, name = line.removeprefix("import time:").split("|")
+                module = name.strip()
+                pending.append((module, int(own) / 1e6, int(total) / 1e6))
+                if not name[1:].startswith(" "):  # a top-level import
+                    if module in ("boxswap", "boxswap.cli"):
+                        for module, own_s, total_s in pending:
+                            own_best, total_best = best.get(module, (own_s, total_s))
+                            best[module] = (min(own_best, own_s), min(total_best, total_s))
+                    pending = []
+    return sorted(((m, *times) for m, times in best.items()), key=lambda row: -row[1])
 
 
 PHASES = ("load", "spec", "run", "to_json", "dumps", "emit")
@@ -112,7 +159,9 @@ def _phase_table(rows: list) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=("checks", "documents", "wide"))
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=("checks", "documents", "wide"))
+    what.add_argument("--imports", action="store_true")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--phases", action="store_true")
@@ -120,6 +169,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.imports:
+        rows = import_times(args.repeat)
+        print(f"import boxswap, boxswap.cli: {len(rows)} modules, best of {args.repeat} "
+              f"processes, self {sum(row[1] for row in rows) * 1e3:.3f} ms")
+        print(f"{'self ms':>9}  {'cum ms':>9}  module")
+        for module, own, total in rows:
+            print(f"{own * 1e3:9.3f}  {total * 1e3:9.3f}  {module}")
+        return 0
     boxswap, workloads = _imports()
     with tempfile.TemporaryDirectory() as workdir:
         requests, _ = workloads.build(args.workload, args.seed, boxswap, Path(workdir))

@@ -9,7 +9,6 @@ acceptance test suite are both thin wrappers around it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -30,25 +29,19 @@ from .boxes import (
 )
 from .coupler import apply_coupler, build_coupler, is_allowed, success_probability
 from .scalar import INV_SQRT2, ONE, ZERO, Scalar
-from .scenarios import efficiency_compare, hybrid_three, swap_many, swap_two
+from .scenarios import _Record, efficiency_compare, hybrid_three, swap_many, swap_two
 
 THIRD = Scalar(Fraction(1, 3))
 
 
-@dataclass
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Record):
+    __slots__ = ("criterion", "name", "passed", "detail")
+
+    def __init__(self, criterion: int, name: str, passed: bool, detail: str):
+        self.criterion, self.name, self.passed, self.detail = criterion, name, passed, detail
 
     def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return dict(zip(self.__slots__, self._fields()))
 
 
 def _result(criterion, name, problems, ok_detail):

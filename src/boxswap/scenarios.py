@@ -25,7 +25,6 @@ with probability 2/3 and leaves weight -xi1*xi2/2 (``_swap_law``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
@@ -40,17 +39,39 @@ from .scalar import ONE, ZERO, Scalar
 REPORT_FUNCTIONALS = ("gsi", "ch")
 
 
-@dataclass(frozen=True)
-class ScenarioBox:
+class _Record:
+    """A record whose fields are its ``__slots__``, in order, compared and shown field by
+    field; a record class that is immutable by convention hashes with ``_Record._hash``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _hash(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ScenarioBox(_Record):
     """One named box in a scenario: either a named family (``kind`` plus the
     family's parameters) or ``kind="inline"`` with an explicit table."""
 
-    name: str
-    kind: str
-    n: int
-    parties: tuple
-    xi: Scalar | None = None
-    table: BoxTable | None = None
+    __slots__ = ("name", "kind", "n", "parties", "xi", "table")
+    __hash__ = _Record._hash
+
+    def __init__(self, name: str, kind: str, n: int, parties: tuple,
+                 xi: Scalar | None = None, table: BoxTable | None = None):
+        self.name, self.kind, self.n, self.parties = name, kind, n, parties
+        self.xi, self.table = xi, table
 
     def to_json(self) -> dict:
         doc = {
@@ -65,32 +86,36 @@ class ScenarioBox:
         return doc
 
 
-@dataclass(frozen=True)
-class ScenarioCoupler:
-    arity: int
-    consumed: tuple
-    outcome: int | None = None
+class ScenarioCoupler(_Record):
+    __slots__ = ("arity", "consumed", "outcome")
+    __hash__ = _Record._hash
+
+    def __init__(self, arity: int, consumed: tuple, outcome: int | None = None):
+        self.arity, self.consumed, self.outcome = arity, consumed, outcome
 
     def to_json(self) -> dict:
         return {"arity": self.arity, "consumed": list(self.consumed)}
 
 
-@dataclass(frozen=True)
-class ScenarioWiring:
-    pair: tuple
-    merged: str
+class ScenarioWiring(_Record):
+    __slots__ = ("pair", "merged")
+    __hash__ = _Record._hash
+
+    def __init__(self, pair: tuple, merged: str):
+        self.pair, self.merged = pair, merged
 
     def to_json(self) -> dict:
         return {"pair": list(self.pair), "merged": self.merged}
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    name: str
-    boxes: tuple
-    couplers: tuple = ()
-    wirings: tuple = ()
-    reports: tuple = ("gsi",)
+class ScenarioSpec(_Record):
+    __slots__ = ("name", "boxes", "couplers", "wirings", "reports")
+    __hash__ = _Record._hash
+
+    def __init__(self, name: str, boxes: tuple, couplers: tuple = (), wirings: tuple = (),
+                 reports: tuple = ("gsi",)):
+        self.name, self.boxes, self.couplers = name, boxes, couplers
+        self.wirings, self.reports = wirings, reports
 
     def to_json(self) -> dict:
         outcomes = [c.outcome for c in self.couplers]
@@ -195,25 +220,26 @@ class ScenarioSpec:
         )
 
 
-@dataclass
-class CrossCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class CrossCheck(_Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class BranchRecord:
-    outcome: tuple
-    probability: Scalar
-    box: BoxTable | None
-    functionals: dict
-    classification: Classification | None
-    bound_triple: BoundTriple | None
-    validation: object
+class BranchRecord(_Record):
+    __slots__ = ("outcome", "probability", "box", "functionals", "classification",
+                 "bound_triple", "validation")
+
+    def __init__(self, outcome: tuple, probability: Scalar, box: BoxTable | None,
+                 functionals: dict, classification: Classification | None,
+                 bound_triple: BoundTriple | None, validation: object):
+        self.outcome, self.probability, self.box = outcome, probability, box
+        self.functionals, self.classification = functionals, classification
+        self.bound_triple, self.validation = bound_triple, validation
 
     def to_json(self) -> dict:
         """The branch document.  Equal values in it may be one shared
@@ -283,14 +309,16 @@ class _Fragments:
         return doc
 
 
-@dataclass
-class ScenarioReport:
-    scenario: str
-    parties: tuple
-    branches: list
-    total_probability: Scalar
-    crosschecks: list = field(default_factory=list)
-    groups: list | None = None
+class ScenarioReport(_Record):
+    __slots__ = ("scenario", "parties", "branches", "total_probability", "crosschecks",
+                 "groups")
+
+    def __init__(self, scenario: str, parties: tuple, branches: list, total_probability: Scalar,
+                 crosschecks: list | None = None, groups: list | None = None):
+        self.scenario, self.parties, self.branches = scenario, parties, branches
+        self.total_probability, self.groups = total_probability, groups
+        # a list of its own: the swap builders extend it in place
+        self.crosschecks = [] if crosschecks is None else crosschecks
 
     @property
     def all_checks_passed(self) -> bool:
@@ -711,16 +739,18 @@ def hybrid_three() -> ScenarioReport:
     return report
 
 
-@dataclass
-class EfficiencyComparison:
+class EfficiencyComparison(_Record):
     """Resource count for building an n-party box: pairwise cascade vs one
     n-end coupler."""
 
-    n: int
-    pairwise_boxes: int
-    pairwise_probability: Scalar
-    coupler_boxes: int
-    coupler_probability: Scalar
+    __slots__ = ("n", "pairwise_boxes", "pairwise_probability", "coupler_boxes",
+                 "coupler_probability")
+
+    def __init__(self, n: int, pairwise_boxes: int, pairwise_probability: Scalar,
+                 coupler_boxes: int, coupler_probability: Scalar):
+        self.n, self.pairwise_boxes = n, pairwise_boxes
+        self.pairwise_probability = pairwise_probability
+        self.coupler_boxes, self.coupler_probability = coupler_boxes, coupler_probability
 
 
 def efficiency_compare(n: int) -> EfficiencyComparison:

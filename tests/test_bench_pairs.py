@@ -63,3 +63,36 @@ def test_worsening_beyond_the_bound_is_flagged():
     assert not metrics["throughput_rps"]["within_bound"]
     assert not metrics["latency_p50_s"]["within_bound"]
     assert metrics["latency_p50_s"]["change_wins_pairs"] == 0
+
+
+def _setups(parent, change):
+    """A summary of setup_s alone (lower is better), one run per pair."""
+    metric = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+    runs = {side: [{"attempted": 1, "correct": True, "failed": 0,
+                    "metrics": {"setup_s": {"value": value, "unit": "s"}}} for value in values]
+            for side, values in (("parent", parent), ("change", change))}
+    return bench_pairs.summarize({"checks": runs}, [metric])
+
+
+def test_a_claim_on_a_lower_is_better_metric():
+    spread = [-0.004, 0.002, -0.003, 0.001, 0.0, 0.0, 0.003, -0.001, 0.004, -0.002]
+    parent = [0.075 + d for d in spread]
+    change = [0.060 + d for d in spread]
+    verdict = bench_pairs.claim(_setups(parent, change), "checks", "setup_s", 0.18)
+    assert abs(verdict["gain_of_median"] - 0.25) < 1e-12  # 0.075 / 0.060 - 1
+    assert verdict["met"] and verdict["parent_iqr"] < 0.015
+    assert _setups(parent, change)["checks"]["metrics"]["setup_s"]["change_wins_pairs"] == 10
+
+    # the two pairs of the change's slowest runs lost: the medians stay, 8 wins
+    lost = [0.090 if d >= 0.003 else c for c, d in zip(change, spread)]
+    summary = _setups(parent, lost)
+    assert summary["checks"]["metrics"]["setup_s"]["change_wins_pairs"] == 8
+    verdict = bench_pairs.claim(summary, "checks", "setup_s", 0.18)
+    assert abs(verdict["gain_of_median"] - 0.25) < 1e-12 and not verdict["met"]
+
+    # every pair won, but the parent's runs spread by more than the shift
+    wide = [0.075 + 10 * d for d in spread]
+    summary = _setups(wide, [p - 0.015 for p in wide])
+    assert summary["checks"]["metrics"]["setup_s"]["change_wins_pairs"] == 10
+    verdict = bench_pairs.claim(summary, "checks", "setup_s", 0.18)
+    assert verdict["parent_iqr"] > 0.015 and not verdict["met"]

@@ -66,3 +66,21 @@ def test_a_reproduce_request_has_no_load_or_spec_phase(tmp_path):
     times, problem = script.phase_times(boxswap, request, 2)
     assert problem is None
     assert times[:2] == [None, None] and all(t >= 0 for t in times[2:])
+
+
+def test_imports_lists_what_only_boxswap_loads(capsys):
+    script = _script()
+    assert script.main(["--imports", "--repeat", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("import boxswap, boxswap.cli: ")
+    assert "best of 2 processes" in lines[0]
+    assert lines[1].split() == ["self", "ms", "cum", "ms", "module"]
+    rows = {line.split()[2]: [float(t) for t in line.split()[:2]] for line in lines[2:]}
+    assert len(rows) == len(lines) - 2
+    assert {"boxswap", "boxswap.scenarios", "boxswap.cli"} <= set(rows)
+    assert "dataclasses" not in rows and "json" not in rows  # json: perfbench/run.py's
+    assert all(0 <= own <= total for own, total in rows.values())
+    own = [own for own, _ in rows.values()]
+    assert own == sorted(own, reverse=True)
