@@ -67,7 +67,17 @@ from .scenarios import (
     swap_many,
     swap_two,
 )
-from .checks import CheckResult, run_checks
 from .fileio import canonical_dumps, load_json, save_json
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """``checks`` and its ``run_checks`` and ``CheckResult``, imported on
+    first use: a run or a library call does not load the twelve checks."""
+    if name in ("checks", "run_checks", "CheckResult"):
+        from importlib import import_module
+
+        checks = import_module(".checks", __name__)
+        return checks if name == "checks" else getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .boxes import BoxTable, _character
 from .errors import ArityError
-from .scalar import Scalar, common_form
+from .scalar import Scalar, _reduced, common_form
 
 
 def _dot(u, v) -> int:
@@ -80,7 +80,7 @@ def evaluate(functional: BellFunctional, box: BoxTable) -> Scalar:
     # sum_x (c_rat + c_surd*sqrt2)(e_rat + e_surd*sqrt2)
     rat = _dot(c_rat, e_rat) + 2 * _dot(c_surd, e_surd)
     surd = _dot(c_rat, e_surd) + _dot(c_surd, e_rat)
-    return Scalar.over(scale * rat, scale * surd, den * e_den)
+    return _reduced(scale * rat, scale * surd, den * e_den)
 
 
 def ch_evaluate(box: BoxTable) -> Scalar:

@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
 from .fileio import json_positive_int
-from .scalar import ONE, ZERO, Scalar, common_form, qsign, reduce_form, scalar_json
+from .scalar import ONE, ZERO, Scalar, _reduced, common_form, qsign, reduce_form, scalar_json
 
 PARTY_CAP = 10
 WORD_ORDER = "party1-lsb"
@@ -174,7 +174,7 @@ class BoxTable:
         if self._probs is None:
             den = self.den
             cells = zip(self.rat, self.surd or repeat(0))
-            self._probs = tuple(Scalar.over(r, s, den) if r or s else ZERO for r, s in cells)
+            self._probs = tuple([_reduced(r, s, den) if r or s else ZERO for r, s in cells])
         return self._probs
 
     def prob(self, input_word: int, output_word: int) -> Scalar:

@@ -23,7 +23,6 @@ from functools import cache
 
 from .bell import bounds, ch_evaluate, classify
 from .boxes import BoxTable, validate, word_to_str
-from .checks import run_checks
 from .errors import BoxSwapError, CouplerInvalidError, SpecFileError
 from .fileio import canonical_dumps, load_json, save_text
 from .scenarios import ScenarioSpec, run_scenario
@@ -149,6 +148,8 @@ def cmd_run(args, mark=lambda step: None) -> int:
 
 def cmd_reproduce(args, mark=lambda step: None) -> int:
     """``mark`` as in ``cmd_run``."""
+    from .checks import run_checks
+
     results = run_checks(args.filter)
     mark("run")
     if not results:

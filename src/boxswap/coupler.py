@@ -50,7 +50,7 @@ from .bell import evaluate, gsi
 from .boxes import (BoxTable, _kron, _outer, _pair_product, first_negative, spectral_negative,
                     subwords)
 from .errors import ArityError, CouplerInvalidError
-from .scalar import ZERO, Scalar, qsign
+from .scalar import ZERO, Scalar, _reduced, qsign
 
 
 def _kernel_by_popcount(n: int) -> list:
@@ -101,7 +101,7 @@ class CouplerEffect:
         if box.n != self.n:
             raise ArityError(f"coupler consumes {self.n} ends, box has {box.n}")
         den, _, tables = _contracted(self, box, range(1, self.n + 1))
-        return Scalar.over(*_mass(branch, tables[branch], 0), den)
+        return _reduced(*_mass(branch, tables[branch], 0), den)
 
     def __repr__(self):
         return f"CouplerEffect(n={self.n})"
@@ -394,4 +394,4 @@ def _finished(branch: int, table, den: int, m: int) -> BranchResult:
     box = (BoxTable.from_spectrum(m, box_den, columns) if spectral
            else BoxTable.from_numerators(m, box_den, *columns[0]))
     box._nonnegative = True
-    return BranchResult(branch, Scalar.over(mass_r, mass_s, den), box)
+    return BranchResult(branch, _reduced(mass_r, mass_s, den), box)

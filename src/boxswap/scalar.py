@@ -6,9 +6,13 @@ the one-cell case of the common-denominator form that box tables use (see
 ``reduce_form`` below).  The triple is kept canonical, ``d > 0`` and
 ``gcd(r, s, d) == 1``; since sqrt(2) is irrational that makes the
 representation unique, so equality is a tuple comparison and ordering and
-hashing are exact.  Each operator does its integer work and one ``gcd``.
-Floats never enter core arithmetic; ``decimal(...)`` renders a display-only
-approximation for reports.
+hashing are exact.  Each operator does its integer work and one ``gcd``
+in one frame beside the helper that reduces its result (``_reduced`` or
+``_sum``, which fill a new Scalar in place): a Scalar operand is used as it
+is, and only an int, bool or Fraction operand is converted (``_coerce``).
+``Scalar(Fraction)`` reads the Fraction's own lowest terms instead of
+rebuilding them.  Floats never enter core arithmetic; ``decimal(...)``
+renders a display-only approximation for reports.
 
 Division works by rationalizing with the conjugate ``r - s*sqrt(2)``: the
 field norm ``r**2 - 2*s**2`` vanishes only for zero, so every nonzero Scalar
@@ -73,9 +77,13 @@ class Scalar:
     __slots__ = ("r", "s", "d")
 
     def __init__(self, rat=0, surd=0):
-        if type(rat) is int and type(surd) is int:
-            self.r, self.s, self.d = rat, surd, 1
-            return
+        if type(surd) is int:
+            if type(rat) is int:
+                self.r, self.s, self.d = rat, surd, 1
+                return
+            if type(rat) is Fraction and not surd:  # a Fraction is in lowest terms
+                self.r, self.s, self.d = rat.numerator, 0, rat.denominator
+                return
         p, q = _to_fraction(rat), _to_fraction(surd)
         # over the lcm of two reduced denominators the triple is already reduced
         d = lcm(p.denominator, q.denominator)
@@ -112,36 +120,34 @@ class Scalar:
         return not self.r and not self.s
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.r != 0 or self.s != 0
 
     # -- field operations ------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return _sum(self, other.r, other.s, other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return _sum(self, -other.r, -other.s, other.d)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return _canonical(-self.r, -self.s, self.d)
+        x = object.__new__(Scalar)
+        x.r, x.s, x.d = -self.r, -self.s, self.d
+        return x
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         r1, s1, r2, s2 = self.r, self.s, other.r, other.s
         return _reduced(r1 * r2 + 2 * s1 * s2, r1 * s2 + s1 * r2, self.d * other.d)
@@ -154,8 +160,7 @@ class Scalar:
         return Scalar.over(self.d * r, -self.d * s, r * r - 2 * s * s)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         r1, s1, r2, s2 = self.r, self.s, other.r, other.s
         # multiply by the conjugate of the divisor: (r2 + s2*sqrt2)(r2 - s2*sqrt2) = norm
@@ -164,8 +169,7 @@ class Scalar:
                            self.d * (r2 * r2 - 2 * s2 * s2))
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other * self.inverse()
 
@@ -189,35 +193,30 @@ class Scalar:
         return qsign(self.r, self.s)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return self.r == other.r and self.s == other.s and self.d == other.d
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         d1, d2 = self.d, other.d
         return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) < 0
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         d1, d2 = self.d, other.d
         return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) <= 0
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         d1, d2 = self.d, other.d
         return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) > 0
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         d1, d2 = self.d, other.d
         return qsign(self.r * d2 - other.r * d1, self.s * d2 - other.s * d1) >= 0
@@ -355,41 +354,40 @@ def common_form(values) -> tuple:
     return reduce_form(den, rat, surd)
 
 
-def _canonical(r: int, s: int, d: int) -> Scalar:
-    """The Scalar of a triple that is already canonical."""
-    x = object.__new__(Scalar)
-    x.r, x.s, x.d = r, s, d
-    return x
-
-
 def _reduced(r: int, s: int, d: int) -> Scalar:
     """The Scalar ``(r + s*sqrt(2)) / d`` for ``d > 0``, reduced by one gcd."""
     g = gcd(r, s, d)
-    return _canonical(r // g, s // g, d // g)
+    x = object.__new__(Scalar)
+    x.r, x.s, x.d = r // g, s // g, d // g
+    return x
 
 
 def _sum(x: Scalar, r2: int, s2: int, d2: int) -> Scalar:
     """``x + (r2 + s2*sqrt(2)) / d2`` for a canonical right-hand triple."""
-    d1 = x.d
+    d1, y = x.d, object.__new__(Scalar)
     g = gcd(d1, d2)
     if g == 1:  # coprime denominators: the sum is already reduced
-        return _canonical(x.r * d2 + r2 * d1, x.s * d2 + s2 * d1, d1 * d2)
+        y.r, y.s, y.d = x.r * d2 + r2 * d1, x.s * d2 + s2 * d1, d1 * d2
+        return y
     a, b = d1 // g, d2 // g
     r, s = x.r * b + r2 * a, x.s * b + s2 * a
     # a common factor of the sum and a * b * g can only divide g
     g2 = gcd(r, s, g)
-    return _canonical(r // g2, s // g2, a * (d2 // g2))
+    y.r, y.s, y.d = r // g2, s // g2, a * (d2 // g2)
+    return y
 
 
 def _coerce(value):
-    if isinstance(value, Scalar):
-        return value
+    """An int, bool or Fraction operand as a Scalar; NotImplemented for any
+    other type.  The operators call it only for an operand that is not a Scalar."""
     if isinstance(value, (int, Fraction)):
-        return _canonical(value.numerator, 0, value.denominator)
-    return NotImplemented
+        x = object.__new__(Scalar)
+        x.r, x.s, x.d = value.numerator, 0, value.denominator
+        return x
+    return value if isinstance(value, Scalar) else NotImplemented
 
 
-ZERO = _canonical(0, 0, 1)
-ONE = _canonical(1, 0, 1)
-SQRT2 = _canonical(0, 1, 1)
-INV_SQRT2 = _canonical(0, 1, 2)
+ZERO = Scalar(0)
+ONE = Scalar(1)
+SQRT2 = Scalar(0, 1)
+INV_SQRT2 = _reduced(0, 1, 2)

@@ -20,13 +20,15 @@ columns, cells and validation must be the oracle's.  The closed-form
 mixed(n), and the two-minimum sign test in ``first_negative`` next to a
 per-cell ``qsign`` scan, on cells drawn on both sides of r = |s|*sqrt(2).
 Results must be equal as tables, errors must name the same party or branch.
+``probs`` of every such input must be ``Scalar.over`` of its numerators,
+cell by cell, each value canonical.
 """
 
 import random
 import re
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +432,19 @@ def test_wired_checks_its_pairs_and_the_cap():
     # 6 + 6 - 1 parties: refused before a cell is read
     with pytest.raises(PartyCapError):
         wired(isotropic(6, ONE), isotropic(6, ONE), [(1, 1)])
+
+
+@given(seeds, st.integers(1, 4), st.sampled_from(JOINED))
+@settings(max_examples=60, deadline=None)
+def test_probs_are_the_canonical_cells_of_the_numerators(seed, n, shape):
+    # ``probs`` reduces each cell without ``Scalar.over``'s sign test, as a
+    # table's den is positive: its cells must be the triples ``over`` makes
+    box = _joinable(random.Random(seed), n, shape)
+    cells = zip(box.rat, box.surd or repeat(0))
+    want = [Scalar.over(r, s, box.den) for r, s in cells]
+    assert [(v.r, v.s, v.d) for v in box.probs] == [(v.r, v.s, v.d) for v in want]
+    for v in box.probs:
+        assert type(v) is Scalar and v.d > 0 and gcd(v.r, v.s, v.d) == 1
 
 
 # -- isotropic in closed form, and the two-minimum sign test --------------

@@ -1,6 +1,7 @@
 """The record classes of ``boxswap.scenarios`` and ``boxswap.checks``: their
 value semantics (repr, equality, hashing, construction), and the import graph
-of the package, which loads neither ``dataclasses`` nor ``inspect``."""
+of the package, which loads neither ``dataclasses`` nor ``inspect``, nor
+``checks`` before it is asked for."""
 
 import os
 import subprocess
@@ -145,3 +146,17 @@ def test_importing_the_package_and_its_cli_loads_no_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_the_package_and_its_cli_import_checks_only_when_asked():
+    src = Path(boxswap.__file__).resolve().parent.parent
+    code = ("import sys, boxswap, boxswap.cli; "
+            "print('boxswap.checks' in sys.modules); "
+            "from boxswap import CheckResult, run_checks; "
+            "print(boxswap.checks.REGISTRY[0][0], run_checks.__module__, "
+            "CheckResult is boxswap.checks.CheckResult)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout == "False\nbound-table boxswap.checks True\n", proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+        boxswap.absent
