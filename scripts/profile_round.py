@@ -2,6 +2,8 @@
 
     python3 scripts/profile_round.py --workload {checks,documents,wide} \\
         [--seed S] [--repeat R] [--phases] [--profile N]
+    python3 scripts/profile_round.py --workload {checks,documents,wide} --against PATH \\
+        [--seed S] [--repeat R]
     python3 scripts/profile_round.py --imports [--repeat R]
 
 The workload's round of requests is built by ``perfbench/workloads.py``
@@ -23,6 +25,21 @@ most self time.  Times are wall-clock times of this host, with no
 correction for its speed: compare two checkouts by alternating runs on one
 machine.
 
+``--against PATH`` compares this checkout with the one at PATH in one
+process: PATH's ``src/boxswap`` is copied without bytecode into a temporary
+directory as the package ``boxswap_against`` (as ``--imports`` copies the
+source) and imported beside this checkout's.  The same seeded round is
+built for both trees by ``perfbench/workloads.py``; after one untimed round
+each, R rounds per side run interleaved, this checkout first in even
+rounds and the other one first in odd ones, and every output is checked
+outside the timed intervals.  A round's time is the sum of its requests'
+times.  It prints each side's best and 10th-percentile round (at index
+``(R - 1) // 10`` of its sorted times) and their ratio, this checkout over
+PATH's.
+Two processes of one tree can differ by more than a change does; two
+trees in one process share the interpreter, its allocator and the host's
+moment, so the ratio of rounds run side by side is the steadier reading.
+
 ``--imports`` times the benchmark's import instead: in R fresh processes,
 run under ``-X importtime`` with PYTHONDONTWRITEBYTECODE=1 on a copy of
 ``src/boxswap`` without bytecode (so each compiles the source, as a fresh
@@ -36,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib
 import io
 import os
 import pstats
@@ -139,6 +157,71 @@ def phase_times(boxswap, request, repeat: int) -> tuple | None:
     return [best.get(step) for step in PHASES], problem
 
 
+AGAINST = "boxswap_against"
+
+
+def _import_against(path: Path, into: Path):
+    """boxswap of the checkout at ``path``, copied without bytecode into
+    ``into`` as the package AGAINST and imported with its ``cli``."""
+    shutil.copytree(path / "src" / "boxswap", into / AGAINST,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for name in [m for m in sys.modules if m == AGAINST or m.startswith(AGAINST + ".")]:
+        del sys.modules[name]  # a copy imported by an earlier call
+    sys.path.insert(0, str(into))
+    try:
+        module = importlib.import_module(AGAINST)
+        importlib.import_module(AGAINST + ".cli")
+    finally:
+        sys.path.remove(str(into))
+    return module
+
+
+def interleaved_rounds(sides: list, repeat: int) -> tuple:
+    """Each side's round times over ``repeat`` rounds, the sides taking
+    turns to go first, and the (side, label, problem) of each failed check."""
+    times, problems = [[] for _ in sides], []
+    for r in range(repeat):
+        for i in (range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))):
+            total = 0.0
+            for request in sides[i]:
+                request.prepare()
+                start = perf_counter()
+                out = request()
+                total += perf_counter() - start
+                problem = request.check(out)
+                if problem is not None:
+                    problems.append((i, request.label, problem))
+            times[i].append(total)
+    return times, problems
+
+
+def compare(workload: str, seed: int, repeat: int, path: Path) -> int:
+    """The ``--against`` comparison: prints both sides' rounds and their ratio."""
+    boxswap, workloads = _imports()
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir)
+        other = _import_against(path, workdir)
+        sides = []
+        for module, name in ((boxswap, "this"), (other, "against")):
+            (workdir / name).mkdir()
+            requests, _ = workloads.build(workload, seed, module, workdir / name)
+            sides.append(requests)
+        problems = [(i, r.label, _checked(r)) for i, side in enumerate(sides) for r in side]
+        times, failed = interleaved_rounds(sides, repeat)
+    rows = [(min(t), sorted(t)[(len(t) - 1) // 10]) for t in times]
+    print(f"{workload} seed {seed}: {len(sides[0])} requests, "
+          f"{repeat} interleaved rounds per side")
+    print(f"{'best ms':>9}  {'p10 ms':>9}  side")
+    for (best, p10), label in zip(rows, (f"this checkout ({ROOT})", f"against {path}")):
+        print(f"{best * 1e3:9.3f}  {p10 * 1e3:9.3f}  {label}")
+    print(f"ratio this/against: best {rows[0][0] / rows[1][0]:.3f}, "
+          f"p10 {rows[0][1] / rows[1][1]:.3f}")
+    failed += [problem for problem in problems if problem[2] is not None]
+    for i, label, problem in failed:
+        print(f"FAILED {('this', 'against')[i]} {label}: {problem}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _total(times) -> float:
     return sum(t for t in times if t is not None)
 
@@ -166,9 +249,16 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--phases", action="store_true")
     parser.add_argument("--profile", type=int, default=0, metavar="N")
+    parser.add_argument("--against", type=Path, metavar="PATH")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.against is not None:
+        if args.imports or args.phases or args.profile:
+            parser.error("--against takes only --workload, --seed and --repeat")
+        if not (args.against / "src" / "boxswap").is_dir():
+            parser.error(f"{args.against} has no src/boxswap")
+        return compare(args.workload, args.seed, args.repeat, args.against.resolve())
     if args.imports:
         rows = import_times(args.repeat)
         print(f"import boxswap, boxswap.cli: {len(rows)} modules, best of {args.repeat} "

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .boxes import BoxTable, _character
 from .errors import ArityError
-from .scalar import Scalar, _reduced, common_form
+from .scalar import Scalar, _reduced, common_form, qsign
 
 
 def _dot(u, v) -> int:
@@ -168,5 +168,5 @@ def classify(box: BoxTable) -> Classification:
     """Evaluate gsi(n) on the box and compare |value| strictly to the bounds."""
     value = evaluate(gsi(box.n), box)
     triple = bounds(box.n)
-    magnitude = abs(value)
+    magnitude = value if qsign(value.r, value.s) >= 0 else -value
     return Classification(value, magnitude > triple.local, magnitude > triple.quantum)

@@ -45,10 +45,10 @@ on the wired output bits.  So a ring of boxes folds on columns alone.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, iadd, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ArityError, PartyCapError, SpecFileError, ValidationError, SignalingError
@@ -288,18 +288,20 @@ def _check_cap(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _gsb_signs(n: int) -> tuple:
-    """(-1)**C(popcount(x), 2) for every n-bit input word x: the parity of
-    the pairwise products of the input bits, as a sign."""
-    return tuple(-1 if (x.bit_count() * (x.bit_count() - 1) // 2) & 1 else 1
-                 for x in range(2**n))
+def _gsb_signs(n: int):
+    """The gsb sign pattern of the n-bit input words as one gather: an
+    ``itemgetter`` that takes entry C(popcount(x), 2) & 1, the parity of the
+    pairwise products of x's bits, of a pair for every input word x, so
+    ``_gsb_signs(n)((v, -v))`` is v * (-1)**C(popcount(x), 2) at each x."""
+    return itemgetter(*[(x.bit_count() * (x.bit_count() - 1) // 2) & 1 for x in range(2**n)])
 
 
 def _isotropic(family: str, n: int, xi: Scalar) -> BoxTable:
     """The spectral table of ``isotropic(n, xi)``.  With xi = (p + q*sqrt2)/d
     its cell (x, a) is (d + (-1)**(popcount(a) + C(popcount(x), 2)) * xi*d)
     / (d * 2**n): the empty-set column d and the full-set column xi*d times
-    the gsb sign of x, over d * 2**n."""
+    the gsb sign of x, over d * 2**n.  The full-set column is one gather of
+    (p, -p), and of (q, -q) for a sqrt(2) part, by the sign pattern."""
     if n < 2:
         raise ArityError(f"{family} needs n >= 2")
     _check_cap(n)
@@ -307,8 +309,7 @@ def _isotropic(family: str, n: int, xi: Scalar) -> BoxTable:
     signs = _gsb_signs(n)
     columns = {0: ((d,) * 2**n, None)}
     if p or q:
-        columns[2**n - 1] = (tuple(map(mul, signs, repeat(p))),
-                             tuple(map(mul, signs, repeat(q))) if q else None)
+        columns[2**n - 1] = signs((p, -p)), signs((q, -q)) if q else None
     # canonical as it stands: gcd(d * 2**n, d, p, q) = gcd(p, q, d) = 1
     return _spectral(n, (d << n, columns))
 
@@ -342,6 +343,9 @@ def mixed(n: int) -> BoxTable:
     return _isotropic("mixed", n, ZERO)
 
 
+_MINUS_ONE = Scalar(-1)
+
+
 def isotropic(n: int, xi) -> BoxTable:
     """Convex-affine slide between gsb(n) (xi=1) and the fully mixed box (xi=0).
 
@@ -349,7 +353,7 @@ def isotropic(n: int, xi) -> BoxTable:
     (1 - xi)/2**n elsewhere, both nonnegative for |xi| <= 1.  It is a
     spectral table of two columns (see ``_isotropic``)."""
     xi = xi if isinstance(xi, Scalar) else Scalar(xi)
-    if not (-ONE <= xi <= ONE):
+    if not (_MINUS_ONE <= xi <= ONE):
         raise ValidationError(f"isotropic weight must lie in [-1, 1], got {xi}")
     return _isotropic("isotropic", n, xi)
 
@@ -649,10 +653,10 @@ def _pattern_sums(n: int, columns: dict) -> tuple:
 
 def spectral_negative(n: int, columns: dict) -> bool:
     """True iff some cell of the n-party spectral table with ``columns`` is
-    negative: every row's distinct cells are its pattern sums."""
+    negative: every row's distinct cells are its pattern sums, which
+    ``first_negative`` reads as one list per part, joined by extension."""
     _, rat, surd = _pattern_sums(n, columns)
-    return first_negative(list(chain.from_iterable(rat)),
-                          surd and list(chain.from_iterable(surd))) is not None
+    return first_negative(reduce(iadd, rat, []), surd and reduce(iadd, surd, [])) is not None
 
 
 def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:

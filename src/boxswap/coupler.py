@@ -41,7 +41,6 @@ cells are built only if something later reads them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from math import comb
 from operator import add, itemgetter, sub
 from typing import Sequence
@@ -266,26 +265,36 @@ def _columns_part(f: BoxTable, ends: tuple) -> tuple:
     return den, total, graded
 
 
-def _into(acc: dict, table: dict, w: int = 1) -> dict:
-    """``acc`` plus ``w`` times ``table``, column by column, in place."""
-    for word, (rat, surd) in table.items():
-        if w != 1:
+def _weighted(tables: list, pairs: tuple) -> dict:
+    """The sum of ``w`` times ``tables[i]`` over ``pairs`` (i, w), column by column."""
+    acc = {}
+    for i, w in pairs:
+        for word, (rat, surd) in tables[i].items():
             rat, surd = [w * v for v in rat], surd and [w * v for v in surd]
-        held = acc.get(word)
-        if held is not None:
-            rat = list(map(add, held[0], rat))
-            if held[1] is not None:
-                surd = held[1] if surd is None else list(map(add, held[1], surd))
-        acc[word] = rat, surd
+            held = acc.get(word)
+            if held is not None:
+                rat = list(map(add, held[0], rat))
+                if held[1] is not None:
+                    surd = held[1] if surd is None else list(map(add, held[1], surd))
+            acc[word] = rat, surd
     return acc
 
 
 def _times(u: dict, v: dict, nu: int, nv: int, acc: dict) -> dict:
     """``acc`` plus the product of ``u`` (the ``nu`` low survivors) and ``v``:
-    the ``_kron`` of their columns, or, given ``nv``, the ``_outer`` of cells."""
+    the ``_kron`` of their columns, or, given ``nv``, the ``_outer`` of cells.
+    Each product is added into ``acc`` in place as it is made."""
     outer = _kron if nv is None else (lambda p, q: _outer(p, q, nu, nv))
-    return _into(acc, {su | sv << nu: _pair_product(cu, cv, outer)
-                       for sv, cv in v.items() for su, cu in u.items()})
+    for sv, cv in v.items():
+        for su, cu in u.items():
+            word, (rat, surd) = su | sv << nu, _pair_product(cu, cv, outer)
+            held = acc.get(word)
+            if held is not None:
+                rat = list(map(add, held[0], rat))
+                if held[1] is not None:
+                    surd = held[1] if surd is None else list(map(add, held[1], surd))
+            acc[word] = rat, surd
+    return acc
 
 
 @lru_cache(maxsize=64)
@@ -300,10 +309,12 @@ def _branches(kernel: tuple, parts: list, cells: bool) -> tuple:
     """(m, (t0, t1)) from each factor's (survivors, total, graded): with
     ``total`` the product of the factors' totals and G_k the graded table
     of consumed-input popcount k of the product (the products of graded
-    tables whose grades add up to k), t0 = total + 2 * sum_k H(k) * G_k and
-    t1 = 3 * total - t0.  The last factor's grade j meets the rest's grades
+    tables whose grades add up to k), the signed part is
+    2 * sum_k H(k) * G_k, t0 = total + signed and t1 = 3 * total - t0 =
+    2 * total - signed.  The last factor's grade j meets the rest's grades
     i weighted with 2 * H(i + j), so the largest tables are written once
-    per grade."""
+    per grade, and both branch tables are written in one pass over the
+    columns of the total and the signed part."""
     m, total, graded = parts[0]
     for fm, f_total, f_graded in parts[1:-1]:
         nv = fm if cells else None
@@ -320,11 +331,23 @@ def _branches(kernel: tuple, parts: list, cells: bool) -> tuple:
     total, signed = _times(total, f_total, m, nv, {}), {}
     for h, pairs in zip(f_graded, _pairing(kernel, len(graded), len(f_graded))):
         if pairs:
-            weighted = {}
-            for i, w in pairs:
-                _into(weighted, graded[i], w)
-            _times(weighted, h, m, nv, signed)
-    return m + fm, (_into(dict(total), signed), _into(_into({}, total, 2), signed, -1))
+            _times(_weighted(graded, pairs), h, m, nv, signed)
+    t0, t1 = {}, {}
+    for word, (rat, surd) in total.items():
+        s_rat, s_surd = signed.pop(word, (None, None))
+        if s_rat is None:
+            t0[word] = rat, surd
+            t1[word] = [2 * v for v in rat], surd and [2 * v for v in surd]
+            continue
+        if (surd is None) != (s_surd is None):  # the missing sqrt(2) part is zero
+            surd, s_surd = surd or [0] * len(rat), s_surd or [0] * len(rat)
+        t0[word] = list(map(add, rat, s_rat)), surd and list(map(add, surd, s_surd))
+        t1[word] = ([2 * v - w for v, w in zip(rat, s_rat)],
+                    surd and [2 * v - w for v, w in zip(surd, s_surd)])
+    for word, (s_rat, s_surd) in signed.items():  # the words only the signed part has
+        t0[word] = s_rat, s_surd
+        t1[word] = [-w for w in s_rat], s_surd and [-w for w in s_surd]
+    return m + fm, (t0, t1)
 
 
 def _contracted(coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]) -> tuple:
@@ -356,17 +379,16 @@ def _contracted(coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]
 
 def _mass(branch: int, table, m: int) -> tuple:
     """The (rat, surd) numerators of the mass every surviving input row must
-    share: 2**m times the empty-set column, or the row sums of cells."""
+    share: 2**m times the empty-set column, or the row sums of cells.  The
+    rows share it when each part is constant: one ``count`` per part."""
     if isinstance(table, dict):
         (rat, surd), shift = table.get(0, ((0,), None)), m
     else:
         rat, surd = [vec and list(map(sum, zip(*[iter(vec)] * (1 << m)))) for vec in table]
         shift = 0
-    masses = set(zip(rat, surd or repeat(0)))
-    if len(masses) != 1:
+    if rat.count(rat[0]) != len(rat) or (surd is not None and surd.count(surd[0]) != len(surd)):
         raise CouplerInvalidError(branch, f"branch {branch} mass depends on surviving inputs")
-    ((rat, surd),) = masses
-    return rat << shift, surd << shift
+    return rat[0] << shift, (surd[0] if surd else 0) << shift
 
 
 def _finished(branch: int, table, den: int, m: int) -> BranchResult:

@@ -242,10 +242,12 @@ class Scalar:
             raise _too_long() from exc
 
     def _text(self) -> str:
+        """The value as text.  A rational value is written straight from its
+        canonical ``(r, d)``: with s = 0, gcd(r, d) = gcd(r, s, d) = 1."""
+        if not self.s:
+            return str(self.r) if self.d == 1 else f"{self.r}/{self.d}"
         (rn, rd), (sn, sd) = _lowest(self.r, self.d), _lowest(self.s, self.d)
         rat = str(rn) if rd == 1 else f"{rn}/{rd}"
-        if not sn:
-            return rat
         coefficient = str(sn) if sd == 1 else f"{sn}/{sd}"
         surd = {"1": "", "-1": "-"}.get(coefficient, coefficient) + "√2"
         if not rn:

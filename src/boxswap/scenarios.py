@@ -34,7 +34,7 @@ from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, _isotropic, merge_parties, 
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
 from .fileio import json_bit, json_positive_int, json_str
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, _reduced
 
 REPORT_FUNCTIONALS = ("gsi", "ch")
 
@@ -623,15 +623,19 @@ def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
     fails with probability 2/3 and halves them with a sign flip.  A branch
     with k failures among c couplers therefore has probability
     2**k / 3**c and leaves ``isotropic(out, weight * (-1/2)**k)``.  The
-    weights lie in [-1, 1], so the boxes are built without the range check."""
+    weights lie in [-1, 1], so the boxes are built without the range check,
+    and both values are reduced straight from their integers (``_reduced``:
+    their denominators are positive)."""
     checks = []
     for r in report.branches:
         k, label = sum(r.outcome), "".join(map(str, r.outcome))
         checks += [
             _scalar_check(f"branch-{label}-probability", r.probability,
-                          Scalar.rational(2**k, 3 ** len(r.outcome))),
+                          _reduced(2**k, 0, 3 ** len(r.outcome))),
             _box_check(f"branch-{label}-box", r.box,
-                       _isotropic("isotropic", out, weight * Scalar.rational((-1) ** k, 2**k))),
+                       _isotropic("isotropic", out,
+                                  _reduced((-1) ** k * weight.r, (-1) ** k * weight.s,
+                                           weight.d << k))),
         ]
     return checks
 

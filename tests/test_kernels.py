@@ -28,7 +28,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +59,8 @@ from boxswap import (
     tensor,
     validate,
 )
-from boxswap.boxes import _interleave, _split, first_negative, wired
+from boxswap import boxes
+from boxswap.boxes import _interleave, _split, first_negative, spectral_negative, wired
 from boxswap.coupler import _cells_part, _columns_part, _contracted
 from boxswap.errors import (ArityError, CouplerInvalidError, PartyCapError, SignalingError,
                             ValidationError)
@@ -466,6 +467,21 @@ def test_isotropic_is_the_mix_of_gsb_and_mixed(xi, n):
     assert box == oracle.mix(terms)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_isotropic_columns_are_the_weight_times_the_gsb_signs(n):
+    # the columns written out word by word, up to the party cap: no 4**n cells
+    signs = [(-1) ** comb(x.bit_count(), 2) for x in range(2**n)]
+    quarter = Scalar(Fraction(1, 4), Fraction(1, 4))
+    for xi in (ZERO, ONE, -ONE, Scalar.rational(1, 3), Scalar.rational(-1, 3), quarter, -quarter,
+               -INV_SQRT2):
+        p, q, d = xi.r, xi.s, xi.d
+        columns = {0: ((d,) * 2**n, None)}
+        if xi:
+            columns[2**n - 1] = (tuple([p * s for s in signs]),
+                                 tuple([q * s for s in signs]) if q else None)
+        assert isotropic(n, xi).spectrum == (d * 2**n, columns)
+
+
 def test_isotropic_checks_weight_arity_and_cap():
     for xi in (Scalar(2), -ONE - INV_SQRT2, ONE + Scalar(0, Fraction(1, 10**6))):
         with pytest.raises(ValidationError):
@@ -501,3 +517,64 @@ def test_first_negative_agrees_with_the_per_cell_sign(cells, with_surd):
     rat = [r for r, _ in cells]
     surd = [s for _, s in cells] if with_surd else None
     assert first_negative(rat, surd) == _reference_first_negative(rat, surd)
+
+
+def _bound_cells(rng, mode: str, count: int) -> list:
+    """``count`` cells (r, s), r next to |s|*sqrt(2), drawn through
+    ``_near_bound``.  With (r0, -s0) the cell just above the bound at -s0,
+    ``settled`` cells are all at least as large, so the two minima clear
+    them; ``negative`` cells are those with one cell just past the bound,
+    (r0 - 1, -s0) or (-r, s) with r just above s*sqrt(2); ``nonnegative``
+    cells all lie on the safe side of the bound, but their least r (2 at
+    s = -1, or one below 0) is below r0, so the minima do not settle them."""
+    s0 = rng.randint(2, rng.choice((50, 10**12)))
+    r0, _ = _near_bound(-s0, True, False)
+    if mode == "nonnegative":
+        high = rng.choice((0, s0))
+        cells = [_near_bound(s, s < 0, s > 0)
+                 for s in (rng.randint(-s0, high) for _ in range(count))]
+        low, edge = rng.sample(range(count), 2)
+        cells[low], cells[edge] = _near_bound(-1, True, False), (r0, -s0)  # (2, -1) is the low
+        return cells
+    cells = [(r0 + rng.randint(0, 2), rng.randint(-s0, s0)) for _ in range(count)]
+    cells[rng.randrange(count)] = r0, -s0
+    if mode == "negative":
+        cells[rng.randrange(count)] = rng.choice((_near_bound(-s0, False, False),
+                                                  _near_bound(rng.randint(1, s0), True, True)))
+    return cells
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_spectral_negative_is_the_oracle_sign_at_the_bound(n, data):
+    # columns over a span of dimension d whose 2**d pattern sums at each x are
+    # 2**d times target cells: column S at coordinates c is
+    # sum_q (-1)**popcount(q & c) * target_q
+    rng = data.draw(st.randoms(use_true_random=False))
+    d = data.draw(st.integers(1, n), label="d")
+    mode = data.draw(st.sampled_from(("settled", "nonnegative", "negative")), label="mode")
+    basis, span = [], {0}
+    while len(basis) < d:
+        word = rng.choice([w for w in range(1, 2**n) if w not in span])
+        basis.append(word)
+        span |= {w ^ word for w in span}
+    targets = _bound_cells(rng, mode, 2**d * 2**n)  # target q at x: targets[q * 2**n + x]
+    columns = {}
+    for c in range(2**d):
+        word = 0
+        for i, b in enumerate(basis):
+            if c >> i & 1:
+                word ^= b
+        parts = [[sum(-v[k] if (q & c).bit_count() & 1 else v[k]
+                      for q, v in enumerate(targets[x::2**n])) for x in range(2**n)]
+                 for k in (0, 1)]
+        columns[word] = parts[0], parts[1] if any(parts[1]) else None
+    want = any(v < ZERO for v in oracle.from_spectrum(n, 3 << n, columns).probs)
+    assert want == (mode == "negative")
+    with pytest.MonkeyPatch.context() as mp:  # count the cells tested one by one
+        calls = []
+        mp.setattr(boxes, "qsign", lambda r, s: calls.append(r) or qsign(r, s))
+        got = spectral_negative(n, columns)
+    assert got == want
+    assert (calls == []) == (mode == "settled")

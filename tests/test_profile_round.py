@@ -1,6 +1,6 @@
 """Smoke tests for ``scripts/profile_round.py``: one ``wide`` round, one
-``documents`` round split into phases, and one ``reproduce`` request's
-phases, in-process."""
+``documents`` round split into phases, one ``reproduce`` request's phases,
+and this checkout's ``wide`` rounds against a copy of itself, in-process."""
 
 import importlib.util
 from pathlib import Path
@@ -84,3 +84,18 @@ def test_imports_lists_what_only_boxswap_loads(capsys):
     assert all(0 <= own <= total for own, total in rows.values())
     own = [own for own, _ in rows.values()]
     assert own == sorted(own, reverse=True)
+
+
+def test_against_runs_both_trees_interleaved_and_prints_their_ratio(capsys):
+    script = _script()
+    assert script.main(["--workload", "wide", "--against", str(ROOT), "--repeat", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "wide seed 1: 9 requests, 3 interleaved rounds per side"
+    assert lines[1].split() == ["best", "ms", "p10", "ms", "side"]
+    sides = [line.split() for line in lines[2:4]]
+    assert [row[2:4] for row in sides] == [["this", "checkout"], ["against", str(ROOT)]]
+    for best, p10, *_ in sides:
+        assert 0 < float(best) <= float(p10)
+    assert len(lines) == 5 and lines[4].startswith("ratio this/against: best ")

@@ -108,8 +108,10 @@ def test_decimal_annotation_has_twelve_digits():
 
 
 @pytest.mark.parametrize("value", [Scalar.over(10**4400, 0, 3), Scalar.over(1, 10**4400, 3),
-                                   Scalar.over(1, 1, 10**4400 + 1)],
-                         ids=["rational part", "sqrt(2) part", "denominator"])
+                                   Scalar.over(1, 1, 10**4400 + 1),
+                                   Scalar.over(1, 0, 10**4400 + 1)],
+                         ids=["rational part", "sqrt(2) part", "denominator",
+                              "rational denominator"])
 def test_text_too_long_to_write_is_a_digit_limit_error(value):
     # str() of an int past the int-to-str digit limit raises ValueError
     with pytest.raises(DigitLimitError):
