@@ -14,24 +14,26 @@ integers, so it is canonical and table equality is tuple equality.  A
 table is built by ``from_numerators``, ``from_spectrum`` or ``from_json``.
 The operations below work on these tuples in integer arithmetic, through
 list slices and ``map``.  They reach single index bits only through
-``_split`` and its inverse ``_interleave``, whole words of a party subset
-through the cached ``subwords`` maps, and a column's input bits outside an
-output word through the cached ``_masked`` gathers; ``_outer`` lays out the
-tensor product, the one layout written by hand.  ``Scalar`` values appear only at
-the edges: ``prob``, ``probs`` (built on first access) and JSON input;
-``to_json`` writes each distinct cell value once, straight from its
-numerators, and shares it across the cells that hold it.
+``_split``, whole words of a party subset through the cached ``subwords``
+maps, and a column's input bits outside an output word through the cached
+``_masked`` gathers; ``_outer`` lays out the tensor product, the one layout
+written by hand.  ``Scalar`` values appear only at the edges: ``prob``,
+``probs`` (built on first access) and JSON input; ``to_json`` writes each
+distinct cell value once, straight from its numerators, and shares it
+across the cells that hold it.
 
 A table may hold its output spectrum instead of its cells (see "the
 spectral form" below): for each output word S with a nonzero coefficient,
 one column over the 2**n input words.  The isotropic family (``isotropic``,
 ``gsb``, ``pr``, ``sb``, ``mixed``, ``anti_pr``, ``failure``) is built this
 way, two columns each, and so are the coupler's branch boxes on products of
-such tables and every ``wired`` join.  ``validate``, ``==`` between two
-spectral tables, ``wired``, the coupler and ``bell.evaluate`` read the
-columns; the first read of ``den``, ``rat`` or ``surd`` (``to_json``,
-``probs``, ``mix``, ``marginalize``, ``merge_parties``, equality with a
-cell table) builds the cells once, by the inverse transform, and keeps them.
+such tables and every ``wired`` join and ``merge_parties`` result.
+``validate``, ``==`` between two spectral tables, ``wired``,
+``merge_parties``, the coupler and ``bell.evaluate`` read the columns; the
+first read of ``den``, ``rat`` or ``surd`` (``to_json``, ``probs``, ``mix``,
+``marginalize``, equality with a cell table) builds the cells once, by the
+inverse transform, and keeps them.  One butterfly, ``_pattern_sums``, serves
+both transforms (``_cells`` and ``_forward``) and the sign test.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
@@ -40,7 +42,9 @@ has a spectrum, the outer products of its factors' columns.  ``wired``
 joins two tables across any number of wirings between them without their
 product: it equals ``merge_parties`` of their ``tensor``, pair by pair, and
 is spectral, each column the product of a column of each table that agree
-on the wired output bits.  So a ring of boxes folds on columns alone.
+on the wired output bits.  ``merge_parties`` is the same rule inside one
+table: it keeps the columns that agree on its two output bits.  So a ring
+of boxes folds on columns alone, and so does a wiring inside a pool.
 """
 
 from __future__ import annotations
@@ -497,18 +501,13 @@ def _pair_product(u: tuple, v: tuple, outer) -> tuple:
     return rat, list(map(add, outer(ur, vs), outer(us, vr)))
 
 
-def _outer_pair(u: tuple, v: tuple, nu: int, nv: int) -> tuple:
-    """``_outer`` of two (rat, surd) numerator pairs, surd None for none."""
-    return _pair_product(u, v, lambda p, q: _outer(p, q, nu, nv))
-
-
 def _product(factors: Sequence[BoxTable]) -> tuple:
     """The reduced (den, rat, surd) of the product of built tables, the
     first in the low party slots."""
     first = factors[0]
     n, den, pair = first.n, first.den, (first.rat, first.surd)
     for f in factors[1:]:
-        pair = _outer_pair(pair, (f.rat, f.surd), n, f.n)
+        pair = _pair_product(pair, (f.rat, f.surd), lambda u, v: _outer(u, v, n, f.n))
         n, den = n + f.n, den * f.den
     return reduce_form(den, *pair)
 
@@ -678,23 +677,6 @@ def _split(vec: Sequence[int], bit: int) -> tuple[list, list]:
     return lo, hi
 
 
-def _interleave(lo: Sequence[int], hi: Sequence[int], bit: int) -> list:
-    """The vector whose ``_split`` at ``bit`` is ``(lo, hi)``: the two halves
-    put back together, ``lo`` where the index has ``bit`` clear."""
-    step, half = 1 << bit, len(lo)
-    if step * step <= half:
-        out = [0] * (2 * half)
-        for r in range(step):
-            out[r::2 * step] = lo[r::step]
-            out[r + step::2 * step] = hi[r::step]
-    else:
-        out = []
-        for start in range(0, half, step):
-            out += lo[start:start + step]
-            out += hi[start:start + step]
-    return out
-
-
 @lru_cache(maxsize=64)
 def _join_plan(na: int, nb: int, pairs: tuple) -> tuple:
     """The index plan of ``wired`` for sorted ``pairs``: the result's party
@@ -713,28 +695,16 @@ def _join_plan(na: int, nb: int, pairs: tuple) -> tuple:
             subwords(nb, tuple(j for _, j in pairs)), [w << na for w in subwords(nb, free)])
 
 
-def _butterflied(vec: Sequence[int], bits: Iterable[int]) -> list:
-    """``vec`` with each index bit in ``bits`` turned into sum and difference:
-    per bit, the cell with it clear gets lo + hi and the cell with it set
-    gets lo - hi.  Over a table's n output bits it is the transform between
-    cells and columns, either way: applied twice, it multiplies ``vec`` by
-    2**len(bits)."""
-    for bit in bits:
-        lo, hi = _split(vec, bit)
-        vec = _interleave(list(map(add, lo, hi)), list(map(sub, lo, hi)), bit)
-    return vec
-
-
 def _forward(box: BoxTable) -> tuple:
-    """The reduced spectrum of a table read from its cells: one butterfly
-    over the output bits leaves den * c_S(x) at cell (x, S), so column S is
-    that stride over ``den * 2**n``.  rat and surd go through side by side."""
-    n, rat, surd = box.n, box.rat, box.surd
-    size, width = len(rat), 1 << n
-    both = _butterflied(rat if surd is None else rat + surd, range(n))
-    return _reduced_spectrum(box.den << n, {
-        word: (both[word:size:width], None if surd is None else both[size + word::width])
-        for word in range(width)})
+    """The reduced spectrum of a table read from its cells: the cells at
+    each output word a, ``rat[a::2**n]``, are the columns of ``_pattern_sums``
+    over all 2**n words, so the pattern sum at S's pattern, read through
+    the gather it returns, is den * c_S(x): column S over ``den * 2**n``."""
+    n, rat, surd, width = box.n, box.rat, box.surd, 1 << box.n
+    gather, *sums = _pattern_sums(n, {a: (rat[a::width], surd and surd[a::width])
+                                      for a in range(width)})
+    rat, surd = (vec and gather(vec) for vec in sums)
+    return _reduced_spectrum(box.den << n, dict(enumerate(zip(rat, surd or repeat(None)))))
 
 
 def _check_pairs(na: int, nb: int, pairs: tuple) -> None:
@@ -847,28 +817,30 @@ def permute_parties(box: BoxTable, order: Sequence[int]) -> BoxTable:
     return marginalize(box, order)
 
 
-def _merged(vec: Sequence[int], n: int, lo: int, hi: int) -> list:
-    """``merge_parties`` on one numerator vector: the rows where parties lo
-    and hi have equal inputs, then a_hi folded into a_lo by XOR."""
-    zero, one = (_split(half, n + lo - 1) for half in _split(vec, n + hi - 1))
-    vec = _interleave(zero[0], one[1], n + lo - 1)
-    (a0, a1), (b0, b1) = (_split(half, lo - 1) for half in _split(vec, hi - 1))
-    # merged bit 0 from a_lo = a_hi, merged bit 1 from a_lo != a_hi
-    return _interleave(list(map(add, a0, b1)), list(map(add, a1, b0)), lo - 1)
-
-
 def merge_parties(box: BoxTable, i: int, j: int) -> BoxTable:
     """Wire parties i and j into one user: the merged party feeds its input
     bit to both slots and announces the XOR of the two output bits.  The
     merged party sits at min(i, j)'s slot; parties after max(i, j) shift
-    down by one."""
+    down by one.
+
+    This is ``wired``'s rule inside one table: summed over the two output
+    bits that XOR to the merged one, a column at output word S cancels
+    unless S holds both or neither of bits i and j.  Each kept column drops
+    bit max(i, j), is doubled (the sum counts it twice), and is read at the
+    input words where x_i = x_j.  A table held as cells enters through
+    ``_forward``; the result is a spectral table."""
     if i == j or not (1 <= i <= box.n and 1 <= j <= box.n):
         raise ArityError(f"merge needs two distinct parties in range, got {i}, {j}")
-    if box.n < 2:
-        raise ArityError("merge needs at least two parties")
     n, lo, hi = box.n, min(i, j), max(i, j)
-    rat, surd = (vec and _merged(vec, n, lo, hi) for vec in (box.rat, box.surd))
-    return BoxTable.from_numerators(n - 1, box.den, rat, surd)
+    den, columns = box.spectrum if box.spectrum is not None else _forward(box)
+    # the result's input word x' is read at the word with x'_lo at both slots
+    rows = itemgetter(*subwords(n - 1, tuple(lo if q == hi else q - (q > hi)
+                                             for q in range(1, n + 1))))
+    words = subwords(n, tuple(q for q in range(1, n + 1) if q != hi))
+    g = gcd(den, 2)  # the doubling goes into den where den is even
+    kept = {words[w]: (_scaled(rows(r), 2 // g), s and _scaled(rows(s), 2 // g))
+            for w, (r, s) in columns.items() if (w >> (lo - 1) & 1) == (w >> (hi - 1) & 1)}
+    return _spectral(n - 1, _reduced_spectrum(den // g, kept))
 
 
 # -- validation -------------------------------------------------------------

@@ -116,9 +116,6 @@ class Scalar:
 
     # -- predicates ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.r and not self.s
-
     def __bool__(self) -> bool:
         return self.r != 0 or self.s != 0
 

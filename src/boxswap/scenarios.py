@@ -462,8 +462,9 @@ def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
     this run to its (labels, box), so branches that share their first pools
     share that product.  When a pool closes wirings with the fold, one
     ``wired`` join takes all of them at once and never writes the product
-    of the two; a pool that closes none is tensored on.  Only a wiring
-    inside one pool goes through ``merge_parties``.  Every merge puts the
+    of the two; a pool that closes none is tensored on.  A wiring inside
+    one pool goes through ``merge_parties``, ``wired``'s rule inside one
+    table, so a spectral fold stays spectral.  Every merge puts the
     merged label in its pair's earlier slot, so labels and table come out
     as if all pools were tensored first and wired after.  A ring of N users
     thus peaks at N parties: its closing pool wires both of its ends onto

@@ -19,6 +19,8 @@ columns, cells and validation must be the oracle's.  The closed-form
 ``isotropic`` is run next to ``mix`` and the oracle's ``mix`` of gsb(n) and
 mixed(n), and the two-minimum sign test in ``first_negative`` next to a
 per-cell ``qsign`` scan, on cells drawn on both sides of r = |s|*sqrt(2).
+``merge_parties`` must return a spectral table, and the forward transform
+``_forward`` of a cell table must be the oracle's ``spectral``.
 Results must be equal as tables, errors must name the same party or branch.
 ``probs`` of every such input must be ``Scalar.over`` of its numerators,
 cell by cell, each value canonical.
@@ -31,7 +33,7 @@ from itertools import combinations, repeat
 from math import comb, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -60,7 +62,7 @@ from boxswap import (
     validate,
 )
 from boxswap import boxes
-from boxswap.boxes import _interleave, _split, first_negative, spectral_negative, wired
+from boxswap.boxes import first_negative, spectral_negative, wired
 from boxswap.coupler import _cells_part, _columns_part, _contracted
 from boxswap.errors import (ArityError, CouplerInvalidError, PartyCapError, SignalingError,
                             ValidationError)
@@ -206,7 +208,24 @@ def test_merge_parties(seed, n, kind):
     rng = random.Random(seed)
     box = _shaped(rng, n, kind)
     i, j = rng.sample(range(1, n + 1), 2)
-    assert merge_parties(box, i, j) == oracle.merge_parties(box, i, j)
+    got = merge_parties(box, i, j)
+    assert got.spectrum is not None
+    assert got == oracle.merge_parties(box, i, j)
+
+
+@given(seeds, st.integers(1, 4), st.sampled_from(KINDS), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_forward_is_the_oracle_spectrum(seed, n, kind, with_surd):
+    # the forward transform of a cell table, with and without sqrt(2) parts
+    rng = random.Random(seed)
+    probs = list(_table(rng, n, kind).probs)
+    if with_surd:
+        i = rng.randrange(4**n)
+        probs[i] = probs[i] + rng.choice(NUDGES)
+    else:
+        probs = [Scalar(v.rat) for v in probs]
+    box = oracle.from_probs(n, probs)
+    assert boxes._forward(box) == oracle.spectral(box).spectrum
 
 
 @given(seeds, st.integers(1, 4), st.sampled_from(KINDS))
@@ -420,9 +439,6 @@ def test_wired_is_the_pairwise_merge_of_the_product(seed, na, nb, k, shape_a, sh
         assert got.spectrum == oracle.spectral(ref).spectrum
     assert got == want == ref
     assert got.to_json() == ref.to_json()
-    for vec in (ref.rat, got.rat, got.surd or ref.rat):
-        for bit in range(len(vec).bit_length() - 1):
-            assert _interleave(*_split(vec, bit), bit) == list(vec)
 
 
 def test_wired_checks_its_pairs_and_the_cap():
@@ -546,11 +562,12 @@ def _bound_cells(rng, mode: str, count: int) -> list:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @given(st.data())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_spectral_negative_is_the_oracle_sign_at_the_bound(n, data):
     # columns over a span of dimension d whose 2**d pattern sums at each x are
     # 2**d times target cells: column S at coordinates c is
-    # sum_q (-1)**popcount(q & c) * target_q
+    # sum_q (-1)**popcount(q & c) * target_q.  A failure is reported as
+    # drawn: shrinking the many wide draws of ``_bound_cells`` took minutes
     rng = data.draw(st.randoms(use_true_random=False))
     d = data.draw(st.integers(1, n), label="d")
     mode = data.draw(st.sampled_from(("settled", "nonnegative", "negative")), label="mode")
@@ -570,7 +587,13 @@ def test_spectral_negative_is_the_oracle_sign_at_the_bound(n, data):
                       for q, v in enumerate(targets[x::2**n])) for x in range(2**n)]
                  for k in (0, 1)]
         columns[word] = parts[0], parts[1] if any(parts[1]) else None
-    want = any(v < ZERO for v in oracle.from_spectrum(n, 3 << n, columns).probs)
+    # every cell's numerators from the definition, and each distinct one's
+    # sign by Scalar, without building a table
+    cols = [(word, rat, surd or (0,) * 2**n) for word, (rat, surd) in columns.items()]
+    cells = {(sum(-r[x] if (a & w).bit_count() & 1 else r[x] for w, r, _ in cols),
+              sum(-s[x] if (a & w).bit_count() & 1 else s[x] for w, _, s in cols))
+             for x in range(2**n) for a in range(2**n)}
+    want = any(Scalar(r, s) < ZERO for r, s in cells)
     assert want == (mode == "negative")
     with pytest.MonkeyPatch.context() as mp:  # count the cells tested one by one
         calls = []

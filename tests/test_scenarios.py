@@ -553,6 +553,30 @@ def test_a_ring_fold_never_writes_a_product(monkeypatch, build, users):
     assert merges == []  # every wiring spans two pools: none is merged inside a table
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_wiring_inside_a_pool_never_writes_a_cell(monkeypatch, n):
+    # two isotropic boxes swapped by a 2-end coupler leave one pool, and a
+    # wiring of two of its survivors is a merge inside that pool: it reads
+    # the pool's columns, so no table is built from cells and no product or
+    # spectral table is materialized, at dyadic, rational or sqrt(2) weights
+    xis = (Scalar.rational(1, 2), Scalar.rational(2, 3),
+           Scalar(Fraction(1, 2), Fraction(1, 4)))
+    specs = [ScenarioSpec(
+        "pool-wiring",
+        (ScenarioBox("g1", "isotropic", n, tuple(f"a{k}" for k in range(1, n)) + ("b1",), xi),
+         ScenarioBox("g2", "isotropic", n, ("b2",) + tuple(f"c{k}" for k in range(1, n)), xi)),
+        (ScenarioCoupler(2, ("b1", "b2")),),
+        (ScenarioWiring(("a1", "c1"), "u"),),
+        ("gsi",)) for xi in xis]
+    products, built, cells = _counted_tables(monkeypatch)
+    reports = [run_scenario(spec) for spec in specs]
+    assert products == built == cells == []
+    for spec, report in zip(specs, reports):
+        assert report.all_checks_passed
+        assert {r.box.n for r in report.branches} == {2 * n - 3}
+        assert _written(report) == _written(oracle.run_scenario(spec))
+
+
 # -- one evaluation and one document per distinct branch box ----------------
 
 
