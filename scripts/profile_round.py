@@ -14,16 +14,18 @@ time's share of the round (the sum of the best times) are printed, slowest
 first.  Every output is checked after its call, outside the timed interval;
 a failed check is printed and the exit code is 1.  ``--phases`` runs
 each ``run`` and ``reproduce`` request R more times through the verb of
-``boxswap.cli``, timed between the steps it marks: load (``load_json``),
-spec (``ScenarioSpec.from_json``), run (``run_scenario`` or
-``run_checks``), to_json, dumps (``canonical_dumps``) and emit
-(``_emit``).  It prints each step's best time per request and summed over
-those requests (a ``reproduce`` request has no load or spec step); the
-output of every such run is checked as the request's own.  ``--profile N``
-runs one more round under cProfile and prints the N functions with the
-most self time.  Times are wall-clock times of this host, with no
-correction for its speed: compare two checkouts by alternating runs on one
-machine.
+``boxswap.cli``, timed from outside: for those runs the calls that end a
+phase are wrapped, as ``perfbench/tracer.py`` wraps functions, and then
+restored.  A phase ends where its call returns: load (``load_json``), spec
+(``ScenarioSpec.from_json``), run (``run_scenario`` or ``run_checks``),
+dumps (``canonical_dumps``) and emit (``_emit``); to_json ends where
+``canonical_dumps`` starts.  It prints each phase's best time per request
+and summed over those requests (a ``reproduce`` request has no load or
+spec phase); the output of every such run is checked as the request's
+own.  ``--profile N`` runs one more round under cProfile and prints the N
+functions with the most self time.  Times are wall-clock times of this
+host, with no correction for its speed: compare two checkouts by
+alternating runs on one machine.
 
 ``--against PATH`` compares this checkout with the one at PATH in one
 process: PATH's ``src/boxswap`` is copied without bytecode into a temporary
@@ -140,20 +142,47 @@ PHASES = ("load", "spec", "run", "to_json", "dumps", "emit")
 def phase_times(boxswap, request, repeat: int) -> tuple | None:
     """(best seconds per phase, None where a phase does not apply, problem
     or None) for a ``run`` or ``reproduce`` request, timed between the
-    steps that ``cmd_run``/``cmd_reproduce`` of ``boxswap.cli`` mark; None
+    ends of its phases, whose calls are wrapped for these runs only; None
     for any other request."""
     argv = getattr(request, "argv", None)
     if not argv or argv[0] not in ("run", "reproduce"):
         return None
-    args = boxswap.cli._build_parser().parse_args(argv)
+    cli = boxswap.cli
+    args = cli._build_parser().parse_args(argv)
+    # (owner, attribute, the phase that ends where the call starts or None,
+    # the phase that ends where it returns)
+    ends = ((cli, "load_json", None, "load"),
+            (boxswap.scenarios.ScenarioSpec, "from_json", None, "spec"),
+            (cli, "run_scenario", None, "run"),
+            (boxswap.checks, "run_checks", None, "run"),
+            (cli, "canonical_dumps", "to_json", "dumps"),
+            (cli, "_emit", None, "emit"))
+    marks = []
+
+    def marking(fn, at_start, at_end):
+        def timed(*call_args, **kwargs):
+            if at_start is not None:
+                marks.append((at_start, perf_counter()))
+            out = fn(*call_args, **kwargs)
+            marks.append((at_end, perf_counter()))
+            return out
+        return timed
+
+    saved = [(owner, attr, vars(owner)[attr]) for owner, attr, _, _ in ends]
     best, problem = {}, None
-    for _ in range(repeat):
-        request.prepare()
-        marks = [("start", perf_counter())]
-        rc = args.fn(args, mark=lambda step: marks.append((step, perf_counter())))
-        for (_, start), (step, end) in zip(marks, marks[1:]):
-            best[step] = min(end - start, best.get(step, end - start))
-        problem = problem or request.check(rc)
+    try:
+        for owner, attr, at_start, at_end in ends:
+            setattr(owner, attr, marking(getattr(owner, attr), at_start, at_end))
+        for _ in range(repeat):
+            request.prepare()
+            marks[:] = [("start", perf_counter())]
+            rc = args.fn(args)
+            for (_, start), (step, end) in zip(marks, marks[1:]):
+                best[step] = min(end - start, best.get(step, end - start))
+            problem = problem or request.check(rc)
+    finally:
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)
     return [best.get(step) for step in PHASES], problem
 
 

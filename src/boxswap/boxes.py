@@ -10,8 +10,8 @@ A table's cells are stored in common-denominator form: one positive integer
 ``den`` and two tuples of ``4**n`` integers, ``rat`` and ``surd``, so that
 cell i is ``(rat[i] + surd[i]*sqrt(2)) / den``; a table without sqrt(2)
 parts carries ``surd = None``.  The triple is reduced by the gcd of all its
-integers, so it is canonical and table equality is tuple equality.  A
-table is built by ``from_numerators``, ``from_spectrum`` or ``from_json``.
+integers, so it is canonical.  A table is built by ``from_numerators``,
+``from_spectrum`` or ``from_json``.
 The operations below work on these tuples in integer arithmetic, through
 list slices and ``map``.  They reach single index bits only through
 ``_split``, whole words of a party subset through the cached ``subwords``
@@ -28,12 +28,14 @@ one column over the 2**n input words.  The isotropic family (``isotropic``,
 ``gsb``, ``pr``, ``sb``, ``mixed``, ``anti_pr``, ``failure``) is built this
 way, two columns each, and so are the coupler's branch boxes on products of
 such tables and every ``wired`` join and ``merge_parties`` result.
-``validate``, ``==`` between two spectral tables, ``wired``,
-``merge_parties``, the coupler and ``bell.evaluate`` read the columns; the
-first read of ``den``, ``rat`` or ``surd`` (``to_json``, ``probs``, ``mix``,
-``marginalize``, equality with a cell table) builds the cells once, by the
-inverse transform, and keeps them.  One butterfly, ``_pattern_sums``, serves
-both transforms (``_cells`` and ``_forward``) and the sign test.
+``validate``, the coupler and ``bell.evaluate`` read the columns; the first
+read of ``den``, ``rat`` or ``surd`` (``to_json``, ``probs``, ``mix``,
+``marginalize``) builds the cells once, by the inverse transform, and keeps
+them.  A table's value is its spectrum: ``==``, ``content_key``, ``wired``
+and ``merge_parties`` read it through ``_spectrum``, which transforms a cell
+table forward (``_forward``), so no comparison or key builds cells.  One
+butterfly, ``_pattern_sums``, serves both transforms (``_cells`` and
+``_forward``) and the sign test.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
@@ -193,30 +195,20 @@ class BoxTable:
                 yield x, a, probs[base | a]
 
     def __eq__(self, other):
+        """Equal value: the same n and the same canonical spectrum
+        (``_spectrum``), whichever form each table is held in."""
         if not isinstance(other, BoxTable):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        # two spectra compare column by column, canonical as they are
-        mine = self.spectrum
-        if mine is not None:
-            theirs = other.spectrum
-            if theirs is not None:
-                return mine == theirs
-        return (self.den, self.rat, self.surd) == (other.den, other.rat, other.surd)
+        return self.n == other.n and _spectrum(self) == _spectrum(other)
 
     __hash__ = None
 
     def content_key(self) -> tuple:
-        """A hashable key of the table's value in the form it is held in:
-        ``(n, den, columns)`` for a spectral table, ``(n, den, rat, surd)``
-        for one of cells.  Both forms are canonical, so tables with equal
-        keys are equal; equal tables held in different forms have
-        different keys."""
-        spectrum = self.spectrum
-        if spectrum is not None:
-            return self.n, spectrum[0], frozenset(spectrum[1].items())
-        return self.n, self.den, self.rat, self.surd
+        """A hashable key of the table's value, ``(n, den, columns)`` of its
+        spectrum (``_spectrum``) in either form: tables have equal keys
+        exactly when they are equal."""
+        den, columns = _spectrum(self)
+        return self.n, den, frozenset(columns.items())
 
     def __repr__(self):
         return f"BoxTable(n={self.n})"
@@ -532,11 +524,11 @@ def tensor(a: BoxTable, b: BoxTable) -> BoxTable:
 # col_S[x] / den; c_S(x) is then 2**n * col_S[x] / den.  Columns are
 # (rat, surd) pairs, surd None for none, held in a dict keyed by S; the
 # ``(den, columns)`` pair is reduced like the cells (``_reduced_spectrum``),
-# so it is canonical and two spectral tables are equal exactly when their
-# pairs are.  In this domain a row's mass is 2**n times its empty-set
-# column, a party's input is free exactly when every column without the
-# party's output bit is the same at both of its inputs, and the correlator
-# at x is 2**n times the full-set column.
+# so it is canonical and two tables are equal exactly when their pairs
+# are.  In this domain a row's mass is 2**n times its empty-set column, a
+# party's input is free exactly when every column without the party's
+# output bit is the same at both of its inputs, and the correlator at x is
+# 2**n times the full-set column.
 
 
 @lru_cache(maxsize=256)
@@ -695,6 +687,13 @@ def _join_plan(na: int, nb: int, pairs: tuple) -> tuple:
             subwords(nb, tuple(j for _, j in pairs)), [w << na for w in subwords(nb, free)])
 
 
+def _spectrum(box: BoxTable) -> tuple:
+    """The canonical ``(den, columns)`` of a table in either form: the
+    spectrum it holds, or the ``_forward`` transform of its cells."""
+    spectrum = box.spectrum
+    return spectrum if spectrum is not None else _forward(box)
+
+
 def _forward(box: BoxTable) -> tuple:
     """The reduced spectrum of a table read from its cells: the cells at
     each output word a, ``rat[a::2**n]``, are the columns of ``_pattern_sums``
@@ -734,15 +733,14 @@ def wired(a: BoxTable, b: BoxTable, pairs: Iterable[tuple]) -> BoxTable:
     every wired party is one column of the result: their product at the
     joined input word (``_join_plan``), times 2**k for the k output bits
     the product no longer counts twice; a pair that disagrees cancels.  A
-    table held as cells enters through one forward butterfly (``_forward``),
-    and the result's cells are built only if something reads them."""
+    table held as cells enters through ``_spectrum``, and the result's
+    cells are built only if something reads them."""
     pairs = tuple(sorted(pairs))
     na, nb, k = a.n, b.n, len(pairs)
     _check_pairs(na, nb, pairs)
     _check_cap(na + nb - k)
     m, gather, key_a, key_b, placed = _join_plan(na, nb, pairs)
-    (den_a, cols_a), (den_b, cols_b) = (
-        box.spectrum if box.spectrum is not None else _forward(box) for box in (a, b))
+    (den_a, cols_a), (den_b, cols_b) = _spectrum(a), _spectrum(b)
     g = gcd(den_a * den_b, 1 << k)
     den, scale, rep = den_a * den_b // g, (1 << k) // g, 1 << (m - na)
     by_key: dict = {}
@@ -828,11 +826,11 @@ def merge_parties(box: BoxTable, i: int, j: int) -> BoxTable:
     unless S holds both or neither of bits i and j.  Each kept column drops
     bit max(i, j), is doubled (the sum counts it twice), and is read at the
     input words where x_i = x_j.  A table held as cells enters through
-    ``_forward``; the result is a spectral table."""
+    ``_spectrum``; the result is a spectral table."""
     if i == j or not (1 <= i <= box.n and 1 <= j <= box.n):
         raise ArityError(f"merge needs two distinct parties in range, got {i}, {j}")
     n, lo, hi = box.n, min(i, j), max(i, j)
-    den, columns = box.spectrum if box.spectrum is not None else _forward(box)
+    den, columns = _spectrum(box)
     # the result's input word x' is read at the word with x'_lo at both slots
     rows = itemgetter(*subwords(n - 1, tuple(lo if q == hi else q - (q > hi)
                                              for q in range(1, n + 1))))

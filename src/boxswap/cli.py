@@ -123,35 +123,23 @@ def _scenario_table(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args, mark=lambda step: None) -> int:
-    """``mark`` is called with the name of each step as it ends."""
-    data = load_json(args.scenario)
-    mark("load")
-    spec = ScenarioSpec.from_json(data)
-    mark("spec")
-    report = run_scenario(spec)
-    mark("run")
+def cmd_run(args) -> int:
+    report = run_scenario(ScenarioSpec.from_json(load_json(args.scenario)))
     if args.format == "json":
-        doc = report.to_json()
-        mark("to_json")
-        text = canonical_dumps(doc)
-        mark("dumps")
+        text = canonical_dumps(report.to_json())
     else:
         text = _scenario_table(report)
     _emit(text, args.output)
-    mark("emit")
     return 0 if report.all_checks_passed else 2
 
 
 # -- reproduce ---------------------------------------------------------------
 
 
-def cmd_reproduce(args, mark=lambda step: None) -> int:
-    """``mark`` as in ``cmd_run``."""
+def cmd_reproduce(args) -> int:
     from .checks import run_checks
 
     results = run_checks(args.filter)
-    mark("run")
     if not results:
         print(f"error: no check matches filter {args.filter!r}", file=sys.stderr)
         return 2
@@ -160,9 +148,7 @@ def cmd_reproduce(args, mark=lambda step: None) -> int:
             "checks": [r.to_json() for r in results],
             "all_passed": all(r.passed for r in results),
         }
-        mark("to_json")
         text = canonical_dumps(doc)
-        mark("dumps")
     else:
         rows = [
             [str(r.criterion), r.name, "pass" if r.passed else "FAIL", r.detail]
@@ -172,7 +158,6 @@ def cmd_reproduce(args, mark=lambda step: None) -> int:
         passed = sum(1 for r in results if r.passed)
         text = table + f"\n{passed}/{len(results)} checks passed\n"
     _emit(text, args.output)
-    mark("emit")
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -555,8 +555,9 @@ def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
     """Evaluate the spec's reports on each final branch, given in order as
     (outcome, probability, labels, box), with box None where an outcome had
     zero mass, and attach the cross-checks every scenario gets.  Branches
-    whose boxes have one content key (``BoxTable.content_key``) share one
-    box and one set of results, so each distinct box is evaluated and
+    whose boxes have one content key (``BoxTable.content_key``, a key of
+    the value whether a box is held as cells or as columns) share one box
+    and one set of results, so each distinct box is evaluated and
     validated once."""
     records = []
     final_parties: tuple = ()

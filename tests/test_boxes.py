@@ -244,11 +244,13 @@ def test_validate_flags_bad_tables():
 
 
 def test_content_keys_differ_exactly_where_values_do():
-    # unequal tables, as cells and as spectra, that agree on all but den or
-    # on all but their sqrt(2) parts, and two of different n; then equal
-    # tables, each built two ways, in both forms and as a lazy product
+    # tables, as cells and as spectra, that agree on all but den or on all
+    # but their sqrt(2) parts, and two of different n: only the uniform
+    # tables over 2 and over 4 are equal across forms (entries 0 and 4, 1
+    # and 5); then equal tables, each built two ways, in both forms and as
+    # a lazy product
     cells = (1, 1, 1, 1)
-    unequal = [
+    tables = [
         BoxTable.from_numerators(1, 2, cells),
         BoxTable.from_numerators(1, 4, cells),
         BoxTable.from_numerators(1, 4, cells, (1, -1, 1, -1)),
@@ -260,8 +262,12 @@ def test_content_keys_differ_exactly_where_values_do():
         pr(),
         sb(),
     ]
-    keys = [t.content_key() for t in unequal]
-    assert len(set(keys)) == len(keys)
+    keys = [t.content_key() for t in tables]
+    shared = {(i, j) for i in range(len(keys)) for j in range(i + 1, len(keys))
+              if keys[i] == keys[j]}
+    assert shared == {(0, 4), (1, 5)}
+    assert all((tables[i] == tables[j]) == ((i, j) in shared)
+               for i in range(len(keys)) for j in range(i + 1, len(keys)))
     assert pr().content_key() == isotropic(2, ONE).content_key()
     assert tensor(pr(), pr()).content_key() == tensor(isotropic(2, ONE), pr()).content_key()
     assert mix([(HALF, pr()), (HALF, pr())]).content_key() == mix([(ONE, pr())]).content_key()

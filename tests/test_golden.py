@@ -1,5 +1,6 @@
 """Golden outputs: ``boxswap run --format json`` on every bundled scenario
-document must reproduce the recorded report byte for byte, and
+document and ``boxswap reproduce --filter NAME --format json`` on every
+check must reproduce the recorded report byte for byte, and
 ``scripts/generate_scenarios.py`` must rebuild the documents themselves.
 
 The sha256 digests live in ``perfbench/reference_digests.json``, the file
@@ -17,7 +18,8 @@ from boxswap.cli import main
 from boxswap.fileio import canonical_dumps
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGESTS = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())["documents"]
+REFERENCE = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
+DIGESTS, CHECK_DIGESTS = REFERENCE["documents"], REFERENCE["checks"]
 
 
 def test_every_bundled_scenario_has_a_digest():
@@ -30,6 +32,13 @@ def test_bundled_scenario_report_is_byte_identical(tmp_path, name):
     doc = ROOT / "scenarios" / f"{name}.json"
     assert main(["run", str(doc), "--format", "json", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+def test_reproduce_check_report_is_byte_identical(tmp_path, name):
+    out = tmp_path / "checks.json"
+    assert main(["reproduce", "--filter", name, "--format", "json", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHECK_DIGESTS[name]
 
 
 def test_generator_rebuilds_the_bundled_documents_byte_for_byte():

@@ -443,7 +443,7 @@ def ring(n: int) -> ScenarioSpec:
     """n users on a cycle, shaped like ``hybrid_three.json``: each edge is two
     PR boxes whose inner ends meet in a two-end coupler, and each user wires
     the outer ends it holds."""
-    users = "acdefghij"[:n]
+    users = "acdefghijk"[:n]
     boxes, couplers = [], []
     for k, (left, right) in enumerate(zip(users, users[1:] + users[:1])):
         boxes += [ScenarioBox(f"g{2 * k + 1}", "pr", 2, (f"{left}1", f"b{2 * k + 1}")),
@@ -474,18 +474,40 @@ def test_hybrid_three_document_applies_each_coupler_once(monkeypatch):
     assert len(report.branches) == 8 and report.all_checks_passed
 
 
+def _ring_law(n: int, k: int) -> BoxTable:
+    """The box of a ring(n) branch with k failed couplers: cells
+    (1 + w * (-1)**(|a| + sum_i x_i * x_{i+1})) / 2**n, indices mod n and
+    w = (-1/2)**k, that is w * G + (1 - w) * mixed(n) for the cycle's parity
+    box G.  Its columns are 2**k at the empty set and (-1)**k times the
+    cycle's sign at the full set, over 2**(n + k)."""
+    signs = [(-1) ** sum(x >> i & x >> (i + 1) % n & 1 for i in range(n)) for x in range(2**n)]
+    columns = {0: ((2**k,) * 2**n, None), 2**n - 1: ([(-1) ** k * s for s in signs], None)}
+    return BoxTable.from_spectrum(n, 2 ** (n + k), columns)
+
+
 def _check_failure_law(monkeypatch, n):
     """ring(n) applies each coupler once and has 2**n branches; a branch
-    with k failed couplers has probability 2**k / 3**n and a valid box."""
+    with k failed couplers has probability 2**k / 3**n and the valid box
+    ``_ring_law(n, k)``."""
     report, calls = _counted_run(monkeypatch, ring(n))
     assert calls == n
     assert len(report.branches) == 2**n
-    assert report.parties == tuple("acdefghij"[:n])
+    assert report.parties == tuple("acdefghijk"[:n])
+    laws = [_ring_law(n, k) for k in range(n + 1)]
     for record in report.branches:
         k = sum(record.outcome)
         assert record.probability == Scalar.rational(2**k, 3**n)
         assert record.validation.all_ok
+        assert record.box == laws[k]
     assert report.total_probability == ONE and report.all_checks_passed
+
+
+def test_ring_of_three_follows_the_failure_law(monkeypatch):
+    _check_failure_law(monkeypatch, 3)
+
+
+def test_ring_of_four_follows_the_failure_law(monkeypatch):
+    _check_failure_law(monkeypatch, 4)
 
 
 def test_ring_of_five_follows_the_failure_law(monkeypatch):
@@ -506,8 +528,13 @@ def test_ring_of_eight_follows_the_failure_law(monkeypatch):
 
 def test_ring_of_nine_runs_exactly(monkeypatch):
     # 512 branches on nine users, each box spectral from the first join to
-    # its validation; the box law itself (the cycle-parity box) is not checked
+    # its validation and its comparison with the law
     _check_failure_law(monkeypatch, 9)
+
+
+def test_ring_of_ten_follows_the_failure_law(monkeypatch):
+    # 1,024 branches on ten users, at the party cap
+    _check_failure_law(monkeypatch, 10)
 
 
 @pytest.mark.parametrize("build, survivors", [
@@ -637,6 +664,23 @@ def test_equal_branch_boxes_are_evaluated_and_written_once(monkeypatch, build, b
     assert len(report.branches) == branches
     assert len({id(r.box) for r in report.branches}) == distinct
     assert counts == {"validate": distinct, "classify": distinct, "to_json": distinct}
+
+
+def test_equal_boxes_held_as_cells_and_as_columns_are_evaluated_once(monkeypatch):
+    # a branch box held as columns and an equal one held as cells have one
+    # content key, so the report validates, classifies and writes one box
+    counts = _counted_results(monkeypatch)
+    columns = failure(3)
+    cells = oracle.from_probs(3, columns.probs)
+    assert columns.spectrum is not None and cells.spectrum is None
+    report = scenarios._report(ScenarioSpec("either-form", ()), [
+        ((0,), THIRD, ("a", "b", "c"), columns),
+        ((1,), Scalar.rational(2, 3), ("a", "b", "c"), cells),
+    ])
+    report.to_json()
+    assert report.all_checks_passed
+    assert report.branches[0].box is report.branches[1].box is columns
+    assert counts == {"validate": 1, "classify": 1, "to_json": 1}
 
 
 def test_a_ring_of_seven_writes_eight_box_documents(monkeypatch):
