@@ -37,7 +37,9 @@ rounds and the other one first in odd ones, and every output is checked
 outside the timed intervals.  A round's time is the sum of its requests'
 times.  It prints each side's best and 10th-percentile round (at index
 ``(R - 1) // 10`` of its sorted times) and their ratio, this checkout over
-PATH's.
+PATH's, then one row per request, slowest first on this checkout: its best
+time on each side and their ratio, so a change's saving can be traced to
+the requests that carry it.
 Two processes of one tree can differ by more than a change does; two
 trees in one process share the interpreter, its allocator and the host's
 moment, so the ratio of rounds run side by side is the steadier reading.
@@ -206,26 +208,26 @@ def _import_against(path: Path, into: Path):
 
 
 def interleaved_rounds(sides: list, repeat: int) -> tuple:
-    """Each side's round times over ``repeat`` rounds, the sides taking
-    turns to go first, and the (side, label, problem) of each failed check."""
-    times, problems = [[] for _ in sides], []
+    """Each side's times of each request over ``repeat`` rounds (one list
+    per request, in round order), the sides taking turns to go first, and
+    the (side, label, problem) of each failed check."""
+    times, problems = [[[] for _ in side] for side in sides], []
     for r in range(repeat):
         for i in (range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))):
-            total = 0.0
-            for request in sides[i]:
+            for request, spent in zip(sides[i], times[i]):
                 request.prepare()
                 start = perf_counter()
                 out = request()
-                total += perf_counter() - start
+                spent.append(perf_counter() - start)
                 problem = request.check(out)
                 if problem is not None:
                     problems.append((i, request.label, problem))
-            times[i].append(total)
     return times, problems
 
 
 def compare(workload: str, seed: int, repeat: int, path: Path) -> int:
-    """The ``--against`` comparison: prints both sides' rounds and their ratio."""
+    """The ``--against`` comparison: prints both sides' rounds and their
+    ratio, then each request's best time on each side and their ratio."""
     boxswap, workloads = _imports()
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
@@ -237,7 +239,8 @@ def compare(workload: str, seed: int, repeat: int, path: Path) -> int:
             sides.append(requests)
         problems = [(i, r.label, _checked(r)) for i, side in enumerate(sides) for r in side]
         times, failed = interleaved_rounds(sides, repeat)
-    rows = [(min(t), sorted(t)[(len(t) - 1) // 10]) for t in times]
+    rounds = [[sum(spent) for spent in zip(*side)] for side in times]
+    rows = [(min(t), sorted(t)[(len(t) - 1) // 10]) for t in rounds]
     print(f"{workload} seed {seed}: {len(sides[0])} requests, "
           f"{repeat} interleaved rounds per side")
     print(f"{'best ms':>9}  {'p10 ms':>9}  side")
@@ -245,6 +248,11 @@ def compare(workload: str, seed: int, repeat: int, path: Path) -> int:
         print(f"{best * 1e3:9.3f}  {p10 * 1e3:9.3f}  {label}")
     print(f"ratio this/against: best {rows[0][0] / rows[1][0]:.3f}, "
           f"p10 {rows[0][1] / rows[1][1]:.3f}")
+    print(f"{'this ms':>9}  {'against ms':>10}  {'ratio':>6}  request")
+    requests = [(min(mine), min(theirs), request.label)
+                for request, mine, theirs in zip(sides[0], *times)]
+    for mine, theirs, label in sorted(requests, key=lambda row: -row[0]):
+        print(f"{mine * 1e3:9.3f}  {theirs * 1e3:10.3f}  {mine / theirs:6.3f}  {label}")
     failed += [problem for problem in problems if problem[2] is not None]
     for i, label, problem in failed:
         print(f"FAILED {('this', 'against')[i]} {label}: {problem}", file=sys.stderr)

@@ -30,30 +30,32 @@ way, two columns each, and so are the coupler's branch boxes on products of
 such tables and every ``wired`` join and ``merge_parties`` result.
 ``validate``, the coupler and ``bell.evaluate`` read the columns; the first
 read of ``den``, ``rat`` or ``surd`` (``to_json``, ``probs``, ``mix``,
-``marginalize``) builds the cells once, by the inverse transform, and keeps
-them.  A table's value is its spectrum: ``==``, ``content_key``, ``wired``
-and ``merge_parties`` read it through ``_spectrum``, which transforms a cell
-table forward (``_forward``), so no comparison or key builds cells.  One
-butterfly, ``_pattern_sums``, serves both transforms (``_cells`` and
-``_forward``) and the sign test.
+``marginalize``) builds a spectral table's cells once, by the inverse
+transform, and keeps them.  A table's value is its spectrum: ``==``,
+``content_key``, ``wired`` and ``merge_parties`` read it through
+``_spectrum``, which transforms a cell table forward (``_forward``), so no
+comparison or key builds cells.  One butterfly, ``_pattern_sums``, serves
+both transforms (``_cells`` and ``_forward``) and the sign test.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
-factor by factor without ever writing it; a product of spectral tables also
-has a spectrum, the outer products of its factors' columns.  ``wired``
-joins two tables across any number of wirings between them without their
-product: it equals ``merge_parties`` of their ``tensor``, pair by pair, and
-is spectral, each column the product of a column of each table that agree
-on the wired output bits.  ``merge_parties`` is the same rule inside one
-table: it keeps the columns that agree on its two output bits.  So a ring
-of boxes folds on columns alone, and so does a wiring inside a pool.
+factor by factor without ever writing it, and ``mix`` writes a product's
+term from its factors and builds none of its cells; a product of spectral
+tables also has a spectrum, the outer products of its factors' columns.
+``wired`` joins two tables across any number of wirings between them
+without their product: it equals ``merge_parties`` of their ``tensor``, pair
+by pair, and is spectral, each column the product of a column of each
+table that agree on the wired output bits.  ``merge_parties`` is the same
+rule inside one table: it keeps the columns that agree on its two output
+bits.  So a ring of boxes folds on columns alone, and so does a wiring
+inside a pool.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, iadd, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
@@ -414,28 +416,38 @@ def named_box(kind: str, n: int | None = None, xi=None) -> BoxTable:
 #
 # Each operation works on the numerator tuples only.  A product of two cells
 # follows (r + s*sqrt2)(r' + s'*sqrt2) = (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2.
+# ``mix`` adds each term into one sum in one pass, a lazy product's as its
+# weighted first factor carried through ``_outer_product``, the unreduced
+# loop of ``_product``, so the product is neither built nor reduced.
 
 
 def _scaled(vec: Sequence[int] | None, k: int) -> Sequence[int] | None:
     return vec if vec is None or k == 1 else [k * v for v in vec]
 
 
-def _sum(*vecs) -> list | None:
-    """Elementwise sum of the vectors that are not None; None if all are."""
-    vecs = [v for v in vecs if v is not None]
-    if not vecs:
-        return None
-    total = vecs[0]
-    for v in vecs[1:]:
-        total = list(map(add, total, v))
-    return total
+def _combined(acc: list | None, a: int, u: Sequence[int], b: int, v: Sequence[int] | None):
+    """``acc + a*u + b*v`` elementwise, in one pass; a term whose
+    coefficient is 0 or whose vector is None is left out, and so is ``acc``
+    when None.  None if nothing is left."""
+    if not b or v is None:
+        if not a:
+            return acc
+        return [a * x for x in u] if acc is None else [y + a * x for y, x in zip(acc, u)]
+    if not a:
+        return _combined(acc, b, v, 0, None)
+    if acc is None:
+        return [a * x + b * z for x, z in zip(u, v)]
+    return [y + a * x + b * z for y, x, z in zip(acc, u, v)]
 
 
 def mix(terms: Iterable[tuple]) -> BoxTable:
     """Affine combination of same-arity tables.
 
     Weights must sum to one exactly.  Negative weights are fine as long as
-    the result stays nonnegative.
+    the result stays nonnegative.  Each term is added into one sum of
+    numerators in one pass; a lazy product's term is written from its
+    factors (the weight scales the first, ``_outer_product`` the rest), so
+    none of its cells is built.
     """
     terms = [(w if isinstance(w, Scalar) else Scalar(w), box) for w, box in terms]
     if not terms:
@@ -448,19 +460,35 @@ def mix(terms: Iterable[tuple]) -> BoxTable:
         total = total + w
     if total != ONE:
         raise ValidationError(f"mix weights must sum to 1, got {total}")
-    # weight (p + q*sqrt2)/wden on a table over box.den, all over one den
+    # weight (p + q*sqrt2)/wden on a table over its den (a lazy product's
+    # unreduced den is the product of its factors'), all over one den
     parts = []
     for w, box in terms:
-        if w:
-            parts.append((w.r, w.s, w.d * box.den, box))
-    den = lcm(*(d for _, _, d, _ in parts))
-    rat, surd = [0] * 4**n, None
-    for p, q, d, box in parts:
+        if w.r or w.s:
+            factors = box.factors
+            parts.append((w, box, factors, w.d * (
+                box.den if factors is None else prod([f.den for f in factors]))))
+    den = lcm(*[d for *_, d in parts])
+    rat = surd = None
+    for w, box, factors, d in parts:
         k = den // d
-        p, q, s = p * k, q * k, box.surd
-        rat = _sum(rat, _scaled(box.rat, p), _scaled(s, 2 * q) if s and q else None)
-        if s or q:
-            surd = _sum(surd, _scaled(box.rat, q) if q else None, _scaled(s, p) if s else None)
+        p, q = w.r * k, w.s * k
+        # (p + q*sqrt2)(r + s*sqrt2) = (p*r + 2q*s) + (q*r + p*s)*sqrt2
+        if factors is None:
+            r, s = box.rat, box.surd
+            rat = _combined(rat, p, r, 2 * q, s)
+            if q or s is not None:
+                surd = _combined(surd, q, r, p, s)
+            continue
+        first = factors[0]
+        r, s = first.rat, first.surd
+        # the weighted first factor; its rational part is all zero (None)
+        # only for a weight with no rational part on a factor without sqrt2
+        head = _combined(None, p, r, 2 * q, s) or [0] * len(r), _combined(None, q, r, p, s)
+        term_rat, term_surd = _outer_product(first.n, head, factors[1:])
+        rat = term_rat if rat is None else list(map(add, rat, term_rat))
+        if term_surd is not None:
+            surd = term_surd if surd is None else list(map(add, surd, term_surd))
     i = first_negative(rat, surd)
     if i is not None:
         raise ValidationError(f"mix produced a negative entry at index {i}")
@@ -493,15 +521,22 @@ def _pair_product(u: tuple, v: tuple, outer) -> tuple:
     return rat, list(map(add, outer(ur, vs), outer(us, vr)))
 
 
+def _outer_product(n: int, pair: tuple, factors: Sequence[BoxTable]) -> tuple:
+    """The unreduced (rat, surd) numerators of the product of an ``n``-party
+    numerator pair, in the low party slots, and the built tables
+    ``factors``; the product's den is the product of theirs."""
+    for f in factors:
+        pair = _pair_product(pair, (f.rat, f.surd), lambda u, v: _outer(u, v, n, f.n))
+        n += f.n
+    return pair
+
+
 def _product(factors: Sequence[BoxTable]) -> tuple:
     """The reduced (den, rat, surd) of the product of built tables, the
     first in the low party slots."""
     first = factors[0]
-    n, den, pair = first.n, first.den, (first.rat, first.surd)
-    for f in factors[1:]:
-        pair = _pair_product(pair, (f.rat, f.surd), lambda u, v: _outer(u, v, n, f.n))
-        n, den = n + f.n, den * f.den
-    return reduce_form(den, *pair)
+    pair = _outer_product(first.n, (first.rat, first.surd), factors[1:])
+    return reduce_form(prod([f.den for f in factors]), *pair)
 
 
 def tensor(a: BoxTable, b: BoxTable) -> BoxTable:

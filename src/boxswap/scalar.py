@@ -10,6 +10,8 @@ hashing are exact.  Each operator does its integer work and one ``gcd``
 in one frame beside the helper that reduces its result (``_reduced`` or
 ``_sum``, which fill a new Scalar in place): a Scalar operand is used as it
 is, and only an int, bool or Fraction operand is converted (``_coerce``).
+A product of two rational values (s = 0) multiplies r and d only and
+reduces them by ``gcd(r, d)`` itself, with no sqrt(2) term.
 ``Scalar(Fraction)`` reads the Fraction's own lowest terms instead of
 rebuilding them.  Floats never enter core arithmetic; ``decimal(...)``
 renders a display-only approximation for reports.
@@ -147,7 +149,13 @@ class Scalar:
         if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         r1, s1, r2, s2 = self.r, self.s, other.r, other.s
-        return _reduced(r1 * r2 + 2 * s1 * s2, r1 * s2 + s1 * r2, self.d * other.d)
+        if s1 or s2:
+            return _reduced(r1 * r2 + 2 * s1 * s2, r1 * s2 + s1 * r2, self.d * other.d)
+        # rational operands: gcd(r, 0, d) = gcd(r, d), so the triple is canonical
+        r, d, x = r1 * r2, self.d * other.d, object.__new__(Scalar)
+        g = gcd(r, d)
+        x.r, x.s, x.d = r // g, 0, d // g
+        return x
 
     __rmul__ = __mul__
 

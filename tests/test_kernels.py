@@ -166,11 +166,13 @@ def test_tensor(seed, na, nb, kind_a, kind_b):
     assert tensor(a, b) == oracle.tensor(a, b)
 
 
-@given(seeds, st.integers(1, 3), st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
-@settings(max_examples=25, deadline=None)
-def test_mix(seed, n, kinds):
+@given(seeds, st.integers(1, 3), st.lists(st.sampled_from(SHAPES), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_mix(seed, n, shapes):
+    # every table form: a lazy product's term is written from its factors,
+    # before the oracle below reads (and so builds) its cells
     rng = random.Random(seed)
-    boxes = [_table(rng, n, kind) for kind in kinds]
+    boxes = [_shaped(rng, n, shape) for shape in shapes]
     weights = _weights(rng, len(boxes))
     if len(boxes) > 1 and rng.random() < 0.5:  # an affine, not convex, combination
         weights[0], weights[1] = weights[0] + Scalar(2), weights[1] - Scalar(2)

@@ -1,6 +1,7 @@
 """Smoke tests for ``scripts/profile_round.py``: one ``wide`` round, one
 ``documents`` round split into phases, one ``reproduce`` request's phases,
-and this checkout's ``wide`` rounds against a copy of itself, in-process."""
+and this checkout's ``wide`` rounds and requests against a copy of itself,
+in-process."""
 
 import importlib.util
 from pathlib import Path
@@ -98,4 +99,23 @@ def test_against_runs_both_trees_interleaved_and_prints_their_ratio(capsys):
     assert [row[2:4] for row in sides] == [["this", "checkout"], ["against", str(ROOT)]]
     for best, p10, *_ in sides:
         assert 0 < float(best) <= float(p10)
-    assert len(lines) == 5 and lines[4].startswith("ratio this/against: best ")
+    assert lines[4].startswith("ratio this/against: best ")
+    # then one row per request: its best time on each side and their ratio,
+    # slowest first on this checkout
+    assert lines[5].split() == ["this", "ms", "against", "ms", "ratio", "request"]
+    rows = [line.split() for line in lines[6:]]
+    assert len(rows) == 9 and sorted(row[3] for row in rows) == sorted(
+        f"wide:{shape}/{cls}" for shape in ("swap_two(3,3)", "swap_two(3,4)", "swap_many(2,2,3)")
+        for cls in ("dyadic", "rational", "sqrt2"))
+    mine = [float(row[0]) for row in rows]
+    assert mine == sorted(mine, reverse=True)
+    for this, against, ratio, _ in rows:
+        # each printed to 0.001, so the ratio lies within those roundings
+        this, against, ratio = float(this), float(against), float(ratio)
+        assert 0 < this and 0.0005 < against
+        assert (this - 0.0005) / (against + 0.0005) - 0.0005 <= ratio
+        assert ratio <= (this + 0.0005) / (against - 0.0005) + 0.0005
+    # a request's best is at most its time in the best round, so the bests
+    # sum to at most each side's best round (all printed to 0.001 ms)
+    for side, column in zip(sides, (0, 1)):
+        assert sum(float(row[column]) for row in rows) <= float(side[0]) + 0.005

@@ -220,6 +220,13 @@ def test_scalar_agrees_with_the_two_fraction_oracle(ta, tb, k, f, t, foreign):
     _same_or_raises(lambda x: x.inverse(), (a,), (oa,))
     for e in range(4):
         _same(a**e, oa**e)
+    # rational copies of a and b (s = 0), with each other and beside a and b
+    (qa, oqa), (qb, oqb) = _pair((ta[0], 0, ta[2])), _pair((tb[0], 0, tb[2]))
+    for (x, ox), (y, oy) in (((qa, oqa), (qb, oqb)), ((qa, oqa), (b, ob)), ((a, oa), (qb, oqb))):
+        _same(x + y, ox + oy)
+        _same(x - y, ox - oy)
+        _same(x * y, ox * oy)
+        _same_or_raises(lambda u, v: u / v, (x, y), (ox, oy))
     # int and Fraction operands on either side
     _same(a + k, oa + k)
     _same(k - a, k - oa)

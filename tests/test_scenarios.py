@@ -604,6 +604,28 @@ def test_a_wiring_inside_a_pool_never_writes_a_cell(monkeypatch, n):
         assert _written(report) == _written(oracle.run_scenario(spec))
 
 
+@pytest.mark.parametrize("weight", [Scalar.rational(3, 10), Scalar(Fraction(1, 2), Fraction(1, 4))],
+                         ids=["rational", "sqrt2"])
+def test_a_mix_of_lazy_products_builds_none_of_them(monkeypatch, weight):
+    # as in reproduce's random-properties check: two lazy 2+2-party products
+    # of mixtures, mixed.  Each product's term is written from its factors,
+    # so no product is materialized and the mix builds one table, its own;
+    # the factors (cell tables, a spectral one with a sqrt(2) part) are
+    # built, and their cells read, before counting starts
+    factors = [mix([(Scalar.rational(1, 3), pr()), (Scalar.rational(2, 3), mixed(2))]),
+               isotropic(2, INV_SQRT2),
+               mix([(Scalar.rational(1, 4), anti_pr()),
+                    (Scalar.rational(3, 4), deterministic_local([(0, 1), (1, 1)]))]),
+               deterministic_local([(1, 0), (0, 1)])]
+    for f in factors:
+        f.rat
+    joint1, joint2 = tensor(factors[0], factors[1]), tensor(factors[2], factors[3])
+    products, built, cells = _counted_tables(monkeypatch)
+    got = mix([(weight, joint1), (ONE - weight, joint2)])
+    assert products == cells == [] and built == [4]
+    assert got == oracle.mix([(weight, joint1), (ONE - weight, joint2)])
+
+
 # -- one evaluation and one document per distinct branch box ----------------
 
 
