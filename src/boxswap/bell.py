@@ -8,7 +8,7 @@ are full n-party parity expectations, in [-1, 1], and enter only through
 ``evaluate``: on cells, the parity-signed sum of each row; on a spectral
 table, 2**n times its full-set column, so ``evaluate`` (and so
 ``classify``) never builds a spectral table's cells.  ``ch_evaluate``
-reads four cells.
+reads four cells' numerators and reduces their signed sum once.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ def ch_evaluate(box: BoxTable) -> Scalar:
     """
     if box.n != 2:
         raise ArityError("ch is a bipartite functional; box has n != 2")
-    return box.prob(0b00, 0b11) + box.prob(0b01, 0b00) + box.prob(0b10, 0b00) - box.prob(0b11, 0b00)
+    r, s = (vec and vec[0b0011] + vec[0b0100] + vec[0b1000] - vec[0b1100]  # (x << 2) | a
+            for vec in (box.rat, box.surd))
+    return _reduced(r, s or 0, box.den)
 
 
 class BoundTriple:

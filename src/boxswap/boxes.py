@@ -34,7 +34,8 @@ read of ``den``, ``rat`` or ``surd`` (``to_json``, ``probs``, ``mix``,
 transform, and keeps them.  A table's value is its spectrum: ``==``,
 ``content_key``, ``wired`` and ``merge_parties`` read it through
 ``_spectrum``, which transforms a cell table forward (``_forward``), so no
-comparison or key builds cells.  One butterfly, ``_pattern_sums``, serves
+comparison or key builds cells; a table keeps its key, and a cell table
+compares by it.  One butterfly, ``_pattern_sums``, serves
 both transforms (``_cells`` and ``_forward``) and the sign test.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
@@ -137,9 +138,11 @@ class BoxTable:
     product, the product of its factors' spectra if each has one.
     ``_nonnegative`` is True once a sign test has cleared the cells (set
     only on a coupler's branch boxes and on ``wired`` joins of such boxes),
-    and ``validate`` takes it as it is; None otherwise."""
+    and ``validate`` takes it as it is; None otherwise.  ``_key`` is the
+    ``content_key`` once it is made, None before."""
 
-    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs", "_nonnegative")
+    __slots__ = ("n", "factors", "spectrum", "den", "rat", "surd", "_probs", "_nonnegative",
+                 "_key")
 
     @classmethod
     def from_numerators(cls, n: int, den: int, rat, surd=None) -> "BoxTable":
@@ -147,7 +150,7 @@ class BoxTable:
         self = object.__new__(cls)
         self.n, self.factors, self.spectrum = n, None, None
         self.den, self.rat, self.surd = reduce_form(den, rat, surd)
-        self._probs = None
+        self._probs = self._key = None
         return self
 
     @classmethod
@@ -197,20 +200,24 @@ class BoxTable:
                 yield x, a, probs[base | a]
 
     def __eq__(self, other):
-        """Equal value: the same n and the same canonical spectrum
-        (``_spectrum``), whichever form each table is held in."""
+        """Equal value: the same n and the same canonical spectrum, whichever
+        form each table is held in; a cell table compares by its kept key."""
         if not isinstance(other, BoxTable):
             return NotImplemented
-        return self.n == other.n and _spectrum(self) == _spectrum(other)
+        if self.spectrum is None or other.spectrum is None:
+            return self.content_key() == other.content_key()
+        return self.n == other.n and self.spectrum == other.spectrum
 
     __hash__ = None
 
     def content_key(self) -> tuple:
         """A hashable key of the table's value, ``(n, den, columns)`` of its
-        spectrum (``_spectrum``) in either form: tables have equal keys
-        exactly when they are equal."""
-        den, columns = _spectrum(self)
-        return self.n, den, frozenset(columns.items())
+        spectrum (``_spectrum``) in either form, made once: tables have
+        equal keys exactly when they are equal."""
+        if self._key is None:
+            den, columns = _spectrum(self)
+            self._key = self.n, den, frozenset(columns.items())
+        return self._key
 
     def __repr__(self):
         return f"BoxTable(n={self.n})"
@@ -545,7 +552,8 @@ def tensor(a: BoxTable, b: BoxTable) -> BoxTable:
     n = a.n + b.n
     _check_cap(n)
     self = object.__new__(BoxTable)
-    self.n, self.factors, self._probs = n, (a.factors or (a,)) + (b.factors or (b,)), None
+    self.n, self.factors = n, (a.factors or (a,)) + (b.factors or (b,))
+    self._probs = self._key = None
     return self
 
 
@@ -575,7 +583,7 @@ def _character(n: int, word: int) -> tuple:
 def _spectral(n: int, spectrum: tuple) -> BoxTable:
     """The table of a canonical ``(den, columns)`` spectrum."""
     self = object.__new__(BoxTable)
-    self.n, self.factors, self.spectrum, self._probs = n, None, spectrum, None
+    self.n, self.factors, self.spectrum, self._probs, self._key = n, None, spectrum, None, None
     return self
 
 

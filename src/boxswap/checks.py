@@ -312,8 +312,9 @@ def check_random_properties():
         a1, b1 = _random_mixture(rng, pool), _random_mixture(rng, pool)
         a2, b2 = _random_mixture(rng, pool), _random_mixture(rng, pool)
         lam = Scalar(Fraction(rng.randrange(1, 10), 10))
+        rest = ONE - lam
         joint1, joint2 = tensor(a1, b1), tensor(a2, b2)
-        joint = mix([(lam, joint1), (ONE - lam, joint2)])
+        joint = mix([(lam, joint1), (rest, joint2)])
         consumed = rng.choice(((2, 3), (1, 3), (2, 4), (1, 4)))
         res = apply_coupler(coupler, joint, consumed)
         parts1 = apply_coupler(coupler, joint1, consumed)
@@ -323,7 +324,7 @@ def check_random_properties():
         for branch in (0, 1):
             mixed_table = _unnormalized(res[branch], 2)
             split = [
-                lam * p + (ONE - lam) * q
+                lam * p + rest * q
                 for p, q in zip(
                     _unnormalized(parts1[branch], 2), _unnormalized(parts2[branch], 2)
                 )

@@ -6,16 +6,15 @@ wirings that merge pairs of surviving labels into one user (shared input,
 XOR of outputs), and the list of functionals to report on the final boxes.
 
 The engine keeps one table per independent group of parties ("pool") and
-couples pools together only when a coupler spans them.  A pool no coupler
-has touched yet is the same object in every branch, so within one run each
-coupler is applied once per distinct state of the pools it spans.  At the
-end each branch folds its pools left to right and applies every wiring as
-soon as both of its ends are in the fold, all the wirings between the fold
-and the next pool in one ``wired`` join; branches that share their first
-pools share that partial product.  Party counts stay as small as the
-scenario allows: a ring of N users peaks at N parties.  Every probability
-is exact; branch probabilities over all outcome assignments sum to one
-(checked and reported as a cross-check).
+couples pools together only when a coupler spans them.  At the end each
+branch folds its pools left to right, all the wirings between the fold and
+the next pool in one ``wired`` join, so a ring of N users peaks at N
+parties.  One store per run keeps each coupler application, fold step and
+report under the values (``content_key``) of the tables it is made from:
+each coupler is applied once per distinct value of the pools it spans, and
+each fold step runs once per distinct value of the fold and the pool,
+whichever branches reach them.  Every probability is exact; branch
+probabilities over all outcome assignments sum to one (a cross-check).
 
 The builders (``swap_two``, ``swap_many``, ``hybrid_three``) check their
 reports against one closed form, the swap law on isotropic boxes: each
@@ -25,6 +24,7 @@ with probability 2/3 and leaves weight -xi1*xi2/2 (``_swap_law``).
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
 from typing import Sequence
 
@@ -417,88 +417,82 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             raise SpecFileError(f"unknown report functional {r!r}; expected {REPORT_FUNCTIONALS}")
 
 
-class _Pool:
-    """One independent group of parties: its labels and their joint box.
-    Pools hash by identity, so a run's memos key on them."""
-
-    __slots__ = ("labels", "box")
-
-    def __init__(self, labels: list, box: BoxTable):
-        self.labels, self.box = labels, box
-
-
-def _joined(pools) -> tuple[list, BoxTable]:
-    """Concatenate the pools' labels and tensor their boxes, in pool order."""
-    labels: list = []
-    box = None
-    for pool in pools:
-        labels += pool.labels
-        box = pool.box if box is None else tensor(box, pool.box)
-    return labels, box
+def _recalled(store: dict | None, what, tables, build, *args):
+    """``build(*args)``, kept in the run's ``store`` under ``what`` else it
+    depends on (consumed labels, fold position and pairs, or None) and its
+    ``tables``' ``content_key``s; the store is None for one branch: no key."""
+    if store is None:
+        return build(*args)
+    key = (what, *map(BoxTable.content_key, tables))
+    found = store.get(key)
+    if found is None:
+        found = store[key] = build(*args)
+    return found
 
 
-def _coupled(effect, cspec: ScenarioCoupler, pools, outcome: tuple) -> tuple:
-    """Apply one coupler to the joint of ``pools``: one (branch, probability,
-    pool over the survivors or None) per coupler outcome.  ``outcome`` is the
-    branch path that first reached these pools, named if the coupler fails."""
-    labels, joint = _joined(pools)
-    positions = [labels.index(p) + 1 for p in cspec.consumed]
+def _coupled(effect, cspec: ScenarioCoupler, pools, positions, outcome: tuple) -> tuple:
+    """Apply one coupler at ``positions`` of the joint of the boxes ``pools``:
+    one (branch, probability, survivors' box or None) per coupler outcome.
+    ``outcome`` is the branch path that first reached these pools, named if
+    the coupler fails."""
     try:
-        results = apply_coupler(effect, joint, positions)
+        results = apply_coupler(effect, reduce(tensor, pools), positions)
     except CouplerInvalidError as exc:
         path = "".join(str(b) for b in outcome) or "(root)"
         raise CouplerInvalidError(
             exc.branch,
             f"coupler on {list(cspec.consumed)} after branch path {path}: {exc}",
         ) from exc
-    surviving = [p for p in labels if p not in cspec.consumed]
-    return tuple((r.branch, r.probability, None if r.box is None else _Pool(surviving, r.box))
-                 for r in results)
+    return tuple((r.branch, r.probability, r.box) for r in results)
 
 
-def _assembled(pools, wirings: tuple, folds: dict) -> tuple[list, BoxTable]:
-    """Fold the pools left to right, applying each wiring as soon as both of
-    its ends are in the fold.  ``folds`` maps each prefix of pools folded in
-    this run to its (labels, box), so branches that share their first pools
-    share that product.  When a pool closes wirings with the fold, one
-    ``wired`` join takes all of them at once and never writes the product
-    of the two; a pool that closes none is tensored on.  A wiring inside
-    one pool goes through ``merge_parties``, ``wired``'s rule inside one
-    table, so a spectral fold stays spectral.  Every merge puts the
-    merged label in its pair's earlier slot, so labels and table come out
-    as if all pools were tensored first and wired after.  A ring of N users
-    thus peaks at N parties: its closing pool wires both of its ends onto
-    the N-party fold in one join."""
-    labels: list = []
+def _fold_plan(layout: list, wirings: tuple) -> tuple[list, list]:
+    """The labels after folding the pools of ``layout`` left to right and,
+    per pool, the (fold, pool) parties of the wirings it closes with the
+    fold and the pairs of those then inside the fold, each merged into its
+    earlier slot."""
+    labels, steps = [], []
+    for pool in layout:
+        ends = [(labels.index(p) + 1, pool.index(q) + 1, w.merged)
+                for w in wirings for p, q in (w.pair, w.pair[::-1])
+                if p in labels and q in pool]
+        if ends:
+            names = {labels[i - 1]: name for i, _, name in ends}
+            gone = {pool[j - 1] for _, j, _ in ends}
+            labels = [names.get(p, p) for p in labels] + [q for q in pool if q not in gone]
+        else:
+            labels = labels + pool
+        inside = []
+        for w in wirings:
+            if w.pair[0] in labels and w.pair[1] in labels:
+                i, j = labels.index(w.pair[0]) + 1, labels.index(w.pair[1]) + 1
+                inside.append((i, j))
+                labels[min(i, j) - 1] = w.merged
+                del labels[max(i, j) - 1]
+        steps.append((tuple([(i, j) for i, j, _ in ends]), inside))
+    return labels, steps
+
+
+def _assembled(pools, steps: list, store: dict | None) -> BoxTable:
+    """The fold of the boxes ``pools`` by ``_fold_plan``'s steps, each but a
+    bare first pool recalled by its position and pairs and the fold's and
+    pool's values."""
     box = None
-    key: tuple = ()
-    for pool in pools:
-        key += (pool,)
-        fold = folds.get(key)
-        if fold is None:
-            ends = [(labels.index(p) + 1, pool.labels.index(q) + 1, w.merged)
-                    for w in wirings for p, q in (w.pair, w.pair[::-1])
-                    if p in labels and q in pool.labels]
-            if not ends:
-                labels = labels + pool.labels
-                box = pool.box if box is None else tensor(box, pool.box)
-            else:
-                box = wired(box, pool.box, [(i, j) for i, j, _ in ends])
-                merged = {i: name for i, _, name in ends}
-                dropped = {j for _, j, _ in ends}
-                labels = ([merged.get(k, p) for k, p in enumerate(labels, 1)]
-                          + [p for k, p in enumerate(pool.labels, 1) if k not in dropped])
-            for w in wirings:  # what is left: wirings inside the new pool
-                if w.pair[0] in labels and w.pair[1] in labels:
-                    i = labels.index(w.pair[0]) + 1
-                    j = labels.index(w.pair[1]) + 1
-                    box = merge_parties(box, i, j)
-                    lo, hi = min(i, j), max(i, j)
-                    labels[lo - 1] = w.merged
-                    del labels[hi - 1]
-            fold = folds[key] = (labels, box)
-        labels, box = fold
-    return labels, box
+    for k, (pool, (pairs, inside)) in enumerate(zip(pools, steps)):
+        box = pool if box is None and not inside else _recalled(
+            store, (k, pairs), (pool,) if box is None else (box, pool),
+            _folded, box, pool, pairs, inside)
+    return box
+
+
+def _folded(box, other: BoxTable, pairs: tuple, inside: list) -> BoxTable:
+    """One step: one ``wired`` join takes every wiring that ``other`` closes
+    with the fold (so a ring of N users peaks at N parties), or ``other`` is
+    tensored on; a wiring inside goes through ``merge_parties``."""
+    box = other if box is None else wired(box, other, pairs) if pairs else tensor(box, other)
+    for i, j in inside:
+        box = merge_parties(box, i, j)
+    return box
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
@@ -506,31 +500,35 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     _validate_spec(spec)
     start_pools = []
     for b in spec.boxes:
-        if b.table is not None:
-            if not validate(b.table).all_ok:
-                raise ValidationError(f"inline box {b.name!r} is not a valid box")
-            start_pools.append(_Pool(list(b.parties), b.table))
-        else:
-            start_pools.append(_Pool(list(b.parties), named_box(b.kind, b.n, b.xi)))
-    # a branch is (outcome, weight, pools); pools is None once an outcome had zero mass
+        if b.table is not None and not validate(b.table).all_ok:
+            raise ValidationError(f"inline box {b.name!r} is not a valid box")
+        start_pools.append(b.table if b.table is not None else named_box(b.kind, b.n, b.xi))
+    # a branch is (outcome, weight, pools), each pool the box of one group of
+    # parties, and pools is None once an outcome had zero mass; the labels of
+    # each pool, its ``layout``, are the same in every live branch
     branches = [((), ONE, start_pools)]
+    layout = [list(b.parties) for b in spec.boxes]
+    store: dict = {}  # the run's results, keyed by value (``_recalled``)
 
     for cspec in spec.couplers:
         effect = build_coupler(cspec.arity)
-        steps: dict = {}  # involved pools -> their _coupled results, filled in branch order
+        shared = store if len(branches) > 1 else None
+        involved = [i for i, group in enumerate(layout)
+                    if not set(cspec.consumed).isdisjoint(group)]
+        labels = [p for i in involved for p in layout[i]]
+        positions = [labels.index(p) + 1 for p in cspec.consumed]
+        at = involved[0]
+        layout = [group for i, group in enumerate(layout) if i not in involved]
+        layout.insert(at, [p for p in labels if p not in cspec.consumed])
         grown = []
         for outcome, weight, pools in branches:
             if pools is None:
                 grown.append((outcome + (None,), weight, None))
                 continue
-            involved = [i for i, pool in enumerate(pools)
-                        if any(p in pool.labels for p in cspec.consumed)]
-            key = tuple(pools[i] for i in involved)
-            results = steps.get(key)
-            if results is None:
-                results = steps[key] = _coupled(effect, cspec, key, outcome)
+            joint = [pools[i] for i in involved]
+            results = _recalled(shared, cspec.consumed, joint, _coupled, effect, cspec, joint,
+                                positions, outcome)
             rest = [pool for i, pool in enumerate(pools) if i not in involved]
-            at = involved[0]
             keep = results if cspec.outcome is None else (results[cspec.outcome],)
             for branch, probability, pool in keep:
                 if pool is None:
@@ -540,51 +538,26 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
                                   rest[:at] + [pool] + rest[at:]))
         branches = grown
 
-    def finals():
-        folds: dict = {}
-        for outcome, weight, pools in branches:
-            if pools is None:
-                yield outcome, ZERO, (), None
-            else:
-                yield (outcome, weight, *_assembled(pools, spec.wirings, folds))
-
-    return _report(spec, finals())
+    shared = store if len(branches) > 1 else None
+    labels, steps = _fold_plan(layout, spec.wirings)
+    return _report(spec, ((outcome, ZERO, (), None) if pools is None
+                          else (outcome, weight, labels, _assembled(pools, steps, shared))
+                          for outcome, weight, pools in branches), shared)
 
 
-def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
+def _report(spec: ScenarioSpec, finals, store: dict | None = None) -> ScenarioReport:
     """Evaluate the spec's reports on each final branch, given in order as
     (outcome, probability, labels, box), with box None where an outcome had
-    zero mass, and attach the cross-checks every scenario gets.  Branches
-    whose boxes have one content key (``BoxTable.content_key``, a key of
-    the value whether a box is held as cells or as columns) share one box
-    and one set of results, so each distinct box is evaluated and
-    validated once."""
+    zero mass, and attach the cross-checks every scenario gets.  With a
+    ``store``, branches whose boxes are equal (in either form) share one box
+    and one set of results (``_recalled``): each is evaluated once."""
     records = []
     final_parties: tuple = ()
-    evaluated: dict = {}  # content key -> (box, functionals, classification, bounds, validation)
     for outcome, weight, labels, box in finals:
         if box is None:
             records.append(BranchRecord(outcome, ZERO, None, {}, None, None, None))
             continue
-        key = box.content_key()
-        found = evaluated.get(key)
-        if found is None:
-            functionals = {}
-            classification = None
-            bound_triple = None
-            for r in spec.reports:
-                if r == "gsi":
-                    classification = classify(box)
-                    functionals["gsi"] = classification.value
-                    bound_triple = bounds(box.n)
-                elif r == "ch":
-                    if box.n != 2:
-                        raise SpecFileError(
-                            f"scenario {spec.name!r} asks for 'ch' on a {box.n}-party box"
-                        )
-                    functionals["ch"] = ch_evaluate(box)
-            found = evaluated[key] = (box, functionals, classification, bound_triple,
-                                      validate(box))
+        found = _recalled(store, None, (box,), _evaluated, spec, box)
         records.append(BranchRecord(outcome, weight, *found))
         final_parties = tuple(labels)
 
@@ -608,6 +581,22 @@ def _report(spec: ScenarioSpec, finals) -> ScenarioReport:
         )
     )
     return report
+
+
+def _evaluated(spec: ScenarioSpec, box: BoxTable) -> tuple:
+    """(box, functionals, classification, bound triple, validation) of one
+    final box under the spec's reports."""
+    functionals, classification, bound_triple = {}, None, None
+    for r in spec.reports:
+        if r == "gsi":
+            classification = classify(box)
+            functionals["gsi"] = classification.value
+            bound_triple = bounds(box.n)
+        elif r == "ch":
+            if box.n != 2:
+                raise SpecFileError(f"scenario {spec.name!r} asks for 'ch' on a {box.n}-party box")
+            functionals["ch"] = ch_evaluate(box)
+    return box, functionals, classification, bound_triple, validate(box)
 
 
 def _box_check(name: str, got: BoxTable | None, expected: BoxTable) -> CrossCheck:

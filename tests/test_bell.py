@@ -1,5 +1,6 @@
 """Functionals: the +--+ family, CH form, bounds, verdicts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxswap import (
+    BoxTable,
     Scalar,
     INV_SQRT2,
     ZERO,
@@ -73,6 +75,27 @@ def test_ch_bridge_on_deterministic_boxes():
                 for m2 in (0, 1):
                     box = deterministic_local([(c1, m1), (c2, m2)])
                     assert evaluate(gsi(2), box) == Scalar(4) * ch_evaluate(box) - Scalar(2)
+
+
+@given(st.integers(0, 2**32), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_ch_is_the_four_probability_form_in_either_form(seed, spectral, with_surd):
+    # any 2-party table, held as cells or as columns, with or without
+    # sqrt(2) parts: ch_evaluate's one reduced Scalar is the four-prob sum
+    rng = random.Random(seed)
+    den = rng.randint(1, 60)
+
+    def part(size):
+        return [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(size - 1)]
+    if spectral:
+        columns = {w: (tuple(part(4)), tuple(part(4)) if with_surd else None)
+                   for w in rng.sample(range(4), rng.randint(1, 4))}
+        box = BoxTable.from_spectrum(2, den, columns)
+    else:
+        box = BoxTable.from_numerators(2, den, part(16), part(16) if with_surd else None)
+    four = box.prob(0b00, 0b11) + box.prob(0b01, 0b00) + box.prob(0b10, 0b00) - box.prob(0b11, 0b00)
+    got = ch_evaluate(box)
+    assert (got.r, got.s, got.d) == (four.r, four.s, four.d)
 
 
 def test_bound_triples():

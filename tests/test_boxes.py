@@ -28,6 +28,7 @@ from boxswap import (
     tensor,
     validate,
 )
+from boxswap import boxes
 from boxswap.errors import (
     ArityError,
     PartyCapError,
@@ -271,6 +272,24 @@ def test_content_keys_differ_exactly_where_values_do():
     assert pr().content_key() == isotropic(2, ONE).content_key()
     assert tensor(pr(), pr()).content_key() == tensor(isotropic(2, ONE), pr()).content_key()
     assert mix([(HALF, pr()), (HALF, pr())]).content_key() == mix([(ONE, pr())]).content_key()
+
+
+def test_a_cell_table_keeps_its_key(monkeypatch):
+    # repeated comparisons and keys of one table held as cells run its
+    # forward transform once, and a table held as columns never runs it
+    cells, columns = oracle.from_probs(3, failure(3).probs), failure(3)
+    forwarded = []
+    forward = boxes._forward
+
+    def counting(box):
+        forwarded.append(box)
+        return forward(box)
+
+    monkeypatch.setattr(boxes, "_forward", counting)
+    for _ in range(3):
+        assert cells == columns and columns == cells and cells == cells
+        assert cells.content_key() == columns.content_key()
+    assert len(forwarded) == 1 and forwarded[0] is cells
 
 
 def test_box_json_round_trip():

@@ -537,6 +537,72 @@ def test_ring_of_ten_follows_the_failure_law(monkeypatch):
     _check_failure_law(monkeypatch, 10)
 
 
+def chain(k: int) -> ScenarioSpec:
+    """A repeater chain: k + 1 PR boxes (l_i, r_i) in a line, coupler i
+    consuming r_i and l_{i+1}, so that the two end users survive."""
+    boxes = tuple(ScenarioBox(f"g{i}", "pr", 2, (f"l{i}", f"r{i}")) for i in range(1, k + 2))
+    couplers = tuple(ScenarioCoupler(2, (f"r{i}", f"l{i + 1}")) for i in range(1, k + 1))
+    return ScenarioSpec(f"chain-{k}", boxes, couplers)
+
+
+def test_a_repeater_chain_applies_each_coupler_once_per_distinct_pool(monkeypatch):
+    # coupler i meets the pool its i - 1 predecessors left, whose value
+    # depends only on how many of them failed: i values, so k(k + 1)/2
+    # applications in all, not the 2**k - 1 of one per branch; a branch with
+    # f failures leaves isotropic(2, (-1/2)**f) with probability 2**f / 3**k
+    report, calls = _counted_run(monkeypatch, chain(8))
+    assert calls == 36
+    assert len(report.branches) == 2**8 and report.parties == ("l1", "r9")
+    for record in report.branches:
+        f = sum(record.outcome)
+        assert record.probability == Scalar.rational(2**f, 3**8)
+        assert record.box == isotropic(2, Scalar.rational((-1) ** f, 2**f))
+    assert report.total_probability == ONE and report.all_checks_passed
+
+
+@pytest.mark.parametrize("n, joins", [(3, 10), (8, 70), (10, 108)])
+def test_a_ring_joins_each_distinct_fold_and_pool_once(monkeypatch, n, joins):
+    # the fold of a ring's first k pools depends only on how many of their
+    # couplers failed, so it has k + 1 values, each joined once with each of
+    # the next pool's two: n(n + 1) - 2 joins in all, not the 2**(n + 1) - 4
+    # of one per branch prefix
+    calls = []
+    join = scenarios.wired
+
+    def counting(*args):
+        calls.append(1)
+        return join(*args)
+
+    monkeypatch.setattr(scenarios, "wired", counting)
+    report = run_scenario(ring(n))
+    assert len(calls) == joins == n * (n + 1) - 2
+    assert len(report.branches) == 2**n and report.all_checks_passed
+
+
+def test_value_equal_pools_held_as_different_objects_are_coupled_once(monkeypatch):
+    # two weight-0 boxes swap to the mixed box on either outcome, two equal
+    # pools held as different objects; the second coupler, reached by both
+    # branches, is applied once, and the report is the reference loop's
+    spec = ScenarioSpec("equal-pools", (
+        ScenarioBox("g1", "isotropic", 2, ("a", "b1"), ZERO),
+        ScenarioBox("g2", "isotropic", 2, ("b2", "c"), ZERO),
+        ScenarioBox("g3", "pr", 2, ("b3", "d")),
+    ), (ScenarioCoupler(2, ("b1", "b2")), ScenarioCoupler(2, ("c", "b3"))))
+    results = []
+    apply = scenarios.apply_coupler
+
+    def recording(*args):
+        results.append(apply(*args))
+        return results[-1]
+
+    monkeypatch.setattr(scenarios, "apply_coupler", recording)
+    report = run_scenario(spec)
+    assert len(results) == 2 and len(report.branches) == 4
+    first, second = (r.box for r in results[0])
+    assert first is not second and first == second
+    assert _outcome(run_scenario, spec) == _outcome(oracle.run_scenario, spec)
+
+
 @pytest.mark.parametrize("build, survivors", [
     (lambda xi: swap_two(5, 5, xi, xi), 8),
     (lambda xi: swap_many((3, 3, 3), (xi, xi, xi)), 6),
@@ -698,7 +764,7 @@ def test_equal_boxes_held_as_cells_and_as_columns_are_evaluated_once(monkeypatch
     report = scenarios._report(ScenarioSpec("either-form", ()), [
         ((0,), THIRD, ("a", "b", "c"), columns),
         ((1,), Scalar.rational(2, 3), ("a", "b", "c"), cells),
-    ])
+    ], {})
     report.to_json()
     assert report.all_checks_passed
     assert report.branches[0].box is report.branches[1].box is columns
