@@ -2,7 +2,7 @@
 
     python3 scripts/profile_round.py --workload {checks,documents,wide} \\
         [--seed S] [--repeat R] [--phases] [--profile N]
-    python3 scripts/profile_round.py --workload {checks,documents,wide} --against PATH \\
+    python3 scripts/profile_round.py --workload {checks,documents,wide} --against PATH|REV \\
         [--seed S] [--repeat R]
     python3 scripts/profile_round.py --imports [--repeat R]
 
@@ -30,11 +30,14 @@ alternating runs on one machine.
 ``--against PATH`` compares this checkout with the one at PATH in one
 process: PATH's ``src/boxswap`` is copied without bytecode into a temporary
 directory as the package ``boxswap_against`` (as ``--imports`` copies the
-source) and imported beside this checkout's.  The same seeded round is
-built for both trees by ``perfbench/workloads.py``; after one untimed round
-each, R rounds per side run interleaved, this checkout first in even
-rounds and the other one first in odd ones, and every output is checked
-outside the timed intervals.  A round's time is the sum of its requests'
+source) and imported beside this checkout's.  ``--against REV`` takes a git
+revision of this repository instead, whose committed files are exported
+with ``git archive`` first, as ``scripts/bench_pairs.py`` exports its base:
+``--against HEAD`` compares the working tree with its last commit.  The
+same seeded round is built for both trees by ``perfbench/workloads.py``;
+after one untimed round each, R rounds per side run interleaved, this
+checkout first in even rounds and the other one first in odd ones, and
+every output is checked outside the timed intervals.  A round's time is the sum of its requests'
 times.  It prints each side's best and 10th-percentile round (at index
 ``(R - 1) // 10`` of its sorted times) and their ratio, this checkout over
 PATH's, then one row per request, slowest first on this checkout: its best
@@ -225,12 +228,34 @@ def interleaved_rounds(sides: list, repeat: int) -> tuple:
     return times, problems
 
 
-def compare(workload: str, seed: int, repeat: int, path: Path) -> int:
+def _is_revision(name: str) -> bool:
+    """True iff ``name`` is a commit of the git repository holding this checkout."""
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", name + "^{commit}"],
+                           cwd=ROOT, capture_output=True, check=False)
+    return found.returncode == 0
+
+
+def _checkout(against: str, into: Path) -> Path:
+    """The checkout ``--against`` names: a directory holding ``src/boxswap``
+    as it is, or else a git revision, whose committed files are exported
+    into ``into`` with ``git archive`` (``scripts/bench_pairs.py``'s export)."""
+    path = Path(against)
+    if (path / "src" / "boxswap").is_dir():
+        return path.resolve()
+    if str(ROOT / "scripts") not in sys.path:
+        sys.path.insert(0, str(ROOT / "scripts"))
+    from bench_pairs import export
+    return export(against, into / "export")
+
+
+def compare(workload: str, seed: int, repeat: int, against: str) -> int:
     """The ``--against`` comparison: prints both sides' rounds and their
     ratio, then each request's best time on each side and their ratio."""
     boxswap, workloads = _imports()
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
+        path = _checkout(against, workdir)
+        theirs = f"{against} (git archive)" if path.is_relative_to(workdir) else path
         other = _import_against(path, workdir)
         sides = []
         for module, name in ((boxswap, "this"), (other, "against")):
@@ -244,7 +269,7 @@ def compare(workload: str, seed: int, repeat: int, path: Path) -> int:
     print(f"{workload} seed {seed}: {len(sides[0])} requests, "
           f"{repeat} interleaved rounds per side")
     print(f"{'best ms':>9}  {'p10 ms':>9}  side")
-    for (best, p10), label in zip(rows, (f"this checkout ({ROOT})", f"against {path}")):
+    for (best, p10), label in zip(rows, (f"this checkout ({ROOT})", f"against {theirs}")):
         print(f"{best * 1e3:9.3f}  {p10 * 1e3:9.3f}  {label}")
     print(f"ratio this/against: best {rows[0][0] / rows[1][0]:.3f}, "
           f"p10 {rows[0][1] / rows[1][1]:.3f}")
@@ -286,16 +311,17 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--phases", action="store_true")
     parser.add_argument("--profile", type=int, default=0, metavar="N")
-    parser.add_argument("--against", type=Path, metavar="PATH")
+    parser.add_argument("--against", metavar="PATH|REV")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     if args.against is not None:
         if args.imports or args.phases or args.profile:
             parser.error("--against takes only --workload, --seed and --repeat")
-        if not (args.against / "src" / "boxswap").is_dir():
-            parser.error(f"{args.against} has no src/boxswap")
-        return compare(args.workload, args.seed, args.repeat, args.against.resolve())
+        checkout = (Path(args.against) / "src" / "boxswap").is_dir()
+        if not checkout and not _is_revision(args.against):
+            parser.error(f"{args.against} is neither a checkout with src/boxswap nor a git revision")
+        return compare(args.workload, args.seed, args.repeat, args.against)
     if args.imports:
         rows = import_times(args.repeat)
         print(f"import boxswap, boxswap.cli: {len(rows)} modules, best of {args.repeat} "

@@ -97,6 +97,14 @@ def row_sums(vec: Sequence[int], n: int) -> list:
     return [sum(vec[i:i + width]) for i in range(0, len(vec), width)]
 
 
+def _cleared(rat: Sequence[int], surd: Sequence[int] | None) -> bool:
+    """True if two minima show that no ``rat + surd*sqrt(2)`` is negative
+    (see ``first_negative``); False tells nothing."""
+    low = min(rat)
+    s_low = 0 if surd is None else min(surd)
+    return low >= 0 and (s_low >= 0 or low * low > 2 * s_low * s_low)
+
+
 def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None:
     """Index of the first cell whose ``rat + surd*sqrt(2)`` is negative.
 
@@ -106,9 +114,7 @@ def first_negative(rat: Sequence[int], surd: Sequence[int] | None) -> int | None
     ``low**2 > 2*s_low**2``, no cell is negative, exactly: every r is at
     least ``low >= 0``, and every s < 0 has 2*s**2 <= 2*s_low**2 < low**2
     <= r**2, so r > |s|*sqrt(2).  Otherwise each cell's sign is tested."""
-    low = min(rat)
-    s_low = 0 if surd is None else min(surd)
-    if low >= 0 and (s_low >= 0 or low * low > 2 * s_low * s_low):
+    if _cleared(rat, surd):
         return None
     cells = enumerate(zip(rat, surd or repeat(0)))
     return next((i for i, (r, s) in cells if qsign(r, s) < 0), None)
@@ -208,7 +214,10 @@ class BoxTable:
             return self.content_key() == other.content_key()
         return self.n == other.n and self.spectrum == other.spectrum
 
-    __hash__ = None
+    def __hash__(self):
+        """The hash of the kept ``content_key``, so equal tables, in either
+        form, hash equal."""
+        return hash(self.content_key())
 
     def content_key(self) -> tuple:
         """A hashable key of the table's value, ``(n, den, columns)`` of its
@@ -662,14 +671,14 @@ def _patterns(n: int, words: frozenset) -> tuple:
     return len(tops), coordinates, itemgetter(*patterns)
 
 
-def _pattern_sums(n: int, columns: dict) -> tuple:
+def _pattern_sums(n: int, columns: dict, width: int = 0) -> tuple:
     """The gather of ``_patterns``, and the unreduced (rat, surd) pattern
     sums, surd None for none: for each pattern p of the d pattern bits, the
     vector over the input words x of sum_S (-1)**popcount(p & c_S) *
     col_S[x], by one butterfly over the d bits of vectors placed at their
     columns' coordinates c_S."""
     d, coordinates, gather = _patterns(n, frozenset(columns))
-    zero = (0,) * (1 << n)
+    zero = (0,) * (width or 1 << n)
     rat = [zero] * (1 << d)
     surd = None if all([s is None for _, s in columns.values()]) else [zero] * (1 << d)
     for word, (r, s) in columns.items():
@@ -685,11 +694,12 @@ def _pattern_sums(n: int, columns: dict) -> tuple:
     return gather, rat, surd
 
 
-def spectral_negative(n: int, columns: dict) -> bool:
-    """True iff some cell of the n-party spectral table with ``columns`` is
-    negative: every row's distinct cells are its pattern sums, which
-    ``first_negative`` reads as one list per part, joined by extension."""
-    _, rat, surd = _pattern_sums(n, columns)
+def spectral_negative(n: int, columns: dict, width: int = 0) -> bool:
+    """True iff some cell of the n-party spectral table with ``columns`` (of
+    ``width`` entries, 2**n unless given) is negative: every row's distinct
+    cells are its pattern sums, which ``first_negative`` reads as one list
+    per part, joined by extension."""
+    _, rat, surd = _pattern_sums(n, columns, width)
     return first_negative(reduce(iadd, rat, []), surd and reduce(iadd, surd, [])) is not None
 
 

@@ -30,23 +30,28 @@ The documented-deviation tests pin this down rather than hiding it.
 
 ``apply_coupler`` contracts a ``tensor`` product factor by factor (see
 ``_contracted``), so the product of the boxes a coupler joins is never
-written out.  Each factor is reduced through a plan cached per shape (its
-party count and consumed ends, ``_reduction``), so a call does integer
-work only.  When every factor is a spectral table (the isotropic family
-and the branch boxes this module makes from it), the same plans reduce
-columns instead of cells, and the branch boxes are spectral tables, whose
-cells are built only if something later reads them.
+written out.  What depends on the joint's shape alone is one plan, cached
+per coupler, factor party counts, consumed positions and table form, never
+per value (``_joint_plan``): which of a factor's columns reach the branch
+total and which the graded part, the gathers that sum them there, the
+kernel weights, and for cells the layout of the product.  A cell table is
+read as one column at word 0, so cells and spectra run on one path of
+integer work.  When every factor is a spectral table (the isotropic family
+and the branch boxes this module makes from it), the branch boxes are
+spectral tables, whose cells are built only if something later reads them.
+Both branches are finished together (``_finished``): one sign test clears
+both, then each is checked for its mass and divided by it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
-from operator import add, itemgetter, sub
+from operator import add, attrgetter, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from .bell import evaluate, gsi
-from .boxes import (BoxTable, _kron, _outer, _pair_product, first_negative, spectral_negative,
+from .boxes import (BoxTable, _cleared, _kron, _pair_product, first_negative, spectral_negative,
                     subwords)
 from .errors import ArityError, CouplerInvalidError
 from .scalar import ZERO, Scalar, _reduced, qsign
@@ -164,8 +169,7 @@ def apply_coupler(
         raise ArityError(f"consumed parties {list(consumed)} invalid for n={joint.n}")
     if len(consumed) == joint.n:
         raise ArityError("a coupler must leave at least one surviving party")
-    den, m, tables = _contracted(coupler, joint, consumed)
-    return tuple([_finished(branch, table, den, m) for branch, table in enumerate(tables)])
+    return _finished(*_contracted(coupler, joint, consumed))
 
 
 # -- the factor-wise contraction -------------------------------------------
@@ -173,15 +177,15 @@ def apply_coupler(
 # chi_0 sees the consumed outputs only through their popcount's parity and
 # the consumed inputs only through their popcount, and both add up over the
 # factors of a product; so each factor is reduced over its own consumed ends
-# and only tables over survivors are multiplied out.  A built table is a
-# product of one factor.  Every table below is a dict of (rat, surd)
-# columns, surd None for no sqrt2 part: a spectrum's columns keyed by the
-# survivors' output bits (see the spectral form in ``boxes``), or all the
-# cells at word 0.  A factor is reduced by the plan of its shape
-# (``_reduction``): one gather per class of consumed entries, summed by
-# C-level ``map`` and ``zip``.  The grades meet through weights cached per
-# kernel and grade counts (``_pairing``), and each product is added in
-# place into one dict of columns (``_times``).
+# and only tables over survivors are multiplied out.  A factor is read as
+# columns, each a (rat, surd) pair, surd None for no sqrt2 part: a
+# spectrum's columns keyed by output word (see the spectral form in
+# ``boxes``), or a cell table's cells as the one column at word 0, indexed
+# (x << n) | a.  Columns of different factors meet by ``_kron`` in either
+# form.
+
+
+_spectrum, _parties = attrgetter("spectrum"), attrgetter("n")
 
 
 def _gather(indices: list):
@@ -189,192 +193,221 @@ def _gather(indices: list):
     return itemgetter(*indices) if len(indices) > 1 else lambda vec, i=indices[0]: (vec[i],)
 
 
+def _runs(gather, count: int, vec) -> list:
+    """The sums of the runs of ``count`` entries that ``gather`` takes from ``vec``."""
+    run = gather(vec)
+    if count == 2:
+        return list(map(add, run[::2], run[1::2]))
+    return list(map(sum, zip(*[iter(run)] * count)))
+
+
+def _signed(plus, minus, vec) -> list:
+    """``plus(vec)`` less ``minus(vec)``, entry by entry."""
+    return list(map(sub, plus(vec), minus(vec)))
+
+
+def _summing(rows: list, members: list):
+    """A callable that takes a vector to the sum of its entries r | c over
+    ``members`` c at each of ``rows`` r: one gather, summed by runs."""
+    gather = _gather([r | c for r in rows for c in members])
+    return gather if len(members) == 1 else partial(_runs, gather, len(members))
+
+
 @lru_cache(maxsize=256)
 def _reduction(n: int, ends: tuple, cells: bool) -> tuple:
-    """The plan that reduces a vector of an n-party factor over its consumed
-    ``ends`` (ascending, at least one): ``cells`` indexed (x << n) | a, or
-    a column indexed by x.  The consumed entries fall into classes by the
-    popcount k of their inputs, and for cells by their outputs' parity too,
-    as class 2k + parity.  Returns each class's gather, its members in a run
-    per survivor entry, and the run's length; then each output word's
-    survivor bits and the consumed bits."""
+    """How an n-party factor is reduced over its consumed ``ends``
+    (ascending, maybe none): (m, route, total, grades).  ``route`` maps each
+    column word that is kept to its survivors' word in the total and in the
+    graded part, None for a part it does not reach: a column whose word
+    holds no consumed bit goes to the total, one that holds them all to the
+    graded part, since summing the consumed outputs of a character leaves
+    2**|ends| or its parity sign there and 0 elsewhere; a cell table's one
+    column goes to both.  ``total`` sums a column's consumed entries at each
+    survivor entry, and ``grades[k]`` those whose consumed inputs have
+    popcount k, for cells signed by the consumed outputs' parity; each is a
+    callable on a vector.  The common 2**|ends| of a spectrum is left out
+    (``_contracted``)."""
     mask = sum(1 << (p - 1) for p in ends)
     here = [w for w in range(1 << n) if not w & mask]  # the survivors' words
     there = [w for w in range(1 << n) if w & mask == w]  # the consumed words
-    if cells:
+    if not ends:
+        total, grades = tuple, [tuple]
+    elif cells:
         rows = [x << n | a for x in here for a in here]
-        members = [[] for _ in range(2 * len(ends) + 2)]
+        members = [[[] for _ in range(len(ends) + 1)] for _ in (0, 1)]  # [parity][k]
         for xc, x in enumerate(there):
             for ac, a in enumerate(there):
-                members[2 * xc.bit_count() + (ac.bit_count() & 1)].append(x << n | a)
+                members[ac.bit_count() & 1][xc.bit_count()].append(x << n | a)
+        total = _summing(rows, [x << n | a for x in there for a in there])
+        grades = [partial(_signed, _summing(rows, even), _summing(rows, odd))
+                  for even, odd in zip(*members)]
     else:
-        rows, members = here, [[] for _ in range(len(ends) + 1)]
+        members = [[] for _ in range(len(ends) + 1)]
         for xc, x in enumerate(there):
             members[xc.bit_count()].append(x)
-    classes = tuple((_gather([r | c for r in rows for c in cls]), len(cls)) for cls in members)
-    return classes, subwords(n, tuple(p for p in range(1, n + 1) if p not in ends)), mask
+        total, grades = _summing(here, there), [_summing(here, cls) for cls in members]
+    if cells:
+        route = {0: (0, 0)}
+    else:
+        keys = subwords(n, tuple(p for p in range(1, n + 1) if p not in ends))
+        route = {w: (keys[w] if not w & mask else None, keys[w] if w & mask == mask else None)
+                 for w in range(1 << n) if not w & mask or w & mask == mask}
+    return n - len(ends), route, total, tuple(grades)
 
 
-def _class_sums(vec, classes) -> list:
-    """Each class's sum at every survivor entry of ``vec`` (see ``_reduction``)."""
-    sums = []
-    for gather, count in classes:
-        run = gather(vec)
-        if count == 2:
-            run = list(map(add, run[::2], run[1::2]))
-        elif count > 2:
-            run = list(map(sum, zip(*[iter(run)] * count)))
-        sums.append(run)
-    return sums
+@lru_cache(maxsize=256)
+def _joint_plan(kernel: tuple, sizes: tuple, consumed: tuple, cells: bool) -> tuple:
+    """The plan of a joint of factors of ``sizes`` parties, lowest party
+    slots first, with ``consumed`` (ascending) and read as ``cells`` or as
+    columns: (m, each factor's reduction and survivor offset, the weights,
+    the layout).  The weights meet the first factor's grades 0..K: for each
+    s = 0..N - K, the row 2 * H(s + k) over k (see ``_contracted``).  For
+    cells, ``layout`` gathers the cells of the product in (x << m) | a
+    order from the ``_kron`` of the factors' survivor cells, None where the
+    two orders agree."""
+    parts, offset, m = [], 0, 0
+    for n in sizes:
+        reduction = _reduction(n, tuple([p - offset for p in consumed if offset < p <= offset + n]),
+                               cells)
+        parts.append((reduction, m))
+        offset, m = offset + n, m + reduction[0]
+    grades = len(parts[0][0][3])  # the first factor's
+    weights = tuple([tuple([2 * h for h in kernel[s:s + grades]])
+                     for s in range(len(kernel) - grades + 1)])
+    layout = None
+    if cells and len(parts) > 1:
+        order = [0]  # the joint cell of each entry of the product, factor by factor
+        for (fm, *_), low in parts:
+            order = [joint | (c >> fm) << low + m | (c & (1 << fm) - 1) << low
+                     for c in range(1 << 2 * fm) for joint in order]
+        layout = [0] * len(order)
+        for i, joint in enumerate(order):
+            layout[joint] = i
+        layout = None if order == sorted(order) else itemgetter(*layout)
+    return m, tuple(parts), weights, layout
 
 
-def _cells_part(f: BoxTable, ends: tuple) -> tuple:
-    """(den, total, graded) of a factor's cells: each survivor cell summed
-    over the consumed cells, and ``graded[k]``, that sum signed by the
-    consumed outputs' parity over consumed inputs of popcount k only."""
-    classes = _reduction(f.n, ends, True)[0]
-    rat = _class_sums(f.rat, classes)
-    surd = f.surd and _class_sums(f.surd, classes)
-    graded = [{0: (list(map(sub, rat[k], rat[k + 1])),
-                   surd and list(map(sub, surd[k], surd[k + 1])))}
-              for k in range(0, len(rat), 2)]
-    return f.den, {0: (list(map(sum, zip(*rat))), surd and list(map(sum, zip(*surd))))}, graded
-
-
-def _columns_part(f: BoxTable, ends: tuple) -> tuple:
-    """(den, total, graded) of a factor's columns.  Summing the consumed
-    outputs of a column's character leaves 2**|ends| where it holds no
-    consumed bit, and signed by their parity, where it holds all of them;
-    elsewhere 0.  So the total sums the columns of the first kind and the
-    graded part those of the second over the consumed inputs, keyed by
-    their survivor bits; the common 2**|ends| is left out (``_contracted``)."""
-    den, columns = f.spectrum
-    classes, keys, mask = _reduction(f.n, ends, False)
-    total, graded = {}, [{} for _ in classes]
+def _parts(columns: dict, reduction: tuple, low: int) -> tuple:
+    """A factor's total and graded columns by its ``reduction``, each
+    (word, (rats, surds)): the words placed at the factor's survivor offset
+    ``low``, one vector per grade in ``rats`` and ``surds`` (None for no
+    sqrt2 part), one grade in a total column."""
+    _, route, total, grades = reduction
+    totals, graded = [], []
     for word, (rat, surd) in columns.items():
-        held = word & mask
-        if held and held != mask:
+        keys = route.get(word)
+        if keys is None:
             continue
-        rat = _class_sums(rat, classes)
-        surd = surd and _class_sums(surd, classes)
-        if held:
-            for k, grade in enumerate(graded):
-                grade[keys[word]] = rat[k], surd and surd[k]
+        if keys[0] is not None:
+            totals.append((keys[0] << low, ([total(rat)], surd and [total(surd)])))
+        if keys[1] is not None:
+            graded.append((keys[1] << low, ([summed(rat) for summed in grades],
+                                            surd and [summed(surd) for summed in grades])))
+    return totals, graded
+
+
+def _weighted(rows: tuple, grades: list) -> list:
+    """For each row of weights, the sum of its weights times ``grades``,
+    entry by entry."""
+    qs = list(zip(*grades))
+    if len(grades) == 2:
+        return [[w0 * q0 + w1 * q1 for q0, q1 in qs] for w0, w1 in rows]
+    if len(grades) == 3:
+        return [[w0 * q0 + w1 * q1 + w2 * q2 for q0, q1, q2 in qs] for w0, w1, w2 in rows]
+    return [[sum(map(mul, row, q)) for q in qs] for row in rows]
+
+
+def _windows(rat: list, surd: list | None, rights: list) -> list:
+    """Sums of ``_kron`` products over windows of grades: ``rights`` holds
+    the K + 1 vectors that meet the grade vectors s..s + K of ``rat``, then,
+    given ``surd``, the K + 1 that meet those of ``surd``.  At each s, the
+    sum of ``_kron(u, v)`` over those pairs: u[i] * v[j] at index
+    i + j * len(u), summed entry by entry."""
+    if len(rights) == 1:
+        v = rights[0]
+        return [[p * q for q in v for p in u] for u in rat]
+    k = len(rights) if surd is None else len(rights) // 2
+    qs, out = list(zip(*rights)), []
+    for s in range(len(rat) - k + 1):
+        ps = list(zip(*rat[s:s + k]) if surd is None else zip(*rat[s:s + k], *surd[s:s + k]))
+        if len(rights) == 2:
+            out.append([p0 * q0 + p1 * q1 for q0, q1 in qs for p0, p1 in ps])
+        elif len(rights) == 4:
+            out.append([p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3
+                        for q0, q1, q2, q3 in qs for p0, p1, p2, p3 in ps])
         else:
-            total[keys[word]] = list(map(sum, zip(*rat))), surd and list(map(sum, zip(*surd)))
-    return den, total, graded
+            out.append([sum(map(mul, p, q)) for q in qs for p in ps])
+    return out
 
 
-def _weighted(tables: list, pairs: tuple) -> dict:
-    """The sum of ``w`` times ``tables[i]`` over ``pairs`` (i, w), column by column."""
-    acc = {}
-    for i, w in pairs:
-        for word, (rat, surd) in tables[i].items():
-            rat, surd = [w * v for v in rat], surd and [w * v for v in surd]
-            held = acc.get(word)
-            if held is not None:
-                rat = list(map(add, held[0], rat))
-                if held[1] is not None:
-                    surd = held[1] if surd is None else list(map(add, held[1], surd))
-            acc[word] = rat, surd
-    return acc
-
-
-def _times(u: dict, v: dict, nu: int, nv: int, acc: dict) -> dict:
-    """``acc`` plus the product of ``u`` (the ``nu`` low survivors) and ``v``:
-    the ``_kron`` of their columns, or, given ``nv``, the ``_outer`` of cells.
-    Each product is added into ``acc`` in place as it is made."""
-    outer = _kron if nv is None else (lambda p, q: _outer(p, q, nu, nv))
-    for sv, cv in v.items():
-        for su, cu in u.items():
-            word, (rat, surd) = su | sv << nu, _pair_product(cu, cv, outer)
-            held = acc.get(word)
-            if held is not None:
-                rat = list(map(add, held[0], rat))
-                if held[1] is not None:
-                    surd = held[1] if surd is None else list(map(add, held[1], surd))
-            acc[word] = rat, surd
-    return acc
-
-
-@lru_cache(maxsize=64)
-def _pairing(kernel: tuple, ni: int, nj: int) -> tuple:
-    """For each grade j < nj of the last factor, the pairs (i, 2 * H(i + j))
-    over the rest's grades i < ni whose weight is not zero."""
-    return tuple(tuple((i, 2 * kernel[i + j]) for i in range(ni) if kernel[i + j])
-                 for j in range(nj))
-
-
-def _branches(kernel: tuple, parts: list, cells: bool) -> tuple:
-    """(m, (t0, t1)) from each factor's (survivors, total, graded): with
-    ``total`` the product of the factors' totals and G_k the graded table
-    of consumed-input popcount k of the product (the products of graded
-    tables whose grades add up to k), the signed part is
-    2 * sum_k H(k) * G_k, t0 = total + signed and t1 = 3 * total - t0 =
-    2 * total - signed.  The last factor's grade j meets the rest's grades
-    i weighted with 2 * H(i + j), so the largest tables are written once
-    per grade, and both branch tables are written in one pass over the
-    columns of the total and the signed part."""
-    m, total, graded = parts[0]
-    for fm, f_total, f_graded in parts[1:-1]:
-        nv = fm if cells else None
-        total = _times(total, f_total, m, nv, {})
-        grades = [{} for _ in range(len(graded) + len(f_graded) - 1)]
-        for i, g in enumerate(graded):
-            for j, h in enumerate(f_graded):
-                _times(g, h, m, nv, grades[i + j])
-        m += fm
-        graded = grades
-    one = {0: ((1,), None)}  # the empty product a lone factor meets: sum 1, grade 0
-    fm, f_total, f_graded = parts[-1] if len(parts) > 1 else (0, one, [one])
-    nv = fm if cells else None
-    total, signed = _times(total, f_total, m, nv, {}), {}
-    for h, pairs in zip(f_graded, _pairing(kernel, len(graded), len(f_graded))):
-        if pairs:
-            _times(_weighted(graded, pairs), h, m, nv, signed)
-    t0, t1 = {}, {}
-    for word, (rat, surd) in total.items():
-        s_rat, s_surd = signed.pop(word, (None, None))
-        if s_rat is None:
-            t0[word] = rat, surd
-            t1[word] = [2 * v for v in rat], surd and [2 * v for v in surd]
-            continue
-        if (surd is None) != (s_surd is None):  # the missing sqrt(2) part is zero
-            surd, s_surd = surd or [0] * len(rat), s_surd or [0] * len(rat)
-        t0[word] = list(map(add, rat, s_rat)), surd and list(map(add, surd, s_surd))
-        t1[word] = ([2 * v - w for v, w in zip(rat, s_rat)],
-                    surd and [2 * v - w for v, w in zip(surd, s_surd)])
-    for word, (s_rat, s_surd) in signed.items():  # the words only the signed part has
-        t0[word] = s_rat, s_surd
-        t1[word] = [-w for w in s_rat], s_surd and [-w for w in s_surd]
-    return m + fm, (t0, t1)
+def _graded(u: tuple, v: tuple) -> tuple:
+    """The product of two graded columns (rats, surds), ``u`` in the low
+    survivor slots and ``v`` of grades 0..K: at each s, the sum over k of
+    u's grade s + k times v's grade k (``_windows``), so K grades fewer
+    than ``u``.  In Q(sqrt2), (r + s*sqrt2)(r' + s'*sqrt2) =
+    (r*r' + 2*s*s') + (r*s' + s*r')*sqrt2."""
+    (ur, us), (vr, vs) = u, v
+    if us is None:
+        return _windows(ur, None, vr), vs and _windows(ur, None, vs)
+    if vs is None:
+        return _windows(ur, None, vr), _windows(us, None, vr)
+    return (_windows(ur, us, vr + [list(map(add, q, q)) for q in vs]),
+            _windows(ur, us, vs + vr))
 
 
 def _contracted(coupler: CouplerEffect, joint: BoxTable, consumed: Sequence[int]) -> tuple:
     """(den, m, (t0, t1)): both branch tables of ``joint`` over its m
-    survivors, over ``den`` (see ``_branches``): (rat, surd) pairs of cells
-    over ``coupler.den`` times the factors' dens, or dicts of columns.  A
+    survivors, over ``den``.  With ``total`` the product of the factors'
+    totals and G_k the graded table of consumed-input popcount k of the
+    product (the products of graded columns whose grades add up to k), the
+    signed part is sum_k 2 * H(k) * G_k, t0 = total + signed and t1 =
+    3 * total - t0 = 2 * total - signed.  The signed part is made factor by
+    factor, Horner-like: the weights 2 * H(s) meet the first factor's
+    grades, leaving one column per grade s the later factors still add,
+    and so on (``_graded``), so each table is written once per grade.
+    Cells come out as (rat, surd) pairs over ``coupler.den`` times the
+    factors' dens; spectra as dicts of columns over 3 times theirs, as a
     spectrum's cells carry the 2**N that summing N consumed outputs of a
-    character leaves, which cancels against the 2**N of ``coupler.den =
-    3 * 2**N``: spectra are over 3 times the factors' dens."""
+    character leaves, which cancels against the 2**N of
+    ``coupler.den = 3 * 2**N``."""
     factors = joint.factors or (joint,)
-    cells = None in [f.spectrum for f in factors]
-    part = _cells_part if cells else _columns_part
-    den = coupler.den if cells else 3
-    consumed = sorted(consumed)
-    parts, offset = [], 0
-    for f in factors:
-        ends = tuple([p - offset for p in consumed if offset < p <= offset + f.n])
-        offset += f.n
-        if ends:
-            f_den, total, graded = part(f, ends)
-        else:  # nothing to reduce: the factor is its own total and grade 0
-            f_den, total = (f.den, {0: (f.rat, f.surd)}) if cells else f.spectrum
-            graded = [total]
-        parts.append((f.n - len(ends), total, graded))
+    cells = None in map(_spectrum, factors)
+    m, parts, weights, layout = _joint_plan(coupler.kernel, tuple(map(_parties, factors)),
+                                            tuple(sorted(consumed)), cells)
+    den, total = coupler.den if cells else 3, None
+    for f, (reduction, low) in zip(factors, parts):
+        f_den, columns = (f.den, {0: (f.rat, f.surd)}) if cells else f.spectrum
         den *= f_den
-    m, tables = _branches(coupler.kernel, parts, cells)
-    return den, m, [table[0] for table in tables] if cells else tables
+        totals, grades = _parts(columns, reduction, low)
+        if total is None:
+            total = totals
+            graded = [(word, (_weighted(weights, rat), surd and _weighted(weights, surd)))
+                      for word, (rat, surd) in grades]
+            continue
+        total = [(su | sv, _graded(cu, cv)) for sv, cv in totals for su, cu in total]
+        graded = [(su | sv, _graded(gu, gv)) for sv, gv in grades for su, gu in graded]
+    signed = {word: (rat, surd and surd[0]) for word, ((rat,), surd) in graded}
+    t0, t1 = {}, {}
+    for word, ((rat,), surd) in total:
+        surd = surd and surd[0]
+        s_rat, s_surd = signed.pop(word, (None, None))
+        if s_rat is None:
+            t0[word] = rat, surd
+            t1[word] = list(map(add, rat, rat)), surd and list(map(add, surd, surd))
+            continue
+        if (surd is None) != (s_surd is None):  # the missing sqrt(2) part is zero
+            surd, s_surd = surd or [0] * len(rat), s_surd or [0] * len(rat)
+        t0[word] = list(map(add, rat, s_rat)), surd and list(map(add, surd, s_surd))
+        t1[word] = (list(map(sub, map(add, rat, rat), s_rat)),
+                    surd and list(map(sub, map(add, surd, surd), s_surd)))
+    for word, (s_rat, s_surd) in signed.items():  # the words only the signed part has
+        t0[word] = s_rat, s_surd
+        t1[word] = list(map(neg, s_rat)), s_surd and list(map(neg, s_surd))
+    if not cells:
+        return den, m, (t0, t1)
+    if layout is None:
+        return den, m, (t0[0], t1[0])
+    return den, m, tuple([(layout(rat), surd and layout(surd)) for rat, surd in (t0[0], t1[0])])
 
 
 def _mass(branch: int, table, m: int) -> tuple:
@@ -391,29 +424,73 @@ def _mass(branch: int, table, m: int) -> tuple:
     return rat[0] << shift, (surd[0] if surd else 0) << shift
 
 
-def _finished(branch: int, table, den: int, m: int) -> BranchResult:
-    """One branch of ``apply_coupler`` from its table over ``den``: the mass
-    check, the sign tests, then the division by the mass, whose positive
-    sign lets the box record the sign verdict for validation to take."""
-    mass_r, mass_s = _mass(branch, table, m)
-    sign = qsign(mass_r, mass_s)
-    if sign < 0:
-        raise CouplerInvalidError(branch)
-    spectral = isinstance(table, dict)
-    columns = table if spectral else {0: table}
-    if not sign:
-        if any([any(rat) or (surd and any(surd)) for rat, surd in columns.values()]):
-            raise CouplerInvalidError(branch, f"branch {branch} has zero mass but nonzero entries")
-        return BranchResult(branch, ZERO, None)
-    if spectral_negative(m, table) if spectral else (first_negative(*table) is not None):
-        raise CouplerInvalidError(branch)
-    box_den = mass_r
-    if mass_s:  # times the conjugate mass over the norm, nonzero as sqrt2 is irrational
-        norm = mass_r * mass_r - 2 * mass_s * mass_s
-        sign = 1 if norm > 0 else -1
-        box_den, conjugate = sign * norm, ((sign * mass_r,), (-sign * mass_s,))
-        columns = {w: _pair_product(pair, conjugate, _kron) for w, pair in columns.items()}
-    box = (BoxTable.from_spectrum(m, box_den, columns) if spectral
-           else BoxTable.from_numerators(m, box_den, *columns[0]))
-    box._nonnegative = True
-    return BranchResult(branch, _reduced(mass_r, mass_s, den), box)
+def _bounded(table: dict) -> bool:
+    """True if a bound clears every cell of the spectral ``table``.  A cell
+    is the empty-set column plus or minus each other column, and
+    |r + s*sqrt2| <= |r| + |s|*sqrt2, so every cell is at least
+    low + s_low*sqrt2: ``low`` the least rational part of the empty-set
+    column less the largest |r| of each other column, ``s_low`` the same of
+    the sqrt2 parts.  Two minima (``_cleared``) settle its sign."""
+    if 0 not in table:
+        return False
+    rat, surd = table[0]
+    low, s_low = min(rat), min(surd) if surd else 0
+    for word, (r, s) in table.items():
+        if word:
+            low -= max(map(abs, r))
+            if s is not None:
+                s_low -= max(map(abs, s))
+    return _cleared((low,), (s_low,))
+
+
+def _negative(m: int, tables: tuple) -> bool:
+    """True iff some cell of either branch table may be negative: one sign
+    test of both tables, whose cells side by side are those of their
+    columns side by side.  Spectra are most often cleared by a bound
+    (``_bounded``); otherwise one butterfly serves both
+    (``spectral_negative``)."""
+    t0, t1 = tables
+    if not isinstance(t0, dict):
+        return first_negative((*t0[0], *t1[0]), t0[1] and (*t0[1], *t1[1])) is not None
+    if _bounded(t0) and _bounded(t1):
+        return False
+    return bool(t0) and spectral_negative(m, {w: ((*r, *t1[w][0]), s and (*s, *t1[w][1]))
+                                              for w, (r, s) in t0.items()}, 2 << m)
+
+
+def _finished(den: int, m: int, tables: tuple) -> tuple:
+    """Both BranchResults of ``apply_coupler`` from their tables over
+    ``den``, branch 0's checks first: the mass check, the sign tests, then
+    the division by the mass, whose positive sign lets the box record the
+    sign verdict for validation to take.  One sign test clears both tables
+    (``_negative``); only where it finds a negative cell is each branch
+    tested on its own, to name it."""
+    negative = _negative(m, tables)
+    results = []
+    for branch, table in enumerate(tables):
+        mass_r, mass_s = _mass(branch, table, m)
+        sign = qsign(mass_r, mass_s)
+        if sign < 0:
+            raise CouplerInvalidError(branch)
+        spectral = isinstance(table, dict)
+        columns = table if spectral else {0: table}
+        if not sign:
+            if any([any(rat) or (surd and any(surd)) for rat, surd in columns.values()]):
+                raise CouplerInvalidError(branch,
+                                          f"branch {branch} has zero mass but nonzero entries")
+            results.append(BranchResult(branch, ZERO, None))
+            continue
+        if negative and (spectral_negative(m, table) if spectral
+                         else first_negative(*table) is not None):
+            raise CouplerInvalidError(branch)
+        box_den = mass_r
+        if mass_s:  # times the conjugate mass over the norm, nonzero as sqrt2 is irrational
+            norm = mass_r * mass_r - 2 * mass_s * mass_s
+            sign = 1 if norm > 0 else -1
+            box_den, conjugate = sign * norm, ((sign * mass_r,), (-sign * mass_s,))
+            columns = {w: _pair_product(pair, conjugate, _kron) for w, pair in columns.items()}
+        box = (BoxTable.from_spectrum(m, box_den, columns) if spectral
+               else BoxTable.from_numerators(m, box_den, *columns[0]))
+        box._nonnegative = True
+        results.append(BranchResult(branch, _reduced(mass_r, mass_s, den), box))
+    return tuple(results)

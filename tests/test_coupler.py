@@ -148,7 +148,7 @@ def test_apply_coupler_refuses_positions_that_are_not_integers():
 
 def _plan_misses() -> list:
     return [plan.cache_info().misses
-            for plan in (coupler._reduction, coupler._pairing)]
+            for plan in (coupler._reduction, coupler._joint_plan)]
 
 
 def test_plans_are_keyed_by_shape(monkeypatch):

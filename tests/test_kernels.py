@@ -7,10 +7,11 @@ tables with negative cells, valid boxes with sqrt(2) shifted between cells,
 and arbitrary (signaling, unnormalized) tables.  ``marginalize``,
 ``permute_parties`` and ``merge_parties`` also run on five parties, on
 isotropic-family boxes and coupler branch boxes (both spectral) and on lazy
-products.  The lazy ``tensor`` and the
-factor-wise coupler contraction are also run on products of up to four such
-tables, up to seven parties in all, its cached reduction plans on every set
-of consumed ends of a factor of one to five parties, and the ``wired`` join
+products.  The lazy ``tensor`` is also run on products of up to four such
+tables, up to seven parties in all, and so is the factor-wise coupler
+contraction, on cell and spectral factors alone or mixed in one joint; its
+cached reduction plans run on every set of consumed ends of a factor of one
+to five parties, and the ``wired`` join
 across one to three wirings on two tables of up to seven parties together:
 cell tables, built or lazy, spectral tables of the isotropic family and
 coupler branch boxes, lazy products of those, and dense spectra, in any
@@ -63,7 +64,7 @@ from boxswap import (
 )
 from boxswap import boxes
 from boxswap.boxes import first_negative, spectral_negative, wired
-from boxswap.coupler import _cells_part, _columns_part, _contracted
+from boxswap.coupler import _contracted, _parts, _reduction
 from boxswap.errors import (ArityError, CouplerInvalidError, PartyCapError, SignalingError,
                             ValidationError)
 from boxswap.scalar import qsign
@@ -307,14 +308,14 @@ def test_coupler_effect_takes_one_kernel_value_per_popcount():
         CouplerEffect(2, [1] * 16)
 
 
-def _factors(rng, kinds, most):
+def _factors(rng, kinds, most, make=_table):
     """One table per kind, of 1-4 parties, at least three and at most
-    ``most`` parties in all."""
+    ``most`` parties in all, each made by ``make``."""
     sizes = [rng.randint(1, 4) for _ in kinds]
     while sum(sizes) > most:
         sizes[sizes.index(max(sizes))] -= 1
     sizes[0] += max(0, 3 - sum(sizes))
-    return [_table(rng, n, kind) for n, kind in zip(sizes, kinds)]
+    return [make(rng, n, kind) for n, kind in zip(sizes, kinds)]
 
 
 def _products(factors):
@@ -325,11 +326,12 @@ def _products(factors):
     return lazy, want
 
 
-@given(seeds, st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+@given(seeds, st.lists(st.sampled_from(SHAPES), min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
-def test_apply_coupler_on_lazy_products(seed, kinds):
+def test_apply_coupler_on_lazy_products(seed, shapes):
+    # cell and spectral factors, alone or mixed in one joint
     rng = random.Random(seed)
-    factors = _factors(rng, kinds, 7)
+    factors = _factors(rng, shapes, 7, _shaped)
     joint, want_joint = _products(factors)
     # 0-3 consumed ends per factor, 2-4 in all, at least one survivor
     candidates, offset = [], 0
@@ -339,11 +341,13 @@ def test_apply_coupler_on_lazy_products(seed, kinds):
     arity = rng.randint(2, min(4, offset - 1, len(candidates)))
     consumed = rng.sample(candidates, arity)
     coupler = build_coupler(arity)
-    # the unnormalized branch tables, which most random tables never get past
+    # the unnormalized branch tables, which most random tables never get past;
+    # columns are read through their cells
     den, m, tables = _contracted(coupler, joint, consumed)
     want_tables = oracle.branch_tables(coupler, want_joint, consumed)
-    for (rat, surd), want_table in zip(tables, want_tables):
-        assert [Scalar.over(r, s, den) for r, s in zip(rat, surd or repeat(0))] == want_table
+    for table, want_table in zip(tables, want_tables):
+        d, rat, surd = boxes._cells(m, (den, table)) if isinstance(table, dict) else (den, *table)
+        assert [Scalar.over(r, s, d) for r, s in zip(rat, surd or repeat(0))] == want_table
     got, got_err = _outcome(apply_coupler, coupler, joint, consumed,
                             errors=CouplerInvalidError)
     want, want_err = _outcome(oracle.branch_results, want_tables, m,
@@ -363,6 +367,15 @@ def _pairs(table: dict) -> dict:
     return {word: [list(rat), list(surd or [0] * len(rat))] for word, (rat, surd) in table.items()}
 
 
+def _grades(parts, size: int) -> tuple:
+    """A factor's total and graded columns (``_parts``) as a table of
+    columns and one table per grade."""
+    totals, graded = parts
+    return ({word: (rats[0], surds and surds[0]) for word, (rats, surds) in totals},
+            [{word: (rats[k], surds and surds[k]) for word, (rats, surds) in graded}
+             for k in range(size + 1)])
+
+
 def test_reduction_plans_against_per_cell_sums():
     # every set of consumed ends of a factor of 1-5 parties, in the ascending
     # order the contraction hands them over, those that consume every party
@@ -379,11 +392,13 @@ def test_reduction_plans_against_per_cell_sums():
         for size in range(1, n + 1):
             for ends in combinations(range(1, n + 1), size):
                 for f in factors[:2]:
-                    _, total, graded = _cells_part(f, ends)
+                    total, graded = _grades(_parts({0: (f.rat, f.surd)},
+                                                   _reduction(n, ends, True), 0), size)
                     want_total, want_graded = oracle.reduced_cells(n, ends, f.rat, f.surd)
                     assert _pairs(total) == {0: want_total}
                     assert [_pairs(g) for g in graded] == [{0: g} for g in want_graded]
-                _, total, graded = _columns_part(factors[2], ends)
+                total, graded = _grades(_parts(factors[2].spectrum[1],
+                                               _reduction(n, ends, False), 0), size)
                 want_total, want_graded = oracle.reduced_columns(n, ends, factors[2].spectrum[1])
                 assert _pairs(total) == want_total
                 assert [_pairs(g) for g in graded] == want_graded

@@ -1,10 +1,13 @@
 """Smoke tests for ``scripts/profile_round.py``: one ``wide`` round, one
 ``documents`` round split into phases, one ``reproduce`` request's phases,
 and this checkout's ``wide`` rounds and requests against a copy of itself,
-in-process."""
+in-process, and against its last commit, exported by ``git archive``."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,3 +122,30 @@ def test_against_runs_both_trees_interleaved_and_prints_their_ratio(capsys):
     # sum to at most each side's best round (all printed to 0.001 ms)
     for side, column in zip(sides, (0, 1)):
         assert sum(float(row[column]) for row in rows) <= float(side[0]) + 0.005
+
+
+def _in_git_checkout() -> bool:
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", "HEAD^{commit}"], cwd=ROOT,
+                           capture_output=True, check=False)
+    return found.returncode == 0
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
+def test_against_takes_a_git_revision_exported_with_git_archive(capsys):
+    script = _script()
+    assert script.main(["--workload", "wide", "--against", "HEAD", "--repeat", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "wide seed 1: 9 requests, 2 interleaved rounds per side"
+    assert lines[3].endswith("  against HEAD (git archive)")
+    assert lines[4].startswith("ratio this/against: best ")
+    assert len(lines) == 6 + 9
+
+
+def test_against_refuses_what_is_neither_a_checkout_nor_a_revision(capsys, tmp_path):
+    script = _script()
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--workload", "wide", "--against", str(tmp_path / "no-such-revision")])
+    assert exit_.value.code == 2
+    assert "is neither a checkout with src/boxswap nor a git revision" in capsys.readouterr().err

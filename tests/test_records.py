@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import boxswap
-from boxswap import SQRT2, ONE, Scalar, bounds, classify, efficiency_compare, pr, validate
+from boxswap import (SQRT2, ONE, BoxTable, Scalar, bounds, classify, efficiency_compare, pr,
+                     validate)
 from boxswap.checks import CheckResult
 from boxswap.scenarios import (
     BranchRecord,
@@ -101,6 +102,16 @@ def test_equal_specs_hash_equal_and_mutable_records_do_not_hash():
     assert len({first, second, first.boxes[0], second.boxes[0]}) == 2
     assert hash(first.couplers[0]) == hash(ScenarioCoupler(2, ("a", "b"), outcome=1))
     assert hash(first.wirings[0]) == hash(ScenarioWiring(pair=("a", "b"), merged="c"))
+    # a box with an inline table hashes by the table's value, whether the
+    # table is held as cells or as columns
+    columns = pr()
+    cells = BoxTable.from_json(columns.to_json())
+    assert cells.spectrum is None and columns.spectrum is not None
+
+    def inline(table):
+        return ScenarioSpec("s", (ScenarioBox("g", "inline", 2, ("a", "b"), None, table),))
+    assert hash(inline(cells)) == hash(inline(columns)) and inline(cells) == inline(columns)
+    assert hash(inline(cells).boxes[0]) == hash(inline(columns).boxes[0])
     mutable = (CrossCheck, BranchRecord, ScenarioReport, EfficiencyComparison, CheckResult)
     for record in (r for r in _instances().values() if isinstance(r, mutable)):
         with pytest.raises(TypeError, match="unhashable"):
