@@ -42,7 +42,11 @@ times.  It prints each side's best and 10th-percentile round (at index
 ``(R - 1) // 10`` of its sorted times) and their ratio, this checkout over
 PATH's, then one row per request, slowest first on this checkout: its best
 time on each side and their ratio, so a change's saving can be traced to
-the requests that carry it.
+the requests that carry it, and its call count on each side.  A call count
+is the number of Python and builtin function calls one run of the request
+makes (as ``cProfile`` counts them), taken once per side with
+``sys.setprofile`` after the timed rounds; with the caches warm it repeats
+exactly, so a change's saved work reads as a count as well as a time.
 Two processes of one tree can differ by more than a change does; two
 trees in one process share the interpreter, its allocator and the host's
 moment, so the ratio of rounds run side by side is the steadier reading.
@@ -228,6 +232,25 @@ def interleaved_rounds(sides: list, repeat: int) -> tuple:
     return times, problems
 
 
+def call_count(request) -> int:
+    """The Python and builtin function calls of one run of ``request``,
+    counted by a profile function (untimed)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    request.prepare()
+    sys.setprofile(count)
+    try:
+        request()
+    finally:
+        sys.setprofile(None)
+    return calls - 2  # the request's own call and the one that ends the count
+
+
 def _is_revision(name: str) -> bool:
     """True iff ``name`` is a commit of the git repository holding this checkout."""
     found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", name + "^{commit}"],
@@ -264,6 +287,7 @@ def compare(workload: str, seed: int, repeat: int, against: str) -> int:
             sides.append(requests)
         problems = [(i, r.label, _checked(r)) for i, side in enumerate(sides) for r in side]
         times, failed = interleaved_rounds(sides, repeat)
+        counts = [[call_count(request) for request in side] for side in sides]
     rounds = [[sum(spent) for spent in zip(*side)] for side in times]
     rows = [(min(t), sorted(t)[(len(t) - 1) // 10]) for t in rounds]
     print(f"{workload} seed {seed}: {len(sides[0])} requests, "
@@ -273,11 +297,13 @@ def compare(workload: str, seed: int, repeat: int, against: str) -> int:
         print(f"{best * 1e3:9.3f}  {p10 * 1e3:9.3f}  {label}")
     print(f"ratio this/against: best {rows[0][0] / rows[1][0]:.3f}, "
           f"p10 {rows[0][1] / rows[1][1]:.3f}")
-    print(f"{'this ms':>9}  {'against ms':>10}  {'ratio':>6}  request")
-    requests = [(min(mine), min(theirs), request.label)
-                for request, mine, theirs in zip(sides[0], *times)]
-    for mine, theirs, label in sorted(requests, key=lambda row: -row[0]):
-        print(f"{mine * 1e3:9.3f}  {theirs * 1e3:10.3f}  {mine / theirs:6.3f}  {label}")
+    print(f"{'this ms':>9}  {'against ms':>10}  {'ratio':>6}  {'this calls':>10}  "
+          f"{'against calls':>13}  request")
+    requests = [(min(mine), min(theirs), *calls, request.label)
+                for request, mine, theirs, *calls in zip(sides[0], *times, *counts)]
+    for mine, theirs, my_calls, their_calls, label in sorted(requests, key=lambda row: -row[0]):
+        print(f"{mine * 1e3:9.3f}  {theirs * 1e3:10.3f}  {mine / theirs:6.3f}  {my_calls:10d}  "
+              f"{their_calls:13d}  {label}")
     failed += [problem for problem in problems if problem[2] is not None]
     for i, label, problem in failed:
         print(f"FAILED {('this', 'against')[i]} {label}: {problem}", file=sys.stderr)

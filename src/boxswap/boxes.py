@@ -357,9 +357,6 @@ def mixed(n: int) -> BoxTable:
     return _isotropic("mixed", n, ZERO)
 
 
-_MINUS_ONE = Scalar(-1)
-
-
 def isotropic(n: int, xi) -> BoxTable:
     """Convex-affine slide between gsb(n) (xi=1) and the fully mixed box (xi=0).
 
@@ -367,7 +364,8 @@ def isotropic(n: int, xi) -> BoxTable:
     (1 - xi)/2**n elsewhere, both nonnegative for |xi| <= 1.  It is a
     spectral table of two columns (see ``_isotropic``)."""
     xi = xi if isinstance(xi, Scalar) else Scalar(xi)
-    if not (_MINUS_ONE <= xi <= ONE):
+    # -1 <= xi <= 1 by two signs: of 1 + xi and of 1 - xi, both over xi.d > 0
+    if qsign(xi.d + xi.r, xi.s) < 0 or qsign(xi.d - xi.r, -xi.s) < 0:
         raise ValidationError(f"isotropic weight must lie in [-1, 1], got {xi}")
     return _isotropic("isotropic", n, xi)
 

@@ -13,7 +13,9 @@ parties.  One store per run keeps each coupler application, fold step and
 report under the values (``content_key``) of the tables it is made from:
 each coupler is applied once per distinct value of the pools it spans, and
 each fold step runs once per distinct value of the fold and the pool,
-whichever branches reach them.  Every probability is exact; branch
+whichever branches reach them.  The shape work (validation, where each
+coupler's pools lie, the fold's steps) is planned once per spec shape
+(``_plan``), and a run handles only values.  Every probability is exact; branch
 probabilities over all outcome assignments sum to one (a cross-check).
 
 The builders (``swap_two``, ``swap_many``, ``hybrid_three``) check their
@@ -24,7 +26,7 @@ with probability 2/3 and leaves weight -xi1*xi2/2 (``_swap_law``).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from typing import Sequence
 
@@ -34,7 +36,7 @@ from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, _isotropic, merge_parties, 
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
 from .fileio import json_bit, json_positive_int, json_str
-from .scalar import ONE, ZERO, Scalar, _reduced
+from .scalar import ONE, ZERO, Scalar, _reduced, qsign
 
 REPORT_FUNCTIONALS = ("gsi", "ch")
 
@@ -359,62 +361,95 @@ class ScenarioReport(_Record):
         return doc
 
 
-def _validate_spec(spec: ScenarioSpec) -> None:
-    if not spec.boxes:
+def _validate_spec(boxes: tuple, couplers: tuple, wirings: tuple, reports: tuple) -> None:
+    """Check a spec's shape, given as ``_plan``'s key."""
+    if not boxes:
         raise SpecFileError("scenario needs at least one box")
-    names = [b.name for b in spec.boxes]
+    names = [box[0] for box in boxes]
     if len(set(names)) != len(names):
         raise SpecFileError("box names must be unique")
-    labels = [p for b in spec.boxes for p in b.parties]
+    labels = [p for box in boxes for p in box[3]]
     if len(set(labels)) != len(labels):
         raise SpecFileError("party labels must be unique across boxes")
     label_set = set(labels)
-    for b in spec.boxes:
-        if len(b.parties) != b.n:
-            raise SpecFileError(
-                f"box {b.name!r} declares n={b.n} but lists {len(b.parties)} parties"
-            )
-        if b.kind == "inline":
-            if b.table is None:
-                raise SpecFileError(f"inline box {b.name!r} needs a 'table'")
-            if b.table.n != b.n:
+    for name, kind, n, parties, table_n in boxes:
+        if len(parties) != n:
+            raise SpecFileError(f"box {name!r} declares n={n} but lists {len(parties)} parties")
+        if kind == "inline":
+            if table_n is None:
+                raise SpecFileError(f"inline box {name!r} needs a 'table'")
+            if table_n != n:
                 raise SpecFileError(
-                    f"inline box {b.name!r} table has {b.table.n} parties, expected {b.n}"
+                    f"inline box {name!r} table has {table_n} parties, expected {n}"
                 )
-        elif b.table is not None:
-            raise SpecFileError(f"box {b.name!r} has kind {b.kind!r} and an inline table")
-    consumed_all = [p for c in spec.couplers for p in c.consumed]
+        elif table_n is not None:
+            raise SpecFileError(f"box {name!r} has kind {kind!r} and an inline table")
+    consumed_all = [p for coupler in couplers for p in coupler[1]]
     if len(set(consumed_all)) != len(consumed_all):
         raise SpecFileError("a party label may be consumed by at most one coupler")
-    for c in spec.couplers:
-        if c.arity > PARTY_CAP:
-            raise SpecFileError(f"coupler arity {c.arity} is over the party cap {PARTY_CAP}")
-        if c.arity != len(c.consumed):
-            raise SpecFileError(f"coupler arity {c.arity} != {len(c.consumed)} consumed labels")
-        missing = [p for p in c.consumed if p not in label_set]
+    for arity, consumed, outcome, _ in couplers:
+        if arity > PARTY_CAP:
+            raise SpecFileError(f"coupler arity {arity} is over the party cap {PARTY_CAP}")
+        if arity != len(consumed):
+            raise SpecFileError(f"coupler arity {arity} != {len(consumed)} consumed labels")
+        missing = [p for p in consumed if p not in label_set]
         if missing:
             raise SpecFileError(f"coupler consumes unknown labels {missing}")
+        json_bit(outcome, "coupler 'outcome'")
     consumed_set = set(consumed_all)
     wired = []
-    for w in spec.wirings:
-        if w.pair[0] == w.pair[1]:
-            raise SpecFileError(f"wiring pair must name two distinct labels: {w.pair}")
-        if not w.merged:
+    for pair, merged in wirings:
+        if pair[0] == pair[1]:
+            raise SpecFileError(f"wiring pair must name two distinct labels: {pair}")
+        if not merged:
             raise SpecFileError("wiring needs a nonempty merged label")
-        for p in w.pair:
+        for p in pair:
             if p not in label_set:
                 raise SpecFileError(f"wiring references unknown label {p!r}")
             if p in consumed_set:
                 raise SpecFileError(f"wiring references consumed label {p!r}")
-        wired.extend(w.pair)
+        wired.extend(pair)
     if len(set(wired)) != len(wired):
         raise SpecFileError("a party label may appear in at most one wiring")
-    merged_names = [w.merged for w in spec.wirings]
+    merged_names = [merged for _, merged in wirings]
     if set(merged_names) & label_set or len(set(merged_names)) != len(merged_names):
         raise SpecFileError("merged labels must be fresh and unique")
-    for r in spec.reports:
+    for r in reports:
         if r not in REPORT_FUNCTIONALS:
             raise SpecFileError(f"unknown report functional {r!r}; expected {REPORT_FUNCTIONALS}")
+
+
+def _shape(spec: ScenarioSpec) -> tuple:
+    """``_plan``'s key: the spec's boxes, couplers, wirings and reports as
+    tuples, with no value (no ``xi``, of a table its party count only); an
+    outcome goes with its type, so True or 1.0 never finds the plan for 1."""
+    return (tuple([(b.name, b.kind, b.n, tuple(b.parties), None if b.table is None else b.table.n)
+                   for b in spec.boxes]),
+            tuple([(c.arity, tuple(c.consumed), c.outcome, type(c.outcome))
+                   for c in spec.couplers]),
+            tuple([(tuple(w.pair), w.merged) for w in spec.wirings]),
+            tuple(spec.reports))
+
+
+@lru_cache(maxsize=256)
+def _plan(boxes: tuple, couplers: tuple, wirings: tuple, reports: tuple) -> tuple:
+    """A run's shape work, once per ``_shape``: the spec validated, then per
+    coupler (its effect, consumed labels, kept outcome or None, the pools it
+    spans, its positions in their joint, the surviving pool's slot and the
+    other pools after it), and ``_fold_plan``'s final labels and steps."""
+    _validate_spec(boxes, couplers, wirings, reports)
+    layout, coupled = [list(box[3]) for box in boxes], []
+    for arity, consumed, outcome, _ in couplers:
+        effect, ends = build_coupler(arity), set(consumed)
+        involved = tuple([i for i, group in enumerate(layout) if not ends.isdisjoint(group)])
+        labels = [p for i in involved for p in layout[i]]
+        at = involved[0]
+        coupled.append((effect, consumed, outcome, involved,
+                        tuple([labels.index(p) + 1 for p in consumed]), at,
+                        tuple([i for i in range(at + 1, len(layout)) if i not in involved])))
+        layout = [group for i, group in enumerate(layout) if i not in involved]
+        layout.insert(at, [p for p in labels if p not in ends])
+    return tuple(coupled), *_fold_plan(layout, wirings)
 
 
 def _recalled(store: dict | None, what, tables, build, *args):
@@ -430,7 +465,7 @@ def _recalled(store: dict | None, what, tables, build, *args):
     return found
 
 
-def _coupled(effect, cspec: ScenarioCoupler, pools, positions, outcome: tuple) -> tuple:
+def _coupled(effect, consumed: tuple, pools, positions, outcome: tuple) -> tuple:
     """Apply one coupler at ``positions`` of the joint of the boxes ``pools``:
     one (branch, probability, survivors' box or None) per coupler outcome.
     ``outcome`` is the branch path that first reached these pools, named if
@@ -441,20 +476,20 @@ def _coupled(effect, cspec: ScenarioCoupler, pools, positions, outcome: tuple) -
         path = "".join(str(b) for b in outcome) or "(root)"
         raise CouplerInvalidError(
             exc.branch,
-            f"coupler on {list(cspec.consumed)} after branch path {path}: {exc}",
+            f"coupler on {list(consumed)} after branch path {path}: {exc}",
         ) from exc
     return tuple((r.branch, r.probability, r.box) for r in results)
 
 
-def _fold_plan(layout: list, wirings: tuple) -> tuple[list, list]:
+def _fold_plan(layout: list, wirings: tuple) -> tuple[tuple, tuple]:
     """The labels after folding the pools of ``layout`` left to right and,
-    per pool, the (fold, pool) parties of the wirings it closes with the
-    fold and the pairs of those then inside the fold, each merged into its
-    earlier slot."""
+    per pool, the (fold, pool) parties of the wirings, each a (pair, merged
+    label), it closes with the fold and the pairs of those then inside the
+    fold, each merged into its earlier slot."""
     labels, steps = [], []
     for pool in layout:
-        ends = [(labels.index(p) + 1, pool.index(q) + 1, w.merged)
-                for w in wirings for p, q in (w.pair, w.pair[::-1])
+        ends = [(labels.index(p) + 1, pool.index(q) + 1, merged)
+                for pair, merged in wirings for p, q in (pair, pair[::-1])
                 if p in labels and q in pool]
         if ends:
             names = {labels[i - 1]: name for i, _, name in ends}
@@ -463,17 +498,17 @@ def _fold_plan(layout: list, wirings: tuple) -> tuple[list, list]:
         else:
             labels = labels + pool
         inside = []
-        for w in wirings:
-            if w.pair[0] in labels and w.pair[1] in labels:
-                i, j = labels.index(w.pair[0]) + 1, labels.index(w.pair[1]) + 1
+        for (p, q), merged in wirings:
+            if p in labels and q in labels:
+                i, j = labels.index(p) + 1, labels.index(q) + 1
                 inside.append((i, j))
-                labels[min(i, j) - 1] = w.merged
+                labels[min(i, j) - 1] = merged
                 del labels[max(i, j) - 1]
-        steps.append((tuple([(i, j) for i, j, _ in ends]), inside))
-    return labels, steps
+        steps.append((tuple([(i, j) for i, j, _ in ends]), tuple(inside)))
+    return tuple(labels), tuple(steps)
 
 
-def _assembled(pools, steps: list, store: dict | None) -> BoxTable:
+def _assembled(pools, steps: tuple, store: dict | None) -> BoxTable:
     """The fold of the boxes ``pools`` by ``_fold_plan``'s steps, each but a
     bare first pool recalled by its position and pairs and the fold's and
     pool's values."""
@@ -485,7 +520,7 @@ def _assembled(pools, steps: list, store: dict | None) -> BoxTable:
     return box
 
 
-def _folded(box, other: BoxTable, pairs: tuple, inside: list) -> BoxTable:
+def _folded(box, other: BoxTable, pairs: tuple, inside: tuple) -> BoxTable:
     """One step: one ``wired`` join takes every wiring that ``other`` closes
     with the fold (so a ring of N users peaks at N parties), or ``other`` is
     tensored on; a wiring inside goes through ``merge_parties``."""
@@ -497,49 +532,36 @@ def _folded(box, other: BoxTable, pairs: tuple, inside: list) -> BoxTable:
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Execute the scenario and report every (kept) outcome branch exactly."""
-    _validate_spec(spec)
+    coupled, labels, steps = _plan(*_shape(spec))
     start_pools = []
     for b in spec.boxes:
         if b.table is not None and not validate(b.table).all_ok:
             raise ValidationError(f"inline box {b.name!r} is not a valid box")
         start_pools.append(b.table if b.table is not None else named_box(b.kind, b.n, b.xi))
     # a branch is (outcome, weight, pools), each pool the box of one group of
-    # parties, and pools is None once an outcome had zero mass; the labels of
-    # each pool, its ``layout``, are the same in every live branch
+    # parties in the plan's layout, and pools is None once it had zero mass
     branches = [((), ONE, start_pools)]
-    layout = [list(b.parties) for b in spec.boxes]
     store: dict = {}  # the run's results, keyed by value (``_recalled``)
 
-    for cspec in spec.couplers:
-        effect = build_coupler(cspec.arity)
+    for effect, consumed, kept, involved, positions, at, after in coupled:
         shared = store if len(branches) > 1 else None
-        involved = [i for i, group in enumerate(layout)
-                    if not set(cspec.consumed).isdisjoint(group)]
-        labels = [p for i in involved for p in layout[i]]
-        positions = [labels.index(p) + 1 for p in cspec.consumed]
-        at = involved[0]
-        layout = [group for i, group in enumerate(layout) if i not in involved]
-        layout.insert(at, [p for p in labels if p not in cspec.consumed])
         grown = []
         for outcome, weight, pools in branches:
             if pools is None:
                 grown.append((outcome + (None,), weight, None))
                 continue
             joint = [pools[i] for i in involved]
-            results = _recalled(shared, cspec.consumed, joint, _coupled, effect, cspec, joint,
+            results = _recalled(shared, consumed, joint, _coupled, effect, consumed, joint,
                                 positions, outcome)
-            rest = [pool for i, pool in enumerate(pools) if i not in involved]
-            keep = results if cspec.outcome is None else (results[cspec.outcome],)
-            for branch, probability, pool in keep:
+            for branch, probability, pool in results if kept is None else (results[kept],):
                 if pool is None:
                     grown.append((outcome + (branch,), ZERO, None))
                 else:
                     grown.append((outcome + (branch,), weight * probability,
-                                  rest[:at] + [pool] + rest[at:]))
+                                  pools[:at] + [pool] + [pools[i] for i in after]))
         branches = grown
 
     shared = store if len(branches) > 1 else None
-    labels, steps = _fold_plan(layout, spec.wirings)
     return _report(spec, ((outcome, ZERO, (), None) if pools is None
                           else (outcome, weight, labels, _assembled(pools, steps, shared))
                           for outcome, weight, pools in branches), shared)
@@ -608,6 +630,14 @@ def _scalar_check(name: str, got: Scalar, expected: Scalar) -> CrossCheck:
     return CrossCheck(name, got == expected, f"expected {expected}, got {got}")
 
 
+@lru_cache(maxsize=256)
+def _law(outcome: tuple) -> tuple:
+    """(k failures, both check names, 2**k / 3**c) of an outcome of c couplers."""
+    k, label = sum(outcome), "".join(map(str, outcome))
+    return (k, f"branch-{label}-probability", f"branch-{label}-box",
+            _reduced(2**k, 0, 3 ** len(outcome)))
+
+
 def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
     """The swap law on isotropic boxes, checked branch by branch: each
     coupler succeeds with probability 1/3 and multiplies the weights, or
@@ -619,11 +649,10 @@ def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
     their denominators are positive)."""
     checks = []
     for r in report.branches:
-        k, label = sum(r.outcome), "".join(map(str, r.outcome))
+        k, probability_name, box_name, expected = _law(r.outcome)
         checks += [
-            _scalar_check(f"branch-{label}-probability", r.probability,
-                          _reduced(2**k, 0, 3 ** len(r.outcome))),
-            _box_check(f"branch-{label}-box", r.box,
+            _scalar_check(probability_name, r.probability, expected),
+            _box_check(box_name, r.box,
                        _isotropic("isotropic", out,
                                   _reduced((-1) ** k * weight.r, (-1) ** k * weight.s,
                                            weight.d << k))),
@@ -633,7 +662,8 @@ def _swap_law(report: ScenarioReport, out: int, weight: Scalar) -> list:
 
 def _coerce_xi(xi) -> Scalar:
     xi = xi if isinstance(xi, Scalar) else Scalar(xi)
-    if not (ZERO <= xi <= ONE):
+    # 0 <= xi <= 1 by two signs: of xi and of 1 - xi, both over xi.d > 0
+    if qsign(xi.r, xi.s) < 0 or qsign(xi.d - xi.r, -xi.s) < 0:
         raise ValidationError(f"swap scenarios need xi in [0, 1], got {xi}")
     return xi
 

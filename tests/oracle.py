@@ -372,7 +372,7 @@ def run_scenario(spec):
     every coupler reruns on every live branch, and each branch tensors all
     its pools together before applying the wirings in spec order.  The
     library's own kernels and report builder do the rest."""
-    engine._validate_spec(spec)
+    engine._validate_spec(*engine._shape(spec))
     start_pools = []
     for b in spec.boxes:
         if b.table is not None:

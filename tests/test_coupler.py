@@ -6,7 +6,9 @@ final tests record exactly where the two part ways for exotic consumed
 marginals, so neither view can drift silently.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,13 @@ from boxswap import (
     tensor,
     validate,
 )
+import boxswap.cli  # the workloads build requests of the CLI
 from boxswap import checks, coupler, scenarios
-from boxswap.errors import ArityError, CouplerInvalidError
+from boxswap.errors import ArityError, CouplerInvalidError, SpecFileError
+from boxswap.fileio import load_json
 
 THIRD = Scalar.rational(1, 3)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _kernel_by_word(n: int) -> tuple:
@@ -180,6 +185,68 @@ def test_plans_are_keyed_by_shape(monkeypatch):
     monkeypatch.setattr(scenarios, "apply_coupler", shape_checked)
     assert checks.check_random_properties().passed
     assert len(calls) > 800 and len(seen) < 20  # three joints and a swap per case
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hybrid(seq) -> scenarios.ScenarioSpec:
+    """hybrid_three's spec, each label sequence built by ``seq``."""
+    parties = (("a1", "b1"), ("c2", "b2"), ("c1", "b3"), ("d2", "b4"), ("d1", "b5"), ("a2", "b6"))
+    return scenarios.ScenarioSpec(
+        "hybrid", tuple(scenarios.ScenarioBox(f"g{i}", "pr", 2, seq(p))
+                        for i, p in enumerate(parties, start=1)),
+        couplers=tuple(scenarios.ScenarioCoupler(2, seq((f"b{i}", f"b{i + 1}"))) for i in (1, 3, 5)),
+        wirings=tuple(scenarios.ScenarioWiring(seq((f"{u}1", f"{u}2")), u) for u in "acd"),
+        reports=seq(("gsi",)))
+
+
+def test_scenario_plans_are_keyed_by_shape(tmp_path):
+    # a scenario's plan is kept per spec shape, never per value: once a
+    # shape has run, no later run of that shape misses
+    def misses():
+        return scenarios._plan.cache_info().misses
+
+    swap_two(3, 3, Fraction(1, 2), Fraction(2, 3))
+    before = misses()
+    weights = [Fraction(1, 3), Fraction(5, 8), ZERO, ONE, INV_SQRT2,
+               Scalar(Fraction(1, 4), Fraction(1, 4)), Scalar(Fraction(1, 8), Fraction(1, 4)),
+               Fraction(9, 10), Fraction(1, 2), Fraction(3, 7)]
+    for xi1, xi2 in zip(weights, reversed(weights)):
+        assert swap_two(3, 3, xi1, xi2).all_checks_passed
+    assert misses() == before
+
+    # the three generated ring documents of the documents workload differ
+    # in name and weights only
+    _workloads().build("documents", 1, boxswap, tmp_path)
+    rings = [scenarios.ScenarioSpec.from_json(load_json(tmp_path / f"ring-{cls}.json"))
+             for cls in ("dyadic", "rational", "sqrt2")]
+    assert len({ring.name for ring in rings}) == 3
+    scenarios.run_scenario(rings[0])
+    before = misses()
+    for ring in rings[1:]:
+        assert scenarios.run_scenario(ring).all_checks_passed
+    assert misses() == before
+
+    # a spec built with lists where it holds label tuples runs as the tuple spec
+    report = scenarios.run_scenario(_hybrid(tuple))
+    assert scenarios.run_scenario(_hybrid(list)).to_json() == report.to_json()
+
+    # an error is raised, never kept: each call misses and says the same
+    bad = _hybrid(tuple)
+    bad.reports = ("chsh",)
+    texts = []
+    for _ in range(2):
+        before = misses()
+        with pytest.raises(SpecFileError) as err:
+            scenarios.run_scenario(bad)
+        assert misses() == before + 1
+        texts.append(str(err.value))
+    assert texts[0] == texts[1] == "unknown report functional 'chsh'; expected ('gsi', 'ch')"
 
 
 def test_success_law_golden_points():

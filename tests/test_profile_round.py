@@ -104,15 +104,19 @@ def test_against_runs_both_trees_interleaved_and_prints_their_ratio(capsys):
         assert 0 < float(best) <= float(p10)
     assert lines[4].startswith("ratio this/against: best ")
     # then one row per request: its best time on each side and their ratio,
-    # slowest first on this checkout
-    assert lines[5].split() == ["this", "ms", "against", "ms", "ratio", "request"]
+    # slowest first on this checkout, and its call count on each side
+    assert lines[5].split() == ["this", "ms", "against", "ms", "ratio", "this", "calls",
+                                "against", "calls", "request"]
     rows = [line.split() for line in lines[6:]]
-    assert len(rows) == 9 and sorted(row[3] for row in rows) == sorted(
+    assert len(rows) == 9 and sorted(row[5] for row in rows) == sorted(
         f"wide:{shape}/{cls}" for shape in ("swap_two(3,3)", "swap_two(3,4)", "swap_many(2,2,3)")
         for cls in ("dyadic", "rational", "sqrt2"))
     mine = [float(row[0]) for row in rows]
     assert mine == sorted(mine, reverse=True)
-    for this, against, ratio, _ in rows:
+    # one tree against a copy of itself: a warm request makes the same calls
+    for *_, this_calls, against_calls, _ in rows:
+        assert int(this_calls) == int(against_calls) > 100
+    for this, against, ratio, *_ in rows:
         # each printed to 0.001, so the ratio lies within those roundings
         this, against, ratio = float(this), float(against), float(ratio)
         assert 0 < this and 0.0005 < against

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,58 @@ def test_spec_validation_errors():
         run_scenario(ScenarioSpec("bad-n", (ScenarioBox("g", "pr", 3, ("a", "b")),)))
     with pytest.raises(SpecFileError):
         run_scenario(ScenarioSpec("bad-report", (box,), reports=("chsh",)))
+
+
+def _pr_swap(outcome) -> ScenarioSpec:
+    return ScenarioSpec("pr-swap", (ScenarioBox("left", "pr", 2, ("a", "b1")),
+                                    ScenarioBox("right", "pr", 2, ("b2", "c"))),
+                        couplers=(ScenarioCoupler(2, ("b1", "b2"), outcome),))
+
+
+@pytest.mark.parametrize("outcome", [2, -1, True, 1.0, "0"])
+def test_a_coupler_outcome_is_0_1_or_none(outcome):
+    # refused by the JSON loader's rule for a bit, even once a plan for the
+    # equal 1 is kept (True == 1.0 == 1); 0, 1 and None run as they did
+    both = run_scenario(_pr_swap(None))
+    assert [b.outcome for b in both.branches] == [(0,), (1,)]
+    for bit in (0, 1):
+        kept = run_scenario(_pr_swap(bit))
+        assert [b.to_json() for b in kept.branches] == [both.branches[bit].to_json()]
+        assert ScenarioSpec.from_json(_pr_swap(bit).to_json()) == _pr_swap(bit)
+    with pytest.raises(SpecFileError) as err:
+        run_scenario(_pr_swap(outcome))
+    assert str(err.value) == f"coupler 'outcome' must be 0, 1, or null, got {outcome!r}"
+
+
+@st.composite
+def _near_ends(draw):
+    """(r + s*sqrt(2)) / d on or within a few 1/d of -1, 0 or 1, with r the
+    integer next to -s*sqrt(2) (plus the end), so a sqrt(2)-bearing value
+    lies as near an end as its denominator lets it."""
+    end, d = draw(st.sampled_from((-1, 0, 1))), draw(st.integers(1, 10**6))
+    s = draw(st.one_of(st.just(0), st.integers(-10**6, 10**6)))
+    floor = isqrt(2 * s * s)  # floor(|s| * sqrt(2))
+    r = (-floor if s > 0 else floor) + end * d + draw(st.integers(-3, 3))
+    return Scalar.over(r, s, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_ends())
+def test_range_tests_by_sign_agree_with_comparisons(xi):
+    try:
+        assert scenarios._coerce_xi(xi) is xi
+    except ValidationError as exc:
+        assert str(exc) == f"swap scenarios need xi in [0, 1], got {xi}"
+        assert not ZERO <= xi <= ONE
+    else:
+        assert ZERO <= xi <= ONE
+    try:
+        isotropic(2, xi)
+    except ValidationError as exc:
+        assert str(exc) == f"isotropic weight must lie in [-1, 1], got {xi}"
+        assert not Scalar(-1) <= xi <= ONE
+    else:
+        assert Scalar(-1) <= xi <= ONE
 
 
 def test_ch_report_needs_two_surviving_parties():
