@@ -35,8 +35,9 @@ transform, and keeps them.  A table's value is its spectrum: ``==``,
 ``content_key``, ``wired`` and ``merge_parties`` read it through
 ``_spectrum``, which transforms a cell table forward (``_forward``), so no
 comparison or key builds cells; a table keeps its key, and a cell table
-compares by it.  One butterfly, ``_pattern_sums``, serves
-both transforms (``_cells`` and ``_forward``) and the sign test.
+compares by it.  One butterfly, ``_pattern_sums``, serves both transforms
+(``_cells`` and ``_forward``) and, past a bound (``_bounded``), the sign
+test of columns (``spectral_negative``); ``first_negative`` tests cells.
 
 ``tensor`` is lazy: it keeps its flattened ``factors`` and builds ``den``,
 ``rat`` and ``surd`` on first read, so a coupler can contract a product
@@ -511,12 +512,7 @@ def mix(terms: Iterable[tuple]) -> BoxTable:
 
 def _outer(u: Sequence[int], v: Sequence[int], nu: int, nv: int) -> list:
     """Products u[i] * v[j] laid out as the tensor of a ``nu``-party table ``u``
-    (low party slots) and an ``nv``-party table ``v``, in index order; either
-    may have no party (one cell)."""
-    if not nu:
-        return [u[0] * q for q in v]
-    if not nv:
-        return [p * v[0] for p in u]
+    (low party slots) and an ``nv``-party table ``v``, in index order."""
     rows_u = [u[x << nu:(x + 1) << nu] for x in range(1 << nu)]
     rows_v = [v[x << nv:(x + 1) << nv] for x in range(1 << nv)]
     return [p * q for row_v in rows_v for row_u in rows_u for q in row_v for p in row_u]
@@ -669,14 +665,14 @@ def _patterns(n: int, words: frozenset) -> tuple:
     return len(tops), coordinates, itemgetter(*patterns)
 
 
-def _pattern_sums(n: int, columns: dict, width: int = 0) -> tuple:
+def _pattern_sums(n: int, columns: dict) -> tuple:
     """The gather of ``_patterns``, and the unreduced (rat, surd) pattern
     sums, surd None for none: for each pattern p of the d pattern bits, the
     vector over the input words x of sum_S (-1)**popcount(p & c_S) *
     col_S[x], by one butterfly over the d bits of vectors placed at their
     columns' coordinates c_S."""
     d, coordinates, gather = _patterns(n, frozenset(columns))
-    zero = (0,) * (width or 1 << n)
+    zero = (0,) * (1 << n)
     rat = [zero] * (1 << d)
     surd = None if all([s is None for _, s in columns.values()]) else [zero] * (1 << d)
     for word, (r, s) in columns.items():
@@ -692,12 +688,31 @@ def _pattern_sums(n: int, columns: dict, width: int = 0) -> tuple:
     return gather, rat, surd
 
 
-def spectral_negative(n: int, columns: dict, width: int = 0) -> bool:
-    """True iff some cell of the n-party spectral table with ``columns`` (of
-    ``width`` entries, 2**n unless given) is negative: every row's distinct
-    cells are its pattern sums, which ``first_negative`` reads as one list
-    per part, joined by extension."""
-    _, rat, surd = _pattern_sums(n, columns, width)
+def _bounded(columns: dict) -> bool:
+    """True if a bound clears every cell of a spectral table's ``columns``.
+    A cell is the empty-set column plus or minus each other column, and
+    |r + s*sqrt2| <= |r| + |s|*sqrt2, so every cell is at least
+    low + s_low*sqrt2: ``low`` the least rational part of the empty-set
+    column less the largest |r| of each other column, ``s_low`` the same of
+    the sqrt2 parts.  Two minima (``_cleared``) settle its sign."""
+    if 0 not in columns:
+        return False
+    rat, surd = columns[0]
+    low, s_low = min(rat), min(surd) if surd else 0
+    for word, (r, s) in columns.items():
+        if word:
+            low, s_low = low - max(map(abs, r)), s_low - (max(map(abs, s)) if s else 0)
+    return _cleared((low,), (s_low,))
+
+
+def spectral_negative(n: int, columns: dict) -> bool:
+    """True iff some cell of the n-party spectral table with ``columns`` is
+    negative.  A bound on the columns settles most tables (``_bounded``);
+    otherwise every row's distinct cells are its pattern sums, which
+    ``first_negative`` reads as one list per part, joined by extension."""
+    if _bounded(columns):
+        return False
+    _, rat, surd = _pattern_sums(n, columns)
     return first_negative(reduce(iadd, rat, []), surd and reduce(iadd, surd, [])) is not None
 
 

@@ -39,8 +39,8 @@ read as one column at word 0, so cells and spectra run on one path of
 integer work.  When every factor is a spectral table (the isotropic family
 and the branch boxes this module makes from it), the branch boxes are
 spectral tables, whose cells are built only if something later reads them.
-Both branches are finished together (``_finished``): one sign test clears
-both, then each is checked for its mass and divided by it.
+Each branch is checked for its mass and its signs, by the one sign test of
+its table's form, and divided by its mass (``_finished``).
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from operator import add, attrgetter, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from .bell import evaluate, gsi
-from .boxes import (BoxTable, _cleared, _kron, _pair_product, first_negative, spectral_negative,
-                    subwords)
+from .boxes import BoxTable, _kron, _pair_product, first_negative, spectral_negative, subwords
 from .errors import ArityError, CouplerInvalidError
-from .scalar import ZERO, Scalar, _reduced, qsign
+from .scalar import ONE, ZERO, Scalar, _reduced, qsign
 
 
 def _kernel_by_popcount(n: int) -> list:
@@ -127,10 +126,7 @@ def success_probability(coupler: CouplerEffect, bob_box: BoxTable) -> Scalar:
 def is_allowed(coupler: CouplerEffect, bob_box: BoxTable) -> bool:
     """True iff the gsi value sits in the valid window [-2**(N-1), 2**N],
     i.e. the success law lands in [0, 1]."""
-    if bob_box.n != coupler.n:
-        raise ArityError(f"coupler consumes {coupler.n} ends, box has {bob_box.n}")
-    value = evaluate(gsi(coupler.n), bob_box)
-    return Scalar(-(2 ** (coupler.n - 1))) <= value <= Scalar(2**coupler.n)
+    return ZERO <= success_probability(coupler, bob_box) <= ONE
 
 
 class BranchResult:
@@ -424,48 +420,12 @@ def _mass(branch: int, table, m: int) -> tuple:
     return rat[0] << shift, (surd[0] if surd else 0) << shift
 
 
-def _bounded(table: dict) -> bool:
-    """True if a bound clears every cell of the spectral ``table``.  A cell
-    is the empty-set column plus or minus each other column, and
-    |r + s*sqrt2| <= |r| + |s|*sqrt2, so every cell is at least
-    low + s_low*sqrt2: ``low`` the least rational part of the empty-set
-    column less the largest |r| of each other column, ``s_low`` the same of
-    the sqrt2 parts.  Two minima (``_cleared``) settle its sign."""
-    if 0 not in table:
-        return False
-    rat, surd = table[0]
-    low, s_low = min(rat), min(surd) if surd else 0
-    for word, (r, s) in table.items():
-        if word:
-            low -= max(map(abs, r))
-            if s is not None:
-                s_low -= max(map(abs, s))
-    return _cleared((low,), (s_low,))
-
-
-def _negative(m: int, tables: tuple) -> bool:
-    """True iff some cell of either branch table may be negative: one sign
-    test of both tables, whose cells side by side are those of their
-    columns side by side.  Spectra are most often cleared by a bound
-    (``_bounded``); otherwise one butterfly serves both
-    (``spectral_negative``)."""
-    t0, t1 = tables
-    if not isinstance(t0, dict):
-        return first_negative((*t0[0], *t1[0]), t0[1] and (*t0[1], *t1[1])) is not None
-    if _bounded(t0) and _bounded(t1):
-        return False
-    return bool(t0) and spectral_negative(m, {w: ((*r, *t1[w][0]), s and (*s, *t1[w][1]))
-                                              for w, (r, s) in t0.items()}, 2 << m)
-
-
 def _finished(den: int, m: int, tables: tuple) -> tuple:
     """Both BranchResults of ``apply_coupler`` from their tables over
-    ``den``, branch 0's checks first: the mass check, the sign tests, then
+    ``den``, branch 0's checks first: the mass check, the sign test
+    (``spectral_negative`` on columns, ``first_negative`` on cells), then
     the division by the mass, whose positive sign lets the box record the
-    sign verdict for validation to take.  One sign test clears both tables
-    (``_negative``); only where it finds a negative cell is each branch
-    tested on its own, to name it."""
-    negative = _negative(m, tables)
+    sign verdict for validation to take."""
     results = []
     for branch, table in enumerate(tables):
         mass_r, mass_s = _mass(branch, table, m)
@@ -480,8 +440,7 @@ def _finished(den: int, m: int, tables: tuple) -> tuple:
                                           f"branch {branch} has zero mass but nonzero entries")
             results.append(BranchResult(branch, ZERO, None))
             continue
-        if negative and (spectral_negative(m, table) if spectral
-                         else first_negative(*table) is not None):
+        if spectral_negative(m, table) if spectral else first_negative(*table) is not None:
             raise CouplerInvalidError(branch)
         box_den = mass_r
         if mass_s:  # times the conjugate mass over the norm, nonzero as sqrt2 is irrational

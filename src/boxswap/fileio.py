@@ -70,11 +70,12 @@ _LEAVES = {
 def _write(obj, out: list, newline: str, memo: dict) -> None:
     """Append ``obj``'s canonical text; ``newline`` is a line break plus the
     indent of the line ``obj`` starts on.  Inside a list or dict, a leaf of
-    a type in ``_LEAVES`` and a dict already rendered at that indent are
-    appended in place; a row ``[str, str, dict]`` of exactly those types (a
-    box document's cell) is appended as one piece once its dict has been
-    rendered at the row's inner indent, with each distinct word quoted once
-    per list; anything else recurses."""
+    a type in ``_LEAVES`` is appended in place, and so is a dict value
+    already rendered at that indent; a row ``[str, str, dict]`` of exactly
+    those types (a box document's cell) is appended as one piece once its
+    dict has been rendered at the row's inner indent, with each distinct
+    word quoted once per list; anything else recurses, and a dict met again
+    there takes its text from ``memo``."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -89,8 +90,6 @@ def _write(obj, out: list, newline: str, memo: dict) -> None:
             leaf = _LEAVES.get(type(item))
             if leaf is not None:
                 out.append(sep + leaf(item))
-            elif type(item) is dict and (id(item), inner) in memo:
-                out.append(sep + _again(item, inner, out, memo))
             elif (type(item) is list and len(item) == 3 and type(item[0]) is str
                   and type(item[1]) is str and type(item[2]) is dict):
                 if texts is None:

@@ -13,9 +13,10 @@ parties.  One store per run keeps each coupler application, fold step and
 report under the values (``content_key``) of the tables it is made from:
 each coupler is applied once per distinct value of the pools it spans, and
 each fold step runs once per distinct value of the fold and the pool,
-whichever branches reach them.  The shape work (validation, where each
-coupler's pools lie, the fold's steps) is planned once per spec shape
-(``_plan``), and a run handles only values.  Every probability is exact; branch
+whichever branches reach them.  The shape work (validation, the party cap
+of every product a run would build, where each coupler's pools lie, the
+fold's steps) is planned once per spec shape (``_plan``), and a run handles
+only values.  Every probability is exact; branch
 probabilities over all outcome assignments sum to one (a cross-check).
 
 The builders (``swap_two``, ``swap_many``, ``hybrid_three``) check their
@@ -27,12 +28,13 @@ with probability 2/3 and leaves weight -xi1*xi2/2 (``_swap_law``).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
 from .bell import BoundTriple, Classification, bounds, ch_evaluate, classify
-from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, _isotropic, merge_parties, named_box, tensor,
-                    validate, wired)
+from .boxes import (PARTY_CAP, WORD_ORDER, BoxTable, _check_cap, _isotropic, merge_parties,
+                    named_box, tensor, validate, wired)
 from .coupler import apply_coupler, build_coupler
 from .errors import ArityError, CouplerInvalidError, SpecFileError, ValidationError
 from .fileio import json_bit, json_positive_int, json_str
@@ -436,12 +438,17 @@ def _plan(boxes: tuple, couplers: tuple, wirings: tuple, reports: tuple) -> tupl
     """A run's shape work, once per ``_shape``: the spec validated, then per
     coupler (its effect, consumed labels, kept outcome or None, the pools it
     spans, its positions in their joint, the surviving pool's slot and the
-    other pools after it), and ``_fold_plan``'s final labels and steps."""
+    other pools after it), and ``_fold_plan``'s final labels and steps.
+    Each product of pools that a coupler's joint and the fold would build
+    goes through the party cap here, in run order, so an over-cap spec is
+    refused before any table is made, with the error the run would raise."""
     _validate_spec(boxes, couplers, wirings, reports)
     layout, coupled = [list(box[3]) for box in boxes], []
     for arity, consumed, outcome, _ in couplers:
         effect, ends = build_coupler(arity), set(consumed)
         involved = tuple([i for i, group in enumerate(layout) if not ends.isdisjoint(group)])
+        for n in list(accumulate([len(layout[i]) for i in involved]))[1:]:  # reduce(tensor, ...)
+            _check_cap(n)
         labels = [p for i in involved for p in layout[i]]
         at = involved[0]
         coupled.append((effect, consumed, outcome, involved,
@@ -485,7 +492,8 @@ def _fold_plan(layout: list, wirings: tuple) -> tuple[tuple, tuple]:
     """The labels after folding the pools of ``layout`` left to right and,
     per pool, the (fold, pool) parties of the wirings, each a (pair, merged
     label), it closes with the fold and the pairs of those then inside the
-    fold, each merged into its earlier slot."""
+    fold, each merged into its earlier slot.  Each join's party count goes
+    through the party cap, as ``wired`` and ``tensor`` would check it."""
     labels, steps = [], []
     for pool in layout:
         ends = [(labels.index(p) + 1, pool.index(q) + 1, merged)
@@ -497,6 +505,8 @@ def _fold_plan(layout: list, wirings: tuple) -> tuple[tuple, tuple]:
             labels = [names.get(p, p) for p in labels] + [q for q in pool if q not in gone]
         else:
             labels = labels + pool
+        if steps:  # the first pool joins nothing
+            _check_cap(len(labels))
         inside = []
         for (p, q), merged in wirings:
             if p in labels and q in labels:

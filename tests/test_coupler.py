@@ -7,6 +7,7 @@ marginals, so neither view can drift silently.
 """
 
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from boxswap import (
     mixed,
     pr,
     success_probability,
+    swap_many,
     swap_two,
     tensor,
     validate,
@@ -329,6 +331,51 @@ def test_isotropic_swap_is_bilinear_in_the_weights(x1, x2):
     assert res1.probability == ONE - THIRD
     assert res1.box == isotropic(2, -(product / 2))
     assert validate(res0.box).all_ok and validate(res1.box).all_ok
+
+
+def _holds_at_the_corners(build, count: int, out: int) -> None:
+    """Run ``build(corner)`` at each corner xi in {0, 1}**count of the
+    weight cube and check every branch against the swap law: a branch with
+    k failures among c couplers has probability 2**k / 3**c and the valid
+    box isotropic(out, w * (-1/2)**k), w the product of the weights.  The
+    law's probability is positive and both boxes are normalised, so equal
+    (probability, box) pairs are equal products probability * box, and a
+    product fixes its pair (its mass is the probability).
+
+    This proves the law, with mass and validity, on all of [0, 1]**count.
+    Each input box isotropic(n, xi) = xi * gsb(n) + (1 - xi) * mixed(n) is
+    affine in its weight and the coupler is linear in each factor of the
+    joint, so each branch's unnormalised table (probability times box) is
+    multilinear in the weights; so is the law's, whose cells are
+    2**k / 3**c * (1 +- w * (-1/2)**k) / 2**out.  Two multilinear functions
+    equal at the corners are equal on the cube: one affine in a single
+    weight is fixed by its values at 0 and 1, and induction over the
+    weights does the rest.  A multilinear function takes its least value
+    on the cube at a corner, so a cell nonnegative at every corner is
+    nonnegative everywhere, and normalisation and nonsignaling, linear
+    equalities among the cells, hold everywhere once they hold there."""
+    for corner in itertools.product((0, 1), repeat=count):
+        weight = Scalar(int(all(corner)))
+        report = build(corner)
+        total = ZERO
+        for record in report.branches:
+            c, k = len(record.outcome), sum(record.outcome)
+            assert record.probability == Scalar.rational(2**k, 3**c), (corner, record.outcome)
+            assert record.box == isotropic(out, weight * Scalar.rational((-1) ** k, 2**k))
+            assert validate(record.box).all_ok
+            total = total + record.probability
+        assert total == ONE
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product(range(2, 5), repeat=2)))
+def test_swap_two_obeys_the_law_on_the_weight_cube(m, n):
+    _holds_at_the_corners(lambda xi: swap_two(m, n, *xi), 2, m + n - 2)
+
+
+@pytest.mark.parametrize("arities", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
+def test_swap_many_obeys_the_law_on_the_weight_cube(arities):
+    _holds_at_the_corners(lambda xi: swap_many(arities, xi), len(arities),
+                          sum(arities) - len(arities))
 
 
 @given(xis)

@@ -576,12 +576,18 @@ def _bound_cells(rng, mode: str, count: int) -> list:
     """``count`` cells (r, s), r next to |s|*sqrt(2), drawn through
     ``_near_bound``.  With (r0, -s0) the cell just above the bound at -s0,
     ``settled`` cells are all at least as large, so the two minima clear
-    them; ``negative`` cells are those with one cell just past the bound,
+    them; ``bounded`` cells are (r0 + count + 0 or 1, -s0), whose columns
+    the column bound of ``spectral_negative`` clears, as every column but
+    the empty-set one is a sum of 2**d rational parts 0 or 1, signed, and
+    the empty-set column's 2**d * r0 beats its sqrt2 part -2**d * s0;
+    ``negative`` cells are those with one cell just past the bound,
     (r0 - 1, -s0) or (-r, s) with r just above s*sqrt(2); ``nonnegative``
     cells all lie on the safe side of the bound, but their least r (2 at
     s = -1, or one below 0) is below r0, so the minima do not settle them."""
     s0 = rng.randint(2, rng.choice((50, 10**12)))
     r0, _ = _near_bound(-s0, True, False)
+    if mode == "bounded":
+        return [(r0 + count + rng.randint(0, 1), -s0) for _ in range(count)]
     if mode == "nonnegative":
         high = rng.choice((0, s0))
         cells = [_near_bound(s, s < 0, s > 0)
@@ -603,38 +609,47 @@ def _bound_cells(rng, mode: str, count: int) -> list:
 def test_spectral_negative_is_the_oracle_sign_at_the_bound(n, data):
     # columns over a span of dimension d whose 2**d pattern sums at each x are
     # 2**d times target cells: column S at coordinates c is
-    # sum_q (-1)**popcount(q & c) * target_q.  A failure is reported as
-    # drawn: shrinking the many wide draws of ``_bound_cells`` took minutes
+    # sum_q (-1)**popcount(q & c) * target_q.  Every mode is drawn on one
+    # span, so each example meets both sides of the column bound.  A failure
+    # is reported as drawn: shrinking the many wide draws of ``_bound_cells``
+    # took minutes
     rng = data.draw(st.randoms(use_true_random=False))
     d = data.draw(st.integers(1, n), label="d")
-    mode = data.draw(st.sampled_from(("settled", "nonnegative", "negative")), label="mode")
     basis, span = [], {0}
     while len(basis) < d:
         word = rng.choice([w for w in range(1, 2**n) if w not in span])
         basis.append(word)
         span |= {w ^ word for w in span}
-    targets = _bound_cells(rng, mode, 2**d * 2**n)  # target q at x: targets[q * 2**n + x]
-    columns = {}
-    for c in range(2**d):
-        word = 0
-        for i, b in enumerate(basis):
-            if c >> i & 1:
-                word ^= b
-        parts = [[sum(-v[k] if (q & c).bit_count() & 1 else v[k]
-                      for q, v in enumerate(targets[x::2**n])) for x in range(2**n)]
-                 for k in (0, 1)]
-        columns[word] = parts[0], parts[1] if any(parts[1]) else None
-    # every cell's numerators from the definition, and each distinct one's
-    # sign by Scalar, without building a table
-    cols = [(word, rat, surd or (0,) * 2**n) for word, (rat, surd) in columns.items()]
-    cells = {(sum(-r[x] if (a & w).bit_count() & 1 else r[x] for w, r, _ in cols),
-              sum(-s[x] if (a & w).bit_count() & 1 else s[x] for w, _, s in cols))
-             for x in range(2**n) for a in range(2**n)}
-    want = any(Scalar(r, s) < ZERO for r, s in cells)
-    assert want == (mode == "negative")
-    with pytest.MonkeyPatch.context() as mp:  # count the cells tested one by one
-        calls = []
-        mp.setattr(boxes, "qsign", lambda r, s: calls.append(r) or qsign(r, s))
-        got = spectral_negative(n, columns)
-    assert got == want
-    assert (calls == []) == (mode == "settled")
+    for mode in ("bounded", "settled", "nonnegative", "negative"):
+        targets = _bound_cells(rng, mode, 2**d * 2**n)  # target q at x: targets[q * 2**n + x]
+        columns = {}
+        for c in range(2**d):
+            word = 0
+            for i, b in enumerate(basis):
+                if c >> i & 1:
+                    word ^= b
+            parts = [[sum(-v[k] if (q & c).bit_count() & 1 else v[k]
+                          for q, v in enumerate(targets[x::2**n])) for x in range(2**n)]
+                     for k in (0, 1)]
+            columns[word] = parts[0], parts[1] if any(parts[1]) else None
+        # every cell's numerators from the definition, and each distinct
+        # one's sign by Scalar, without building a table
+        cols = [(word, rat, surd or (0,) * 2**n) for word, (rat, surd) in columns.items()]
+        cells = {(sum(-r[x] if (a & w).bit_count() & 1 else r[x] for w, r, _ in cols),
+                  sum(-s[x] if (a & w).bit_count() & 1 else s[x] for w, _, s in cols))
+                 for x in range(2**n) for a in range(2**n)}
+        want = any(Scalar(r, s) < ZERO for r, s in cells)
+        assert want == (mode == "negative")
+        with pytest.MonkeyPatch.context() as mp:  # count the cells tested one by one
+            calls, butterflies = [], []
+            mp.setattr(boxes, "qsign", lambda r, s: calls.append(r) or qsign(r, s))
+            mp.setattr(boxes, "_pattern_sums", lambda *args, sums=boxes._pattern_sums:
+                       butterflies.append(args) or sums(*args))
+            got = spectral_negative(n, columns)
+        assert got == want
+        assert (calls == []) == (mode in ("bounded", "settled"))
+        # the column bound is weaker than the two minima of the pattern sums,
+        # so it clears no draw they leave open; a settled draw may fall on
+        # either side of it
+        if mode != "settled":
+            assert (butterflies == []) == (mode == "bounded")

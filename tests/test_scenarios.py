@@ -527,6 +527,50 @@ def test_hybrid_three_document_applies_each_coupler_once(monkeypatch):
     assert len(report.branches) == 8 and report.all_checks_passed
 
 
+CAP_TEXT = "n=12 parties means 4**12 exact entries; the cap is 10. Marginalize earlier."
+
+
+def _independent_swaps(count: int) -> ScenarioSpec:
+    """``count`` PR-pair swaps that share no party: their final fold tensors
+    ``count`` two-party pools together."""
+    boxes, couplers = [], []
+    for k in range(count):
+        boxes += [ScenarioBox(f"p{k}", "pr", 2, (f"a{k}", f"b{k}")),
+                  ScenarioBox(f"q{k}", "pr", 2, (f"c{k}", f"d{k}"))]
+        couplers.append(ScenarioCoupler(2, (f"b{k}", f"c{k}")))
+    return ScenarioSpec(f"swaps-{count}", tuple(boxes), tuple(couplers))
+
+
+def test_an_over_cap_spec_is_refused_before_any_coupler_runs(monkeypatch):
+    # sixteen independent swaps fold to 32 parties; the fold's sixth join
+    # (12 parties) is the first product over the cap, and the plan refuses
+    # it with the error that join raises, before any coupler is applied.  A
+    # joint over three pools, after a swap that runs, is refused at the
+    # first partial product past the cap, as ``reduce(tensor, ...)`` meets
+    # it: 6 + 6, not 6 + 6 + 6.
+    # The cap holds on the spec, not on the branches that reach a step: a
+    # spec whose only branch has zero mass before an over-cap fold is
+    # refused too (success on both ends of failure(2) cannot happen)
+    three = ScenarioSpec("three", _independent_swaps(1).boxes + tuple(
+        [ScenarioBox(f"g{k}", "gsb", 6, tuple(f"{k}{i}" for i in range(6))) for k in range(3)]),
+        _independent_swaps(1).couplers + (ScenarioCoupler(3, ("00", "10", "20")),))
+    zero = ScenarioSpec("zero", (ScenarioBox("pf", "inline", 4, ("x1", "x2", "f1", "f2"),
+                                             table=tensor(pr(), failure(2))),
+                                 ScenarioBox("g", "gsb", 5, tuple("ghijk")),
+                                 ScenarioBox("h", "gsb", 5, tuple("lmnop"))),
+                        (ScenarioCoupler(2, ("f1", "f2"), 0),))
+    calls = []
+    apply = scenarios.apply_coupler
+    monkeypatch.setattr(scenarios, "apply_coupler", lambda *args: calls.append(args) or apply(*args))
+    for spec in (_independent_swaps(16), three, zero):
+        with pytest.raises(boxes.PartyCapError) as err:
+            run_scenario(spec)
+        assert str(err.value) == CAP_TEXT
+    assert calls == []
+    assert run_scenario(_independent_swaps(5)).all_checks_passed  # 10 parties still run
+    assert len(calls) == 5
+
+
 def _ring_law(n: int, k: int) -> BoxTable:
     """The box of a ring(n) branch with k failed couplers: cells
     (1 + w * (-1)**(|a| + sum_i x_i * x_{i+1})) / 2**n, indices mod n and

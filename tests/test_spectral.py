@@ -235,7 +235,9 @@ def test_validation_takes_the_recorded_sign_verdict(monkeypatch):
     # their positive masses, and each branch box records that verdict, on
     # columns and on cells alike; a join of two boxes with the verdict has
     # it too.  Validation reads the record and tests nothing again, and its
-    # verdict is the one a test of the same table without the record finds.
+    # verdict is the one a test of the same table without the record finds:
+    # one sign test per table, on columns ``spectral_negative``, which stops
+    # at its bound where that clears the table, on cells ``first_negative``.
     xi = Scalar(Fraction(1, 4), Fraction(1, 4))
     found = []
     for joint in (tensor(named_box("isotropic", 3, xi), named_box("isotropic", 2, INV_SQRT2)),
@@ -255,9 +257,40 @@ def test_validation_takes_the_recorded_sign_verdict(monkeypatch):
         unrecorded = (BoxTable.from_spectrum(box.n, *box.spectrum) if box.spectrum
                       else BoxTable.from_numerators(box.n, box.den, box.rat, box.surd))
         assert validate(unrecorded).to_json() == report.to_json()
-        assert tested == ["spectral_negative", "first_negative"][not box.spectrum:]
+        assert tested == (["spectral_negative"] if box.spectrum else ["first_negative"])
         tested.clear()
-    # a table with no record is tested, and so is a join with one
+    # a table with no record is tested, and so is a join with one; the bound
+    # clears these two, not the product of two isotropic(2, 1/2) boxes, whose
+    # columns the butterfly reads
     for box in (named_box("isotropic", 3, xi), wired(found[0], named_box("pr"), [(3, 1)])):
         assert validate(box).all_ok
-    assert tested == ["spectral_negative", "first_negative"] * 2
+    assert tested == ["spectral_negative"] * 2
+    tested.clear()
+    half = named_box("isotropic", 2, Scalar.rational(1, 2))
+    product = BoxTable.from_spectrum(4, *boxes._product_spectrum([half, half]))
+    assert validate(product).all_ok
+    assert tested == ["spectral_negative", "first_negative"]
+
+
+@pytest.mark.parametrize("xi", [ONE, INV_SQRT2])
+def test_a_negative_branch_cell_past_the_bound_is_named_as_the_oracle_names_it(monkeypatch, xi):
+    # a three-end coupler on pr and isotropic(2, xi), consuming both ends of
+    # pr and one of the other box: branch 0's mass is positive and shared,
+    # but a cell is negative.  The bound on its columns does not clear it,
+    # so the butterfly finds the cell; on cells, ``first_negative`` does.
+    # Either way the error names the branch and reads as the oracle's.
+    butterflies = []
+    sums = boxes._pattern_sums
+    monkeypatch.setattr(boxes, "_pattern_sums",
+                        lambda *args: butterflies.append(args) or sums(*args))
+    want_results, want_err = _outcome(oracle.apply_coupler, build_coupler(3),
+                                      tensor(oracle.isotropic(2, ONE), oracle.isotropic(2, xi)),
+                                      (1, 2, 3))
+    assert want_results is None and want_err.branch == 0
+    for joint in (tensor(named_box("pr"), named_box("isotropic", 2, xi)),
+                  tensor(oracle.isotropic(2, ONE), oracle.isotropic(2, xi))):
+        butterflies.clear()
+        results, err = _outcome(apply_coupler, build_coupler(3), joint, (1, 2, 3))
+        assert results is None
+        assert (err.branch, str(err)) == (want_err.branch, str(want_err))
+        assert len(butterflies) == (joint.factors[0].spectrum is not None)
