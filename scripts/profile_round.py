@@ -17,9 +17,10 @@ each ``run`` and ``reproduce`` request R more times through the verb of
 ``boxswap.cli``, timed from outside: for those runs the calls that end a
 phase are wrapped, as ``perfbench/tracer.py`` wraps functions, and then
 restored.  A phase ends where its call returns: load (``load_json``), spec
-(``ScenarioSpec.from_json``), run (``run_scenario`` or ``run_checks``),
-dumps (``canonical_dumps``) and emit (``_emit``); to_json ends where
-``canonical_dumps`` starts.  It prints each phase's best time per request
+(``ScenarioSpec.from_json``), run (``run_scenario`` or ``run_checks``) and
+write (``_emit``, which makes the report's text as it writes it, or is
+given the text of a ``reproduce`` document that ``canonical_dumps`` made
+before the call).  It prints each phase's best time per request
 and summed over those requests (a ``reproduce`` request has no load or
 spec phase); the output of every such run is checked as the request's
 own.  ``--profile N`` runs one more round under cProfile and prints the N
@@ -145,7 +146,7 @@ def import_times(repeat: int) -> list:
     return sorted(((m, *times) for m, times in best.items()), key=lambda row: -row[1])
 
 
-PHASES = ("load", "spec", "run", "to_json", "dumps", "emit")
+PHASES = ("load", "spec", "run", "write")
 
 
 def phase_times(boxswap, request, repeat: int) -> tuple | None:
@@ -158,30 +159,26 @@ def phase_times(boxswap, request, repeat: int) -> tuple | None:
         return None
     cli = boxswap.cli
     args = cli._build_parser().parse_args(argv)
-    # (owner, attribute, the phase that ends where the call starts or None,
-    # the phase that ends where it returns)
-    ends = ((cli, "load_json", None, "load"),
-            (boxswap.scenarios.ScenarioSpec, "from_json", None, "spec"),
-            (cli, "run_scenario", None, "run"),
-            (boxswap.checks, "run_checks", None, "run"),
-            (cli, "canonical_dumps", "to_json", "dumps"),
-            (cli, "_emit", None, "emit"))
+    # (owner, attribute, the phase that ends where the call returns)
+    ends = ((cli, "load_json", "load"),
+            (boxswap.scenarios.ScenarioSpec, "from_json", "spec"),
+            (cli, "run_scenario", "run"),
+            (boxswap.checks, "run_checks", "run"),
+            (cli, "_emit", "write"))
     marks = []
 
-    def marking(fn, at_start, at_end):
+    def marking(fn, at_end):
         def timed(*call_args, **kwargs):
-            if at_start is not None:
-                marks.append((at_start, perf_counter()))
             out = fn(*call_args, **kwargs)
             marks.append((at_end, perf_counter()))
             return out
         return timed
 
-    saved = [(owner, attr, vars(owner)[attr]) for owner, attr, _, _ in ends]
+    saved = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in ends]
     best, problem = {}, None
     try:
-        for owner, attr, at_start, at_end in ends:
-            setattr(owner, attr, marking(getattr(owner, attr), at_start, at_end))
+        for owner, attr, at_end in ends:
+            setattr(owner, attr, marking(getattr(owner, attr), at_end))
         for _ in range(repeat):
             request.prepare()
             marks[:] = [("start", perf_counter())]

@@ -1,6 +1,6 @@
 """How the scenario engine scales on repeater chains and rings, one fresh process per run.
 
-    python3 scripts/scaling.py [--chain K ...] [--ring N ...]
+    python3 scripts/scaling.py [--chain K ...] [--ring N ...] [--report DIR]
 
 A repeater chain of K couplers (``chain``) is K + 1 PR boxes in a line;
 coupler i consumes the right end of box i and the left end of box i + 1,
@@ -11,9 +11,14 @@ holds.  Each run goes through ``run_scenario`` in a child process of its
 own, with ``scenarios.apply_coupler`` and ``scenarios.wired`` wrapped to
 count their calls (as the tests count them), and prints its wall time, the
 child's peak RSS (``ru_maxrss``, which includes the interpreter and the
-import) and both counts.  No benchmark workload reaches these paths, so
-this is how their cost is measured; compare two checkouts by running each
-one's copy of the script on one machine.
+import) and both counts.  With ``--report DIR`` each child writes the
+scenario document to ``DIR/<shape>-<size>.scenario.json`` and runs it as
+``boxswap run`` does, through ``boxswap.cli.main(["run", DOC, "--format",
+"json", "--output", DIR/<shape>-<size>.json])``, so its wall time and peak
+RSS include writing the JSON report, whose size is printed too.  No
+benchmark workload reaches these paths, so this is how their cost is
+measured; compare two checkouts by running each one's copy of the script
+on one machine.
 """
 
 from __future__ import annotations
@@ -53,13 +58,20 @@ def ring(n: int):
 SHAPES = {"chain": chain, "ring": ring}
 
 
-def measure(shape: str, size: int) -> dict:
+def measure(shape: str, size: int, report: str | None = None) -> dict:
     """Run one scenario in this process: wall seconds, peak RSS in MB, and
-    the calls of the engine's ``apply_coupler`` and ``wired``."""
-    from boxswap import run_scenario, scenarios
+    the calls of the engine's ``apply_coupler`` and ``wired``; with a
+    ``report`` directory, run its document through the CLI, writing the
+    JSON report there, and add the report's size in MB."""
+    from boxswap import cli, run_scenario, save_json, scenarios
     spec = SHAPES[shape](size)
     calls = dict.fromkeys(("apply_coupler", "wired"), 0)
     saved = {name: getattr(scenarios, name) for name in calls}
+    runs = []
+
+    def run(spec):
+        runs.append(run_scenario(spec))
+        return runs[-1]
 
     def counting(name, fn):
         def call(*args, **kwargs):
@@ -70,45 +82,63 @@ def measure(shape: str, size: int) -> dict:
     try:
         for name, fn in saved.items():
             setattr(scenarios, name, counting(name, fn))
-        start = perf_counter()
-        report = run_scenario(spec)
+        if report is None:
+            start = perf_counter()
+            run(spec)
+        else:
+            doc, output = (Path(report) / f"{shape}-{size}{end}"
+                           for end in (".scenario.json", ".json"))
+            save_json(doc, spec.to_json())
+            cli.run_scenario = run
+            start = perf_counter()
+            cli.main(["run", str(doc), "--format", "json", "--output", str(output)])
         wall = perf_counter() - start
     finally:
         for name, fn in saved.items():
             setattr(scenarios, name, fn)
-    return {"shape": shape, "size": size, "wall_s": wall, "branches": len(report.branches),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, **calls}
+        cli.run_scenario = run_scenario
+    row = {"shape": shape, "size": size, "wall_s": wall, "branches": len(runs[0].branches),
+           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, **calls}
+    if report is not None:
+        row["report_mb"] = output.stat().st_size / 1e6
+    return row
 
 
-def run_child(shape: str, size: int) -> dict:
+def run_child(shape: str, size: int, report: str | None = None) -> dict:
     """``measure`` in a fresh interpreter, so that its peak RSS is its own."""
-    out = subprocess.run([sys.executable, __file__, "--child", shape, str(size)],
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    argv = [sys.executable, __file__, "--child", shape, str(size)] + ([report] if report else [])
+    return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chain", type=int, nargs="*", default=[], metavar="K")
     parser.add_argument("--ring", type=int, nargs="*", default=[], metavar="N")
-    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    parser.add_argument("--report", metavar="DIR",
+                        help="write each run's document and JSON report into DIR")
+    parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         sys.path.insert(0, str(ROOT / "src"))
-        print(json.dumps(measure(args.child[0], int(args.child[1]))))
+        shape, size, *report = args.child
+        print(json.dumps(measure(shape, int(size), *report)))
         return 0
     runs = [("chain", k) for k in args.chain] + [("ring", n) for n in args.ring]
     if not runs:
         parser.error("name at least one --chain or --ring size")
-    # a run holds all 2**K (or 2**N) branches at once, about 60 MB at K = 16
-    if any(not 1 <= k <= 18 for k in args.chain) or any(not 3 <= n <= 10 for n in args.ring):
-        parser.error("a chain takes 1 to 18 couplers and a ring 3 to 10 users")
+    # a run holds all 2**K (or 2**N) branches at once, about 60 MB at K = 16,
+    # and a scenario runs at most BRANCH_CAP = 2**16 branches
+    if any(not 1 <= k <= 16 for k in args.chain) or any(not 3 <= n <= 10 for n in args.ring):
+        parser.error("a chain takes 1 to 16 couplers and a ring 3 to 10 users")
+    if args.report:
+        Path(args.report).mkdir(parents=True, exist_ok=True)
     print(f"{'run':>9}  {'branches':>8}  {'wall s':>8}  {'peak MB':>8}  "
-          f"{'apply_coupler':>13}  {'wired':>6}")
+          f"{'apply_coupler':>13}  {'wired':>6}" + (f"  {'report MB':>9}" if args.report else ""))
     for shape, size in runs:
-        row = run_child(shape, size)
+        row = run_child(shape, size, args.report)
         print(f"{shape + f'({size})':>9}  {row['branches']:>8}  {row['wall_s']:8.3f}  "
-              f"{row['peak_rss_mb']:8.1f}  {row['apply_coupler']:>13}  {row['wired']:>6}")
+              f"{row['peak_rss_mb']:8.1f}  {row['apply_coupler']:>13}  {row['wired']:>6}"
+              + (f"  {row['report_mb']:9.1f}" if args.report else ""))
     return 0
 
 

@@ -18,9 +18,9 @@ list slices and ``map``.  They reach single index bits only through
 maps, and a column's input bits outside an output word through the cached
 ``_masked`` gathers; ``_outer`` lays out the tensor product, the one layout
 written by hand.  ``Scalar`` values appear only at the edges: ``prob``,
-``probs`` (built on first access) and JSON input; ``to_json`` writes each
-distinct cell value once, straight from its numerators, and shares it
-across the cells that hold it.
+``probs`` (built on first access) and JSON input; ``to_json`` (and the
+CLI's ``writer``, as text) writes each distinct cell value once, straight
+from its numerators, and shares it across the cells that hold it.
 
 A table may hold its output spectrum instead of its cells (see "the
 spectral form" below): for each output word S with a nonzero coefficient,

@@ -26,23 +26,24 @@ from .boxes import BoxTable, validate, word_to_str
 from .errors import BoxSwapError, CouplerInvalidError, SpecFileError
 from .fileio import canonical_dumps, load_json, save_text
 from .scenarios import ScenarioSpec, run_scenario
+from .writer import report_text, show_text
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write ``text`` as UTF-8 to the file ``output``, or to stdout: in its
-    own encoding if that is UTF-8 or it takes no bytes, else as UTF-8 bytes
-    to its buffer, so that a locale such as C cannot refuse a "√"."""
+def _emit(text, output: str | None) -> None:
+    """Write ``text``, a string or strings in turn, as UTF-8 to the file
+    ``output``, or to stdout: in its own encoding if that is UTF-8 or it
+    takes no bytes, else as UTF-8 bytes to its buffer, so that a locale such
+    as C cannot refuse a "√"."""
+    pieces = (text,) if isinstance(text, str) else text
     if output:
-        save_text(output, text)
-        return
-    stream = sys.stdout
-    buffer = getattr(stream, "buffer", None)
-    if buffer is None or codecs.lookup(stream.encoding).name == "utf-8":
-        stream.write(text)
-    else:
+        return save_text(output, pieces)
+    stream, buffer = sys.stdout, getattr(sys.stdout, "buffer", None)
+    if buffer is not None and codecs.lookup(stream.encoding).name != "utf-8":
         stream.flush()
-        buffer.write(text.encode("utf-8"))
-        buffer.flush()
+        stream = codecs.getwriter("utf-8")(buffer)
+    for piece in pieces:
+        stream.write(piece)
+    stream.flush()
 
 
 def _annotated(value) -> str:
@@ -125,11 +126,7 @@ def _scenario_table(report) -> str:
 
 def cmd_run(args) -> int:
     report = run_scenario(ScenarioSpec.from_json(load_json(args.scenario)))
-    if args.format == "json":
-        text = canonical_dumps(report.to_json())
-    else:
-        text = _scenario_table(report)
-    _emit(text, args.output)
+    _emit(report_text(report) if args.format == "json" else _scenario_table(report), args.output)
     return 0 if report.all_checks_passed else 2
 
 
@@ -227,10 +224,7 @@ def cmd_show(args) -> int:
     box = BoxTable.from_json(load_json(args.box))
     report = validate(box)
     if args.format == "json":
-        _emit(
-            canonical_dumps({"box": box.to_json(), "validation": report.to_json()}),
-            args.output,
-        )
+        _emit(show_text(box, report), args.output)
     else:
         lines = [
             f"{box.n}-party box",

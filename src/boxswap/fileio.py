@@ -4,9 +4,9 @@ Documents are read and written as UTF-8, whatever the locale.  They are
 emitted with sorted keys, two-space indent, and a trailing newline, so that
 a load/save round trip is byte-identical and diffs stay readable.  All
 parse-level failures surface as SpecFileError, and so do the
-field checks the document loaders share.  ``canonical_dumps`` renders a
-dict that a document holds at several places (as box documents share
-their cell values) once per indent, and copies that text where it recurs.
+field checks the document loaders share.  The CLI writes scenario
+reports and box documents through ``writer``, from the texts of their
+distinct fragments, and every other document through ``canonical_dumps``.
 """
 
 from __future__ import annotations
@@ -45,14 +45,9 @@ def canonical_dumps(obj) -> str:
     in one recursive pass: with an indent ``json`` always takes its slower
     pure-Python encoder.  Other leaves (floats, unsupported objects) go to
     ``json.dumps``, so they print, or raise TypeError, as there; a dict key
-    that is not a string raises TypeError.
-
-    A dict met again at the same indent is rendered once: ``memo`` maps
-    ``(id(obj), newline)`` to where its text sits in ``out``, and on the
-    second meeting to that text joined.  Every object stays alive while the
-    call runs, so an id is never reused within it."""
+    that is not a string raises TypeError."""
     out: list = []
-    _write(obj, out, "\n", {})
+    _write(obj, out, "\n")
     out.append("\n")
     return "".join(out)
 
@@ -67,15 +62,10 @@ _LEAVES = {
 }
 
 
-def _write(obj, out: list, newline: str, memo: dict) -> None:
+def _write(obj, out: list, newline: str) -> None:
     """Append ``obj``'s canonical text; ``newline`` is a line break plus the
     indent of the line ``obj`` starts on.  Inside a list or dict, a leaf of
-    a type in ``_LEAVES`` is appended in place, and so is a dict value
-    already rendered at that indent; a row ``[str, str, dict]`` of exactly
-    those types (a box document's cell) is appended as one piece once its
-    dict has been rendered at the row's inner indent, with each distinct
-    word quoted once per list; anything else recurses, and a dict met again
-    there takes its text from ``memo``."""
+    a type in ``_LEAVES`` is appended in place; anything else recurses."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -85,41 +75,19 @@ def _write(obj, out: list, newline: str, memo: dict) -> None:
             return
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
-        texts = None  # at the first row: its indent, and caches of words and dict texts
         for item in obj:
             leaf = _LEAVES.get(type(item))
             if leaf is not None:
                 out.append(sep + leaf(item))
-            elif (type(item) is list and len(item) == 3 and type(item[0]) is str
-                  and type(item[1]) is str and type(item[2]) is dict):
-                if texts is None:
-                    deeper, close, texts, words = inner + "  ", inner + "]", {}, {}
-                x, a, value = item
-                qx = words.get(x) or words.setdefault(x, _quoted(x) + "," + deeper)
-                qa = words.get(a) or words.setdefault(a, _quoted(a) + "," + deeper)
-                text = texts.get(id(value))
-                if text is None and (id(value), deeper) in memo:
-                    text = texts[id(value)] = _again(value, deeper, out, memo)
-                if text is None:
-                    out.append(f"{sep}[{deeper}{qx}{qa}")
-                    _write(value, out, deeper, memo)
-                    out.append(close)
-                else:
-                    out.append(f"{sep}[{deeper}{qx}{qa}{text}{close}")
             else:
                 out.append(sep)
-                _write(item, out, inner, memo)
+                _write(item, out, inner)
             sep = comma
         out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        key = (id(obj), newline)
-        if key in memo:
-            out.append(_again(obj, newline, out, memo))
-            return
-        start = len(out)
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for name, value in sorted(obj.items()):
@@ -127,30 +95,17 @@ def _write(obj, out: list, newline: str, memo: dict) -> None:
             leaf = _LEAVES.get(type(value))
             if leaf is not None:
                 out.append(head + leaf(value))
-            elif type(value) is dict and (id(value), inner) in memo:
-                out.append(head + _again(value, inner, out, memo))
             else:
                 out.append(head)
-                _write(value, out, inner, memo)
+                _write(value, out, inner)
             sep = comma
         out.append(newline + "}")
-        memo[key] = (start, len(out))
     elif isinstance(obj, str):
         out.append(_quoted(obj))
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     else:
         out.append(json.dumps(obj))
-
-
-def _again(obj: dict, newline: str, out: list, memo: dict) -> str:
-    """The text of a dict met before at this indent: on the second meeting
-    its span in ``out`` is joined and kept in ``memo`` in place of the span."""
-    key = (id(obj), newline)
-    seen = memo[key]
-    if type(seen) is tuple:  # met once: its text is out[start:end]
-        seen = memo[key] = "".join(out[seen[0]:seen[1]])
-    return seen
 
 
 def load_json(path) -> object:
@@ -169,14 +124,16 @@ def load_json(path) -> object:
         raise SpecFileError(f"{path} cannot be loaded: {exc}") from exc
 
 
-def save_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to the file ``path``; a path that cannot be
-    written (a directory, a missing folder) is a SpecFileError."""
+def save_text(path, pieces) -> None:
+    """Write the strings ``pieces``, in turn, as UTF-8 to the file ``path``;
+    a path that cannot be written (a directory, a missing folder) or a
+    write that fails is a SpecFileError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(pieces)
     except OSError as exc:
         raise SpecFileError(f"cannot write {path}: {exc}") from exc
 
 
 def save_json(path, obj) -> None:
-    save_text(path, canonical_dumps(obj))
+    save_text(path, (canonical_dumps(obj),))

@@ -41,6 +41,7 @@ from .fileio import json_bit, json_positive_int, json_str
 from .scalar import ONE, ZERO, Scalar, _reduced, qsign
 
 REPORT_FUNCTIONALS = ("gsi", "ch")
+BRANCH_CAP = 2**16  # the most branches a scenario may run: 2 per coupler without an outcome
 
 
 class _Record:
@@ -275,12 +276,12 @@ class BranchRecord(_Record):
 
 class _Fragments:
     """The JSON fragments of one report, each built once and placed
-    wherever it recurs, so that ``canonical_dumps`` writes each once per
-    indent: a Scalar's JSON dict and decimal string by its ``(r, s, d)``
-    triple, and the document of a box, functionals dict, classification,
-    bound triple or validation by the object's identity (``_report`` gives
+    wherever it recurs (``writer.report_text`` shares their texts alike):
+    a Scalar's JSON dict and decimal string by its ``(r, s, d)`` triple,
+    and the document of a box, functionals dict, classification, bound
+    triple or validation by the object's identity (``_report`` gives
     branches whose boxes are equal one box and one set of results).  The
-    report holds every object keyed by identity while it is written, so no
+    report holds every object keyed by identity while it is built, so no
     id is reused."""
 
     __slots__ = ("values", "decimals", "documents")
@@ -439,10 +440,14 @@ def _plan(boxes: tuple, couplers: tuple, wirings: tuple, reports: tuple) -> tupl
     coupler (its effect, consumed labels, kept outcome or None, the pools it
     spans, its positions in their joint, the surviving pool's slot and the
     other pools after it), and ``_fold_plan``'s final labels and steps.
-    Each product of pools that a coupler's joint and the fold would build
-    goes through the party cap here, in run order, so an over-cap spec is
-    refused before any table is made, with the error the run would raise."""
+    The branch count goes through ``BRANCH_CAP``, then each product of pools
+    that a coupler's joint and the fold would build through the party cap, in
+    run order, so an over-cap spec is refused, as the run would, unbuilt."""
     _validate_spec(boxes, couplers, wirings, reports)
+    free = sum(c[2] is None for c in couplers)  # the couplers without an outcome
+    if 2**free > BRANCH_CAP:
+        raise SpecFileError(f"{free} couplers without an outcome make 2**{free} branches; "
+                            f"the cap is {BRANCH_CAP}")
     layout, coupled = [list(box[3]) for box in boxes], []
     for arity, consumed, outcome, _ in couplers:
         effect, ends = build_coupler(arity), set(consumed)

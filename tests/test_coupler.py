@@ -17,17 +17,20 @@ from hypothesis import strategies as st
 
 from boxswap import (
     INV_SQRT2,
+    BoxTable,
     Scalar,
     ONE,
     ZERO,
     anti_pr,
     apply_coupler,
+    bounds,
     build_coupler,
     deterministic_local,
     failure,
     gsb,
     is_allowed,
     isotropic,
+    mix,
     mixed,
     pr,
     success_probability,
@@ -333,23 +336,25 @@ def test_isotropic_swap_is_bilinear_in_the_weights(x1, x2):
     assert validate(res0.box).all_ok and validate(res1.box).all_ok
 
 
-def _holds_at_the_corners(build, count: int, out: int) -> None:
+def _holds_at_the_corners(build, count: int, law) -> None:
     """Run ``build(corner)`` at each corner xi in {0, 1}**count of the
     weight cube and check every branch against the swap law: a branch with
     k failures among c couplers has probability 2**k / 3**c and the valid
-    box isotropic(out, w * (-1/2)**k), w the product of the weights.  The
-    law's probability is positive and both boxes are normalised, so equal
-    (probability, box) pairs are equal products probability * box, and a
-    product fixes its pair (its mass is the probability).
+    box ``law(w * (-1/2)**k)``, w the product of the weights, where
+    ``law(v)`` is v * G + (1 - v) * mixed(out) for the box G that all
+    couplers' success makes of perfect inputs: gsb(out), or a ring's parity
+    box.  The law's probability is positive and both boxes are normalised,
+    so equal (probability, box) pairs are equal products probability * box,
+    and a product fixes its pair (its mass is the probability).
 
     This proves the law, with mass and validity, on all of [0, 1]**count.
     Each input box isotropic(n, xi) = xi * gsb(n) + (1 - xi) * mixed(n) is
-    affine in its weight and the coupler is linear in each factor of the
-    joint, so each branch's unnormalised table (probability times box) is
-    multilinear in the weights; so is the law's, whose cells are
-    2**k / 3**c * (1 +- w * (-1/2)**k) / 2**out.  Two multilinear functions
-    equal at the corners are equal on the cube: one affine in a single
-    weight is fixed by its values at 0 and 1, and induction over the
+    affine in its weight, and the coupler and a wiring are linear in each
+    factor of their input, so each branch's unnormalised table (probability
+    times box) is multilinear in the weights; so is the law's, whose cells
+    are 2**k / 3**c * (1 +- w * (-1/2)**k) / 2**out.  Two multilinear
+    functions equal at the corners are equal on the cube: one affine in a
+    single weight is fixed by its values at 0 and 1, and induction over the
     weights does the rest.  A multilinear function takes its least value
     on the cube at a corner, so a cell nonnegative at every corner is
     nonnegative everywhere, and normalisation and nonsignaling, linear
@@ -361,21 +366,65 @@ def _holds_at_the_corners(build, count: int, out: int) -> None:
         for record in report.branches:
             c, k = len(record.outcome), sum(record.outcome)
             assert record.probability == Scalar.rational(2**k, 3**c), (corner, record.outcome)
-            assert record.box == isotropic(out, weight * Scalar.rational((-1) ** k, 2**k))
+            assert record.box == law(weight * Scalar.rational((-1) ** k, 2**k))
             assert validate(record.box).all_ok
             total = total + record.probability
         assert total == ONE
 
 
-@pytest.mark.parametrize("m, n", list(itertools.product(range(2, 5), repeat=2)))
+@pytest.mark.parametrize("m, n", list(itertools.product(range(2, 6), repeat=2)))
 def test_swap_two_obeys_the_law_on_the_weight_cube(m, n):
-    _holds_at_the_corners(lambda xi: swap_two(m, n, *xi), 2, m + n - 2)
+    _holds_at_the_corners(lambda xi: swap_two(m, n, *xi), 2,
+                          lambda v: isotropic(m + n - 2, v))
 
 
 @pytest.mark.parametrize("arities", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
 def test_swap_many_obeys_the_law_on_the_weight_cube(arities):
     _holds_at_the_corners(lambda xi: swap_many(arities, xi), len(arities),
-                          sum(arities) - len(arities))
+                          lambda v: isotropic(sum(arities) - len(arities), v))
+
+
+def _weighted_ring(n: int, xis) -> scenarios.ScenarioSpec:
+    """``scripts/scaling.py``'s ring of n users, its 2n PR boxes isotropic
+    at the weights ``xis``, in box order."""
+    users = "acdefghijk"[:n]
+    boxes, couplers = [], []
+    for k, (left, right) in enumerate(zip(users, users[1:] + users[:1])):
+        boxes += [scenarios.ScenarioBox(f"g{2 * k + 1}", "isotropic", 2,
+                                        (f"{left}1", f"b{2 * k + 1}"), xis[2 * k]),
+                  scenarios.ScenarioBox(f"g{2 * k + 2}", "isotropic", 2,
+                                        (f"{right}2", f"b{2 * k + 2}"), xis[2 * k + 1])]
+        couplers.append(scenarios.ScenarioCoupler(2, (f"b{2 * k + 1}", f"b{2 * k + 2}")))
+    wirings = tuple(scenarios.ScenarioWiring((f"{u}1", f"{u}2"), u) for u in users)
+    return scenarios.ScenarioSpec(f"ring-{n}", tuple(boxes), tuple(couplers), wirings)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_ring_obeys_the_law_on_the_weight_cube(n):
+    # one weight per PR box: 2**6 corners for three users, 2**8 for four;
+    # G is the cycle's parity box, uniform on the output words whose parity
+    # is sum_i x_i * x_(i+1)
+    signs = [(-1) ** sum(x >> i & x >> (i + 1) % n & 1 for i in range(n)) for x in range(2**n)]
+    parity = BoxTable.from_spectrum(n, 2**n, {0: ([1] * 2**n, None), 2**n - 1: (signs, None)})
+    _holds_at_the_corners(lambda xi: scenarios.run_scenario(_weighted_ring(n, xi)), 2 * n,
+                          lambda v: mix([(v, parity), (ONE - v, mixed(n))]))
+
+
+def test_two_noisy_boxes_put_a_swap_on_the_local_bound():
+    # one coupler on m two-party boxes, k of them at weight 1/sqrt(2) and the
+    # rest at 1: the success box is isotropic(m, 2**(-k/2)), whose gsi value
+    # 2**m * 2**(-k/2) meets the local bound 2**(m - 1) exactly at k = 2,
+    # exceeds it exactly for k <= 1, and meets the quantum bound 2**(m - 1)
+    # * sqrt(2) at k = 1 (check 10 tests three boxes only)
+    for m in range(2, 6):
+        triple = bounds(m)
+        for k in range(m + 1):
+            success = swap_many((2,) * m, [INV_SQRT2] * k + [ONE] * (m - k)).branch((0,))
+            value, verdict = success.functionals["gsi"], success.classification
+            assert (value == triple.local) == (k == 2), (m, k)
+            assert (value > triple.local) == verdict.exceeds_local == (k <= 1), (m, k)
+            assert (value == triple.quantum) == (k == 1), (m, k)
+            assert verdict.exceeds_quantum == (k == 0), (m, k)
 
 
 @given(xis)

@@ -7,7 +7,8 @@ loaders' own keys now and then), and documents in the loaders' grammar
 random edits.  They go to ``Scalar.from_json``, ``BoxTable.from_json`` plus
 ``validate``, ``ScenarioSpec.from_json`` plus ``run_scenario``, and every
 CLI verb.  Anything else that comes out, and any example over its
-deadline, fails the test.
+deadline, fails the test.  Long repeater chains and wide fans of swaps,
+which would run for hours, must be refused by a cap at once.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -185,6 +187,47 @@ def test_box_loader_raises_only_boxswap_errors(doc):
 @settings(FUZZ, max_examples=100)
 def test_scenario_loader_and_engine_raise_only_boxswap_errors(doc):
     _loads_or_refuses(lambda doc: run_scenario(ScenarioSpec.from_json(doc)), doc)
+
+
+@st.composite
+def long_chains(draw):
+    """A repeater chain of k + 1 PR boxes in a line, coupler i on the right
+    end of box i and the left end of box i + 1, with more than 16 of its k
+    couplers free of an ``outcome``: more than ``BRANCH_CAP`` branches."""
+    k = draw(st.integers(17, 64))
+    kept = draw(st.sets(st.integers(1, k), max_size=k - 17))
+    return {"name": "chain",
+            "boxes": [{"name": f"g{i}", "kind": "pr", "parties": [f"l{i}", f"r{i}"]}
+                      for i in range(1, k + 2)],
+            "couplers": [{"consumed": [f"r{i}", f"l{i + 1}"], "outcome": 0 if i in kept else None}
+                         for i in range(1, k + 1)]}
+
+
+@st.composite
+def wide_fans(draw):
+    """k PR-pair swaps that share no party: the fold tensors 2k parties,
+    over the party cap from k = 6, and past k = 16 the swaps' branches are
+    over ``BRANCH_CAP`` too."""
+    k = draw(st.integers(6, 48))
+    boxes = [{"name": f"{side}{i}", "kind": "pr", "parties": [f"{side}{i}x", f"{side}{i}y"]}
+             for i in range(k) for side in "pq"]
+    return {"name": "fan", "boxes": boxes,
+            "couplers": [{"consumed": [f"p{i}y", f"q{i}x"]} for i in range(k)]}
+
+
+@given(long_chains() | wide_fans())
+@settings(FUZZ, max_examples=40)
+def test_a_document_past_a_cap_is_refused_at_once(doc):
+    """Refused with a BoxSwapError before any table of its run is built:
+    in well under the 0.5 s allowed here, where running it would take
+    hours or all memory."""
+    start = perf_counter()
+    try:
+        run_scenario(ScenarioSpec.from_json(doc))
+    except BoxSwapError:
+        assert perf_counter() - start < 0.5
+    else:
+        raise AssertionError("a document past a cap ran")
 
 
 def _cli(argv) -> tuple:

@@ -52,12 +52,12 @@ def test_profile_round_splits_each_document_run_into_phases(capsys):
     assert lines[at + 1].split() == list(script.PHASES) + ["total", "request"]
     rows = [line.split() for line in lines[at + 2:at + 14]]
     assert sorted(row[-1] for row in rows) == labels
-    # seven values to 0.001 ms per row, and thirteen per column
+    # five values to 0.001 ms per row, and thirteen per column
     for row in rows + [lines[at + 14].split()]:
-        times = [float(t) for t in row[:6]]
-        assert abs(sum(times) - float(row[6])) <= 0.0035 + 1e-9
+        times = [float(t) for t in row[:4]]
+        assert abs(sum(times) - float(row[4])) <= 0.0025 + 1e-9
     assert lines[at + 14].endswith("(round)") and len(lines) == at + 15
-    for i in range(7):
+    for i in range(5):
         column = sum(float(row[i]) for row in rows)
         assert abs(column - float(lines[at + 14].split()[i])) <= 0.0065 + 1e-9
 

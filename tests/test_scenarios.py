@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -569,6 +570,38 @@ def test_an_over_cap_spec_is_refused_before_any_coupler_runs(monkeypatch):
     assert calls == []
     assert run_scenario(_independent_swaps(5)).all_checks_passed  # 10 parties still run
     assert len(calls) == 5
+
+
+def _chain(k: int) -> ScenarioSpec:
+    """k + 1 PR boxes in a line, coupler i consuming the right end of box i
+    and the left end of box i + 1 (``scripts/scaling.py``'s repeater chain)."""
+    boxes = tuple(ScenarioBox(f"g{i}", "pr", 2, (f"l{i}", f"r{i}")) for i in range(1, k + 2))
+    couplers = tuple(ScenarioCoupler(2, (f"r{i}", f"l{i + 1}")) for i in range(1, k + 1))
+    return ScenarioSpec(f"chain-{k}", boxes, couplers)
+
+
+def test_a_spec_over_the_branch_cap_is_refused_before_any_coupler_runs(monkeypatch):
+    # a 30-coupler chain would hold 2**30 branches: its plan refuses it at
+    # once, before any table is built or any coupler applied
+    calls = []
+    apply = scenarios.apply_coupler
+    monkeypatch.setattr(scenarios, "apply_coupler", lambda *args: calls.append(args) or apply(*args))
+    start = perf_counter()
+    with pytest.raises(SpecFileError) as err:
+        run_scenario(_chain(30))
+    assert perf_counter() - start < 0.1
+    assert str(err.value) == "30 couplers without an outcome make 2**30 branches; the cap is 65536"
+    assert calls == []
+    # 16 couplers are at the cap, so the 16-coupler chain is planned (its
+    # 65,536 branches are not run here); a coupler with an outcome adds none
+    assert scenarios.BRANCH_CAP == 2**16
+    assert len(scenarios._plan(*scenarios._shape(_chain(16)))[0]) == 16
+    conditioned = ScenarioSpec("kept", _chain(17).boxes,
+                               _chain(17).couplers[:-1] + (ScenarioCoupler(2, ("r17", "l18"), 0),))
+    assert len(scenarios._plan(*scenarios._shape(conditioned))[0]) == 17
+    with pytest.raises(SpecFileError, match="17 couplers without an outcome make 2[*][*]17"):
+        scenarios._plan(*scenarios._shape(_chain(17)))
+    assert calls == []
 
 
 def _ring_law(n: int, k: int) -> BoxTable:
