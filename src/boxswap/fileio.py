@@ -1,18 +1,18 @@
 """Canonical JSON reading and writing.
 
-Documents are read and written as UTF-8, whatever the locale.  They are
-emitted with sorted keys, two-space indent, and a trailing newline, so that
-a load/save round trip is byte-identical and diffs stay readable.  All
-parse-level failures surface as SpecFileError, and so do the
-field checks the document loaders share.  The CLI writes scenario
-reports and box documents through ``writer``, from the texts of their
-distinct fragments, and every other document through ``canonical_dumps``.
+Documents are read and written as UTF-8, whatever the locale.  Their
+canonical text is ``json.dumps`` with sorted keys and a two-space indent,
+plus a trailing newline, so that a load/save round trip is byte-identical
+and diffs stay readable.  All parse-level failures surface as
+SpecFileError, and so do the field checks the document loaders share.  The
+CLI writes scenario reports and box documents through ``writer``, which
+makes the same text from the texts of their distinct fragments, and every
+other document through ``canonical_dumps``.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 from .errors import SpecFileError
@@ -41,71 +41,10 @@ def json_str(value, what: str) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    in one recursive pass: with an indent ``json`` always takes its slower
-    pure-Python encoder.  Other leaves (floats, unsupported objects) go to
-    ``json.dumps``, so they print, or raise TypeError, as there; a dict key
-    that is not a string raises TypeError."""
-    out: list = []
-    _write(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-# the text of a leaf whose type is exactly one of these; a subclass of str
-# or int takes the longer path through ``_write``
-_LEAVES = {
-    str: _quoted,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _write(obj, out: list, newline: str) -> None:
-    """Append ``obj``'s canonical text; ``newline`` is a line break plus the
-    indent of the line ``obj`` starts on.  Inside a list or dict, a leaf of
-    a type in ``_LEAVES`` is appended in place; anything else recurses."""
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None:
-        out.append(leaf(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in obj:
-            leaf = _LEAVES.get(type(item))
-            if leaf is not None:
-                out.append(sep + leaf(item))
-            else:
-                out.append(sep)
-                _write(item, out, inner)
-            sep = comma
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for name, value in sorted(obj.items()):
-            head = sep + _quoted(name) + ": "
-            leaf = _LEAVES.get(type(value))
-            if leaf is not None:
-                out.append(head + leaf(value))
-            else:
-                out.append(head)
-                _write(value, out, inner)
-            sep = comma
-        out.append(newline + "}")
-    elif isinstance(obj, str):
-        out.append(_quoted(obj))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    else:
-        out.append(json.dumps(obj))
+    """``obj``'s canonical text: ``json.dumps`` with sorted keys and a
+    two-space indent, and a trailing newline.  What ``json`` refuses raises
+    TypeError."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def load_json(path) -> object:

@@ -247,70 +247,42 @@ class BranchRecord(_Record):
         self.bound_triple, self.validation = bound_triple, validation
 
     def to_json(self) -> dict:
-        """The branch document.  Equal values in it may be one shared
-        object (a box document shares its value dicts across its cells),
-        so treat it as read-only."""
+        """The branch document.  Its box document shares its value dicts
+        across its cells, so treat it as read-only."""
         return self._json(_Fragments())
 
     def _json(self, f: "_Fragments") -> dict:
         return {
             "outcome": list(self.outcome),
-            "probability": f.value(self.probability),
-            "probability_decimal": f.decimal(self.probability),
+            "probability": self.probability.to_json(),
+            "probability_decimal": self.probability.decimal(),
             "box": f.shared(self.box),
             "functionals": f.shared(self.functionals, lambda values: {
-                name: {"value": f.value(value), "decimal": f.decimal(value)}
+                name: {"value": value.to_json(), "decimal": value.decimal()}
                 for name, value in sorted(values.items())
             }),
-            "classification": f.shared(self.classification, lambda c: {
-                # Classification.to_json's layout, with the value's parts shared
-                "value": f.value(c.value),
-                "value_decimal": f.decimal(c.value),
-                "exceeds_local": c.exceeds_local,
-                "exceeds_quantum": c.exceeds_quantum,
-            }),
+            "classification": f.shared(self.classification),
             "bounds": f.shared(self.bound_triple),
             "validation": f.shared(self.validation),
         }
 
 
-class _Fragments:
-    """The JSON fragments of one report, each built once and placed
-    wherever it recurs (``writer.report_text`` shares their texts alike):
-    a Scalar's JSON dict and decimal string by its ``(r, s, d)`` triple,
-    and the document of a box, functionals dict, classification, bound
-    triple or validation by the object's identity (``_report`` gives
-    branches whose boxes are equal one box and one set of results).  The
-    report holds every object keyed by identity while it is built, so no
-    id is reused."""
-
-    __slots__ = ("values", "decimals", "documents")
-
-    def __init__(self):
-        self.values, self.decimals, self.documents = {}, {}, {}
-
-    def value(self, x: Scalar) -> dict:
-        key = (x.r, x.s, x.d)
-        doc = self.values.get(key)
-        if doc is None:
-            doc = self.values[key] = x.to_json()
-        return doc
-
-    def decimal(self, x: Scalar) -> str:
-        key = (x.r, x.s, x.d)
-        text = self.decimals.get(key)
-        if text is None:
-            text = self.decimals[key] = x.decimal()
-        return text
+class _Fragments(dict):
+    """The documents of one report's boxes, functionals dicts,
+    classifications, bound triples and validations by object identity,
+    each built once and placed wherever it recurs (``_report`` gives
+    branches whose boxes are equal one box and one set of results, and
+    ``writer.report_text`` shares their texts alike).  The report holds
+    every object keyed by identity while it is built, so no id is reused."""
 
     def shared(self, obj, build=None) -> dict | None:
         """``build(obj)``, by default ``obj.to_json()``, once per object;
         None for None."""
         if obj is None:
             return None
-        doc = self.documents.get(id(obj))
+        doc = self.get(id(obj))
         if doc is None:
-            doc = self.documents[id(obj)] = obj.to_json() if build is None else build(obj)
+            doc = self[id(obj)] = obj.to_json() if build is None else build(obj)
         return doc
 
 
@@ -337,26 +309,26 @@ class ScenarioReport(_Record):
         raise KeyError(f"no branch with outcome {outcome}")
 
     def to_json(self) -> dict:
-        """The report document.  Each distinct box document, value,
-        decimal string, classification, bound triple and validation dict
-        is built once and is one object wherever it recurs (as a box
-        document's value dicts are), so treat the document as read-only."""
+        """The report document.  Each distinct box document, functionals
+        dict, classification, bound triple and validation dict is built
+        once and is one object wherever it recurs (as a box document's
+        value dicts are), so treat the document as read-only."""
         f = _Fragments()
         doc = {
             "scenario": self.scenario,
             "order": WORD_ORDER,
             "parties": list(self.parties),
             "branches": [b._json(f) for b in self.branches],
-            "total_probability": f.value(self.total_probability),
-            "total_probability_decimal": f.decimal(self.total_probability),
+            "total_probability": self.total_probability.to_json(),
+            "total_probability_decimal": self.total_probability.decimal(),
             "crosschecks": [c.to_json() for c in self.crosschecks],
         }
         if self.groups is not None:
             doc["groups"] = [
                 {
                     "failures": g["failures"],
-                    "probability": f.value(g["probability"]),
-                    "probability_decimal": f.decimal(g["probability"]),
+                    "probability": g["probability"].to_json(),
+                    "probability_decimal": g["probability"].decimal(),
                     "branches": g["branches"],
                 }
                 for g in self.groups

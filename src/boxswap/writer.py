@@ -1,15 +1,16 @@
-"""Canonical JSON of reports and box documents, as ``canonical_dumps`` writes
-their ``to_json``: ``report_text`` yields a report's one branch at a time, in
-bounded memory.  Each text is made once, at its line's indent: a ``Scalar``'s
-and its decimal per value, a box's rows in one pass, and a box's, functionals',
-classification's, bound triple's or validation's per object, while it recurs."""
+"""Canonical JSON of reports and box documents, as ``canonical_dumps``
+(``json.dumps``) writes their ``to_json``: ``report_text`` yields a report's
+one branch at a time, in bounded memory.  Each text is made once, at its
+line's indent: a ``Scalar``'s and its decimal per value, a box's rows in one
+pass, and a box's, functionals', classification's, bound triple's or
+validation's per object, while it recurs."""
 
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .boxes import WORD_ORDER, word_to_str
-from .fileio import _quoted
 from .scalar import _reduced, scalar_json
 
 _SCALAR = '{\n  "r": [\n    "%s",\n    "%s"\n  ],\n  "s": [\n    "%s",\n    "%s"\n  ]\n}'

@@ -41,7 +41,7 @@ from boxswap import (
 )
 import boxswap.cli  # the workloads build requests of the CLI
 from boxswap import checks, coupler, scenarios
-from boxswap.errors import ArityError, CouplerInvalidError, SpecFileError
+from boxswap.errors import ArityError, CouplerInvalidError, PartyCapError, SpecFileError
 from boxswap.fileio import load_json
 
 THIRD = Scalar.rational(1, 3)
@@ -399,23 +399,36 @@ def _weighted_ring(n: int, xis) -> scenarios.ScenarioSpec:
     return scenarios.ScenarioSpec(f"ring-{n}", tuple(boxes), tuple(couplers), wirings)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_a_ring_obeys_the_law_on_the_weight_cube(n):
-    # one weight per PR box: 2**6 corners for three users, 2**8 for four;
-    # G is the cycle's parity box, uniform on the output words whose parity
-    # is sum_i x_i * x_(i+1)
+def _parity_law(n: int):
+    """``v -> v * G + (1 - v) * mixed(n)`` for G the n-cycle's parity box,
+    uniform on the output words whose parity is sum_i x_i * x_(i+1): two
+    spectral columns, the full set's carrying v times G's signs."""
     signs = [(-1) ** sum(x >> i & x >> (i + 1) % n & 1 for i in range(n)) for x in range(2**n)]
-    parity = BoxTable.from_spectrum(n, 2**n, {0: ([1] * 2**n, None), 2**n - 1: (signs, None)})
-    _holds_at_the_corners(lambda xi: scenarios.run_scenario(_weighted_ring(n, xi)), 2 * n,
-                          lambda v: mix([(v, parity), (ONE - v, mixed(n))]))
+
+    def law(v: Scalar) -> BoxTable:
+        rat = [v.r * sign for sign in signs]
+        surd = [v.s * sign for sign in signs] if v.s else None
+        return BoxTable.from_spectrum(n, v.d << n, {0: ([v.d] * 2**n, None), 2**n - 1: (rat, surd)})
+    return law
 
 
-def test_two_noisy_boxes_put_a_swap_on_the_local_bound():
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_ring_obeys_the_law_on_the_weight_cube(n):
+    # one weight per PR box: 2**6 corners for three users, 2**8 for four,
+    # 2**10 for five; the law's columns are its mix of G and mixed(n)
+    law = _parity_law(n)
+    assert all(law(v) == mix([(v, law(ONE)), (ONE - v, mixed(n))])
+               for v in (Scalar.rational(-1, 8), INV_SQRT2, ONE))
+    _holds_at_the_corners(lambda xi: scenarios.run_scenario(_weighted_ring(n, xi)), 2 * n, law)
+
+
+def test_two_noisy_boxes_put_a_swap_on_the_local_bound(monkeypatch):
     # one coupler on m two-party boxes, k of them at weight 1/sqrt(2) and the
     # rest at 1: the success box is isotropic(m, 2**(-k/2)), whose gsi value
     # 2**m * 2**(-k/2) meets the local bound 2**(m - 1) exactly at k = 2,
     # exceeds it exactly for k <= 1, and meets the quantum bound 2**(m - 1)
-    # * sqrt(2) at k = 1 (check 10 tests three boxes only)
+    # * sqrt(2) at k = 1 (check 10 tests three boxes only); six boxes join
+    # 12 parties, past the cap, so the plan refuses them before any coupler
     for m in range(2, 6):
         triple = bounds(m)
         for k in range(m + 1):
@@ -425,6 +438,11 @@ def test_two_noisy_boxes_put_a_swap_on_the_local_bound():
             assert (value > triple.local) == verdict.exceeds_local == (k <= 1), (m, k)
             assert (value == triple.quantum) == (k == 1), (m, k)
             assert verdict.exceeds_quantum == (k == 0), (m, k)
+    calls = []
+    monkeypatch.setattr(scenarios, "apply_coupler", lambda *args: calls.append(args))
+    with pytest.raises(PartyCapError, match="n=12"):
+        swap_many((2,) * 6)
+    assert calls == []
 
 
 @given(xis)

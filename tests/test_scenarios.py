@@ -1,6 +1,5 @@
 """Scenario engine: declarative wiring, branch bookkeeping, built-ins."""
 
-import json
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -459,13 +458,11 @@ def _scenario_specs(draw):
 
 
 def _written(report) -> tuple:
-    """The report's document and its canonical text, after checking that a
-    copy of the document in which no two places share an object writes the
-    same bytes, and that each part built from shared values reads as the
-    unshared ``to_json`` and ``decimal`` of its own values."""
+    """The report's document and its canonical text, after checking that
+    each part built once per object reads as the ``to_json`` and
+    ``decimal`` of its own values."""
     doc = report.to_json()
     text = canonical_dumps(doc)
-    assert text == canonical_dumps(json.loads(json.dumps(doc)))
     for record, branch in zip(report.branches, doc["branches"]):
         assert branch["probability"] == record.probability.to_json()
         assert branch["probability_decimal"] == record.probability.decimal()
